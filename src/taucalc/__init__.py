@@ -8,7 +8,6 @@ certificates.
 
 from .braid import (
     BraidWord,
-    Permutation,
     bennequin_genus,
     closure_components,
     closure_permutation,
@@ -34,7 +33,6 @@ from .deduce import (
     replay,
 )
 from .families import (
-    DoubleSpec,
     PretzelParams,
     TorusParams,
     pretzel_tau,

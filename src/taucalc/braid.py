@@ -20,40 +20,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Permutation of 0..n-1 given by its image sequence."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for start in range(len(self.images)):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self.images[start]
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_count(self) -> int:
-        return len(self.cycles())
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """Word in the braid group B_n as signed generator indices."""
 
@@ -118,23 +84,38 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def closure_permutation(b: BraidWord) -> Permutation:
-    """Strand permutation of the closure: transposition (i-1, i) per letter,
-    composed in word order.  Letter sign is irrelevant here."""
-    images = list(range(b.strands))
+def closure_permutation(b: BraidWord) -> tuple[int, ...]:
+    """Strand permutation of the closure as an image tuple: the strand
+    entering at position p leaves at position images[p].  Each letter swaps
+    the strands at positions i-1 and i; letter sign is irrelevant here."""
+    at = list(range(b.strands))  # at[pos]: the strand now at position pos
     for l in b.letters:
-        i = abs(l) - 1
-        for p in range(b.strands):
-            if images[p] == i:
-                images[p] = i + 1
-            elif images[p] == i + 1:
-                images[p] = i
-    return Permutation(tuple(images))
+        i = abs(l)
+        at[i - 1], at[i] = at[i], at[i - 1]
+    images = [0] * b.strands
+    for pos, strand in enumerate(at):
+        images[strand] = pos
+    return tuple(images)
+
+
+def count_cycles(images) -> int:
+    """Number of cycles of the permutation p -> images[p]."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+    return count
 
 
 def closure_components(b: BraidWord) -> int:
     """Number of link components of the braid closure."""
-    return closure_permutation(b).cycle_count()
+    return count_cycles(closure_permutation(b))
 
 
 def _require_knot(b: BraidWord) -> None:

@@ -20,26 +20,10 @@ import json
 from importlib import resources
 
 from .braid import parse_braid
-from .deduce import (
-    Cobordism,
-    CrossingChange,
-    Double,
-    FactBase,
-    Mirror,
-    Relation,
-    Sum,
-    Unknotting,
-)
+from .deduce import FactBase, Relation
 from .errors import CatalogError
 
-_RELATION_TYPES = {
-    "mirror": Mirror,
-    "sum": Sum,
-    "crossing_change": CrossingChange,
-    "cobordism": Cobordism,
-    "unknotting": Unknotting,
-    "double": Double,
-}
+_RELATION_TYPES = {cls.kind: cls for cls in Relation.__args__}
 
 # Expected (strands, positive letters, negative letters) for the bundled
 # braid words, as reported for these knots in genus tables.

@@ -12,9 +12,9 @@ import sys
 from . import braid as braid_mod
 from . import catalog as catalog_mod
 from . import families, grid as grid_mod
-from .deduce import propagate, query, replay
+from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
-from .report import build_report, render_report, step_to_dict
+from .report import build_report, render_report
 
 
 def _cmd_braid(args) -> int:
@@ -57,15 +57,16 @@ def _cmd_pretzel(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    spec = families.DoubleSpec(args.companion, args.iterations)
-    v = families.whitehead_double_tau(spec, args.tb_lower)
+    Double(args.companion, f"wh{args.iterations}_{args.companion}",
+           args.iterations)  # validates the iteration count
+    v = families.whitehead_double_tau(args.tb_lower)
     print("inapplicable" if v is None else v)
     return 0
 
 
 def _run_deduction(base, args) -> int:
     fixed, cert = propagate(base)
-    assert replay(cert, base)
+    replay(cert, base)  # raises BrokenStepError on a step that does not follow
     if args.query:
         rec, sub = query(fixed, cert, args.query)
         if args.json:

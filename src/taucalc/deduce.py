@@ -8,18 +8,22 @@ presentations generate monotone narrowing rules; propagation runs the
 rules to their least fixpoint and records every narrowing in a replayable
 certificate.
 
-Rule catalog:
-  R1  mirror:        tau(-K) = -tau(K), g4(-K) = g4(K)
-  R2  genus chain:   -g4 <= tau <= g4, 0 <= g4 <= g3
-  R3  crossing:      0 <= tau(K+) - tau(K-) <= 1
-  R4  additivity:    tau(a # b) = tau(a) + tau(b)
-  R5  cobordism:     |tau(a) - tau(b)| <= g  when g4(a # -b) <= g
-  R6  unknotting:    -m <= tau <= p, g4 <= p + m  for p pos-to-neg and
-                     m neg-to-pos changes reaching the unknot
-  R7  seeds:         exact values / bounds injected from presentations
-                     (positive braids, torus and pretzel parameters, grid
-                     tb certificates) and from doubles of companions with
-                     certified nonnegative tb lower bound
+Rule catalog.  Each rule instance is one object, shared by
+`FactBase.add_relation`, `propagate` and `replay`: a relation, the R2
+instance of a knot, or the R7 seed of a stored presentation.
+  R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
+  R2          each knot       -g4 <= tau <= g4, 0 <= g4 <= g3
+  R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
+  R4          Sum             tau(a # b) = tau(a) + tau(b)
+  R5          Cobordism       |tau(a) - tau(b)| <= g  when g4(a # -b) <= g
+  R6          Unknotting      -m <= tau <= p, g4 <= p + m  for p pos-to-neg
+                              and m neg-to-pos changes reaching the unknot
+  R7-braid    braid word      tau >= slice-Bennequin bound, g3 <= Bennequin
+                              genus; a positive word gives tau = g4 = genus
+  R7-torus    torus "p q"     tau = g4 = (p-1)(q-1)/2, g3 <= the same
+  R7-pretzel  pretzel twists  tau = (k-1)/2 under the odd-pretzel criterion
+  R7-grid     grid diagram    tb >= tb(D)
+  R7-double   Double          tau = g4 = 1 when the companion has tb >= 0
 
 All rules are meets on a product lattice, so the fixpoint is independent
 of application order.
@@ -36,12 +40,15 @@ from . import families, grid as grid_mod
 from .errors import (
     BudgetExceededError,
     BrokenStepError,
+    CatalogError,
     DuplicateIdError,
     EmptyIntervalError,
     InconsistentError,
+    NotAKnotError,
+    TaucalcError,
     UnknownIdError,
 )
-from .interval import NEG_INF, POS_INF, Interval
+from .interval import POS_INF, Interval
 
 DEFAULT_STEP_BUDGET = 10**6
 FACT_KINDS = ("g3", "g4_upper", "tb_lower", "tau_lower", "tau_upper")
@@ -53,106 +60,281 @@ FACT_KINDS = ("g3", "g4_upper", "tb_lower", "tau_lower", "tau_upper")
 
 @dataclass(frozen=True)
 class Presentation:
-    """Tagged presentation string: braid / grid / torus / pretzel grammar."""
+    """Tagged presentation string in one of the `PRESENTATION_KINDS`
+    grammars: braid / grid / torus / pretzel."""
 
     kind: str
     value: str
 
     def __post_init__(self):
-        if self.kind not in ("braid", "grid", "torus", "pretzel"):
-            raise ValueError(f"unknown presentation kind {self.kind!r}")
+        if self.kind not in PRESENTATION_KINDS:
+            raise CatalogError(f"unknown presentation kind {self.kind!r} "
+                               f"for value {self.value!r}")
 
     def resolve(self):
-        """Parse and validate; returns the underlying object."""
-        if self.kind == "braid":
-            b = braid_mod.parse_braid(self.value)
-            braid_mod.closure_components(b)  # validates letters only
-            return b
-        if self.kind == "grid":
-            return grid_mod.parse_grid(self.value)
-        if self.kind == "torus":
-            p, q = (int(t) for t in self.value.split())
-            return families.TorusParams(p, q)
-        twists = tuple(int(t) for t in self.value.split())
-        return families.PretzelParams(twists)
+        """Parse and check that the value presents a knot; returns the
+        parsed object."""
+        return PRESENTATION_KINDS[self.kind][1](self.value)
 
-    def check_knot(self) -> None:
-        obj = self.resolve()
-        if self.kind == "braid" and braid_mod.closure_components(obj) != 1:
-            raise braid_mod.NotAKnotError(
-                f"braid presentation {self.value!r} closes to a link"
-            )
-        if self.kind == "grid" and grid_mod.components(obj) != 1:
-            raise grid_mod.NotAKnotError(
-                f"grid presentation has {grid_mod.components(obj)} components"
-            )
+
+def _ints(kind: str, value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in value.split())
+    except ValueError:
+        raise families.FamilyParamError(
+            f"{kind} presentation {value!r}: parameters must be integers"
+        ) from None
+
+
+def _parse_braid(value: str) -> braid_mod.BraidWord:
+    b = braid_mod.parse_braid(value)
+    if braid_mod.closure_components(b) != 1:
+        raise NotAKnotError(f"braid presentation {value!r} closes to a link")
+    return b
+
+
+def _parse_grid(value: str) -> grid_mod.GridDiagram:
+    g = grid_mod.parse_grid(value)
+    if grid_mod.components(g) != 1:
+        raise NotAKnotError(
+            f"grid presentation has {grid_mod.components(g)} components")
+    return g
+
+
+def _parse_torus(value: str) -> families.TorusParams:
+    pq = _ints("torus", value)
+    if len(pq) != 2:
+        raise families.FamilyParamError(
+            f"torus presentation {value!r}: expected two parameters 'p q'")
+    return families.TorusParams(*pq)
+
+
+def _exact_seeds(v: int) -> list:
+    """Bounds of a knot with tau = g4 = v whose Seifert genus is at most v."""
+    return [("tau", Interval.exact(v)), ("g4", Interval.exact(v)),
+            ("g3_upper", Interval.at_most(v))]
+
+
+def _braid_seeds(b: braid_mod.BraidWord) -> list:
+    genus = braid_mod.bennequin_genus(b)
+    seeds = [("tau", Interval.at_least(braid_mod.slice_bennequin_lower(b))),
+             ("g3_upper", Interval.at_most(genus))]
+    if b.is_positive:
+        seeds += _exact_seeds(braid_mod.tau_positive_braid(b))
+    return seeds
+
+
+def _pretzel_seeds(p: families.PretzelParams) -> list:
+    v = families.pretzel_tau(p)
+    return [] if v is None else [("tau", Interval.exact(v))]
+
+
+# kind -> (rule name, parser that checks the value presents a knot, seed
+# bounds of the parsed object as (quantity, constraint) pairs).  Module
+# functions are looked up at call time, so wrapping them (e.g. to profile)
+# takes effect here too.
+PRESENTATION_KINDS = {
+    "braid": ("R7-braid", _parse_braid, _braid_seeds),
+    "grid": ("R7-grid", _parse_grid,
+             lambda g: [("tb_lower", grid_mod.tb(g))]),
+    "torus": ("R7-torus", _parse_torus,
+              lambda t: _exact_seeds(families.tau_torus(t))),
+    "pretzel": ("R7-pretzel",
+                lambda v: families.PretzelParams(_ints("pretzel", v)),
+                _pretzel_seeds),
+}
 
 
 # ---------------------------------------------------------------------------
-# relations
+# rule instances
+
+
+class _Relation:
+    """Base of the relation types.  Every rule instance (a relation, a
+    knot's _GenusChain or a presentation's _Seed) has a `rule` name for
+    certificate steps, the `knots` it reads or narrows, a `key` that
+    `replay` finds it by from what its steps cite, and `implications(state)`
+    listing the narrowings it implies as (target, quantity, constraint,
+    premises); constraints are Intervals except for tb_lower (an int)."""
+
+    operands: tuple[str, ...] = ()  # names of the fields holding knot ids
+
+    @property
+    def knots(self) -> tuple[str, ...]:
+        return tuple(getattr(self, f) for f in self.operands)
+
+    @property
+    def key(self) -> tuple:
+        return (self.rule, ("relation", self))
 
 
 @dataclass(frozen=True)
-class Mirror:
+class Mirror(_Relation):
     a: str
     b: str
     kind: str = field(default="mirror", init=False)
+    rule = "R1"
+    operands = ("a", "b")
+
+    def implications(self, state: _State) -> list:
+        cite = ("relation", self)
+        out = []
+        for x, y in ((self.a, self.b), (self.b, self.a)):
+            out.append((y, "tau", -state.tau[x],
+                        (cite, state.fact_premise(x, "tau"))))
+            out.append((y, "g4", state.g4[x],
+                        (cite, state.fact_premise(x, "g4"))))
+        return out
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Relation):
     a: str
     b: str
     c: str  # c = a # b
     kind: str = field(default="sum", init=False)
+    rule = "R4"
+    operands = ("a", "b", "c")
+
+    def implications(self, state: _State) -> list:
+        a, b, c = self.a, self.b, self.c
+        ta, tb, tc = state.tau[a], state.tau[b], state.tau[c]
+        cite, fact = ("relation", self), state.fact_premise
+        return [
+            (c, "tau", ta + tb, (cite, fact(a, "tau"), fact(b, "tau"))),
+            (a, "tau", tc - tb, (cite, fact(c, "tau"), fact(b, "tau"))),
+            (b, "tau", tc - ta, (cite, fact(c, "tau"), fact(a, "tau"))),
+        ]
 
 
 @dataclass(frozen=True)
-class CrossingChange:
+class CrossingChange(_Relation):
     plus: str
     minus: str  # minus obtained from plus by one positive-to-negative change
     kind: str = field(default="crossing_change", init=False)
+    rule = "R3"
+    operands = ("plus", "minus")
+    _up, _down = Interval(0, 1), Interval(-1, 0)
+
+    def implications(self, state: _State) -> list:
+        tp, tm = state.tau[self.plus], state.tau[self.minus]
+        cite = ("relation", self)
+        return [
+            (self.plus, "tau", tm + self._up,
+             (cite, state.fact_premise(self.minus, "tau"))),
+            (self.minus, "tau", tp + self._down,
+             (cite, state.fact_premise(self.plus, "tau"))),
+        ]
 
 
 @dataclass(frozen=True)
-class Cobordism:
+class Cobordism(_Relation):
     a: str
     b: str
     genus: int
     kind: str = field(default="cobordism", init=False)
+    rule = "R5"
+    operands = ("a", "b")
+
+    def implications(self, state: _State) -> list:
+        return [(y, "tau", state.tau[x].widen_by(self.genus),
+                 (("relation", self), state.fact_premise(x, "tau")))
+                for x, y in ((self.a, self.b), (self.b, self.a))]
 
 
 @dataclass(frozen=True)
-class Unknotting:
+class Unknotting(_Relation):
     knot: str
     positive: int  # positive-to-negative changes
     negative: int  # negative-to-positive changes
     kind: str = field(default="unknotting", init=False)
+    rule = "R6"
+    operands = ("knot",)
+
+    def implications(self, state: _State) -> list:
+        cite = (("relation", self),)
+        return [
+            (self.knot, "tau", Interval(-self.negative, self.positive), cite),
+            (self.knot, "g4", Interval(0, self.positive + self.negative), cite),
+        ]
 
 
 @dataclass(frozen=True)
-class Double:
+class Double(_Relation):
+    """`result` is the `iterations`-fold untwisted positive Whitehead
+    double of `companion`."""
+
     companion: str
     result: str
     iterations: int = 1
     kind: str = field(default="double", init=False)
+    rule = "R7-double"
+    operands = ("companion", "result")
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise families.FamilyParamError(
+                f"double {self.result!r} of {self.companion!r}: iterations "
+                f"must be >= 1, got {self.iterations}")
+
+    def implications(self, state: _State) -> list:
+        tb = state.tb_lower[self.companion]
+        v = None if tb is None else families.whitehead_double_tau(tb)
+        if v is None:
+            return []
+        prem = (("relation", self),
+                ("fact", self.companion, "tb_lower", str(tb)))
+        return [(self.result, "tau", Interval.exact(v), prem),
+                (self.result, "g4", Interval.exact(v), prem)]
 
 
 Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
 
 
-def _relation_operands(rel: Relation) -> tuple[str, ...]:
-    if isinstance(rel, Mirror):
-        return (rel.a, rel.b)
-    if isinstance(rel, Sum):
-        return (rel.a, rel.b, rel.c)
-    if isinstance(rel, CrossingChange):
-        return (rel.plus, rel.minus)
-    if isinstance(rel, Cobordism):
-        return (rel.a, rel.b)
-    if isinstance(rel, Unknotting):
-        return (rel.knot,)
-    return (rel.companion, rel.result)
+class _GenusChain:
+    """R2 on one knot.  Its steps cite only facts, so it is keyed by the
+    knot."""
+
+    rule = "R2"
+
+    def __init__(self, knot: str):
+        self.knot = knot
+        self.knots = (knot,)
+        self.key = (self.rule, knot)
+
+    def implications(self, state: _State) -> list:
+        id = self.knot
+        tau, g4 = state.tau[id], state.g4[id]
+        g3, g3_upper = state.g3[id], state.g3_upper[id]
+        out = []
+        if g4.hi != POS_INF:
+            out.append((id, "tau", Interval(-g4.hi, g4.hi),
+                        (state.fact_premise(id, "g4"),)))
+        lo = max(0, tau.lo, -tau.hi)
+        hi = g3_upper if g3 is None else min(g3_upper, g3)
+        out.append((id, "g4", _EMPTY if lo > hi else Interval(lo, hi),
+                    (state.fact_premise(id, "tau"),
+                     ("fact", id, "g3", str(g3)),
+                     ("fact", id, "g3_upper", str(g3_upper)))))
+        return out
+
+
+class _Seed:
+    """The R7 seed of one stored presentation: the bounds it proves for
+    its knot, whatever the state."""
+
+    def __init__(self, knot: str, presentation: Presentation):
+        self.knot = knot
+        self.knots = (knot,)
+        self.presentation = presentation
+        self.rule = PRESENTATION_KINDS[presentation.kind][0]
+        self.cite = ("presentation", knot, presentation)
+        self.key = (self.rule, self.cite)
+
+    def implications(self, state: _State) -> list:
+        seeds = PRESENTATION_KINDS[self.presentation.kind][2]
+        return [(self.knot, qty, constraint, (self.cite,))
+                for qty, constraint in seeds(self.presentation.resolve())]
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +389,17 @@ class FactBase:
     def add_knot(self, id: str, presentations=()) -> "FactBase":
         if id in self.records:
             raise DuplicateIdError(f"knot id {id!r} already present")
-        pres = tuple(
-            p if isinstance(p, Presentation) else Presentation(**p)
-            for p in presentations
-        )
-        for p in pres:
-            p.check_knot()
+        pres = []
+        for p in presentations:
+            try:
+                if not isinstance(p, Presentation):
+                    p = Presentation(**p)
+                p.resolve()
+            except TaucalcError as e:
+                raise CatalogError(f"knot {id!r}: {e}") from e
+            pres.append(p)
         records = dict(self.records)
-        records[id] = KnotRecord.fresh(id, pres)
+        records[id] = KnotRecord.fresh(id, tuple(pres))
         return replace(self, records=records)
 
     def add_fact(self, knot: str, kind: str, value: int, source: str = "") -> "FactBase":
@@ -229,7 +414,7 @@ class FactBase:
         return replace(self, records=records, facts=self.facts + (fact,))
 
     def add_relation(self, rel: Relation) -> "FactBase":
-        for id in _relation_operands(rel):
+        for id in rel.knots:
             self.knot(id)
         return replace(self, relations=self.relations + (rel,))
 
@@ -305,8 +490,6 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # propagation engine
 
-_QTYS = ("tau", "g4")
-
 
 class _State:
     """Mutable working copy of the lattice during propagation/replay."""
@@ -327,149 +510,28 @@ class _State:
         return ("fact", knot, qty, str(self.get(knot, qty)))
 
 
-def _g3_hi(state: _State, id: str):
-    hi = state.g3_upper[id]
-    if state.g3[id] is not None:
-        hi = min(hi, state.g3[id])
-    return hi
-
-
-def _instances(base: FactBase) -> list[tuple[str, object]]:
-    out: list[tuple[str, object]] = []
+def _instances(base: FactBase) -> list:
+    """Every rule instance of the base in evaluation order: each knot's R2
+    instance and presentation seeds, then the relations."""
+    out: list = []
     for id, rec in base.records.items():
-        out.append(("R2", id))
-        for p in rec.presentations:
-            out.append((f"R7-{p.kind}", (id, p)))
-    for rel in base.relations:
-        rule = {
-            Mirror: "R1",
-            CrossingChange: "R3",
-            Sum: "R4",
-            Cobordism: "R5",
-            Unknotting: "R6",
-            Double: "R7-double",
-        }[type(rel)]
-        out.append((rule, rel))
+        out.append(_GenusChain(id))
+        out.extend(_Seed(id, p) for p in rec.presentations)
+    out.extend(base.relations)
     return out
 
 
-def _implications(rule: str, payload, state: _State):
-    """Narrowing constraints implied by one rule instance in `state`.
-
-    Returns (target, quantity, constraint, premises) tuples; constraints
-    are Intervals except for tb_lower (int lower bound).
-    """
-    out = []
-
-    def emit(target, qty, constraint, *premises):
-        out.append((target, qty, constraint, tuple(premises)))
-
-    if rule == "R2":
-        id = payload
-        tau, g4 = state.tau[id], state.g4[id]
-        if g4.hi != POS_INF:
-            emit(id, "tau", Interval(-g4.hi, g4.hi), state.fact_premise(id, "g4"))
-        lo = max(0, tau.lo, -tau.hi)
-        hi = _g3_hi(state, id)
-        emit(id, "g4", _EMPTY if lo > hi else Interval(lo, hi),
-             state.fact_premise(id, "tau"),
-             ("fact", id, "g3", str(state.g3[id])),
-             ("fact", id, "g3_upper", str(state.g3_upper[id])))
-
-    elif rule == "R1":
-        rel = payload
-        for x, y in ((rel.a, rel.b), (rel.b, rel.a)):
-            emit(y, "tau", -state.tau[x], ("relation", rel),
-                 state.fact_premise(x, "tau"))
-            emit(y, "g4", state.g4[x], ("relation", rel),
-                 state.fact_premise(x, "g4"))
-
-    elif rule == "R3":
-        rel = payload
-        tp, tm = state.tau[rel.plus], state.tau[rel.minus]
-        emit(rel.plus, "tau", Interval(tm.lo, _inf_add(tm.hi, 1)),
-             ("relation", rel), state.fact_premise(rel.minus, "tau"))
-        emit(rel.minus, "tau", Interval(_inf_add(tp.lo, -1), tp.hi),
-             ("relation", rel), state.fact_premise(rel.plus, "tau"))
-
-    elif rule == "R4":
-        rel = payload
-        ta, tb_, tc = state.tau[rel.a], state.tau[rel.b], state.tau[rel.c]
-        emit(rel.c, "tau", ta + tb_, ("relation", rel),
-             state.fact_premise(rel.a, "tau"), state.fact_premise(rel.b, "tau"))
-        emit(rel.a, "tau", tc - tb_, ("relation", rel),
-             state.fact_premise(rel.c, "tau"), state.fact_premise(rel.b, "tau"))
-        emit(rel.b, "tau", tc - ta, ("relation", rel),
-             state.fact_premise(rel.c, "tau"), state.fact_premise(rel.a, "tau"))
-
-    elif rule == "R5":
-        rel = payload
-        for x, y in ((rel.a, rel.b), (rel.b, rel.a)):
-            emit(y, "tau", state.tau[x].widen_by(rel.genus),
-                 ("relation", rel), state.fact_premise(x, "tau"))
-
-    elif rule == "R6":
-        rel = payload
-        emit(rel.knot, "tau", Interval(-rel.negative, rel.positive),
-             ("relation", rel))
-        emit(rel.knot, "g4", Interval(0, rel.positive + rel.negative),
-             ("relation", rel))
-
-    elif rule == "R7-braid":
-        id, pres = payload
-        b = pres.resolve()
-        prem = ("presentation", id, pres)
-        genus = braid_mod.bennequin_genus(b)
-        emit(id, "tau", Interval.at_least(braid_mod.slice_bennequin_lower(b)), prem)
-        emit(id, "g3_upper", Interval.at_most(genus), prem)
-        if b.is_positive:
-            v = braid_mod.tau_positive_braid(b)
-            emit(id, "tau", Interval.exact(v), prem)
-            emit(id, "g4", Interval.exact(v), prem)
-            emit(id, "g3_upper", Interval.at_most(v), prem)
-
-    elif rule == "R7-torus":
-        id, pres = payload
-        v = families.tau_torus(pres.resolve())
-        prem = ("presentation", id, pres)
-        emit(id, "tau", Interval.exact(v), prem)
-        emit(id, "g4", Interval.exact(v), prem)
-        emit(id, "g3_upper", Interval.at_most(v), prem)
-
-    elif rule == "R7-pretzel":
-        id, pres = payload
-        v = families.pretzel_tau(pres.resolve())
-        if v is not None:
-            emit(id, "tau", Interval.exact(v), ("presentation", id, pres))
-
-    elif rule == "R7-grid":
-        id, pres = payload
-        g = pres.resolve()
-        emit(id, "tb_lower", grid_mod.tb(g), ("presentation", id, pres))
-
-    elif rule == "R7-double":
-        rel = payload
-        tb = state.tb_lower[rel.companion]
-        if tb is not None and tb >= 0:
-            prem = (("relation", rel),
-                    ("fact", rel.companion, "tb_lower", str(tb)))
-            emit(rel.result, "tau", Interval.exact(1), *prem)
-            emit(rel.result, "g4", Interval.exact(1), *prem)
-
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
-    return out
+def _cited_key(step: CertStep) -> tuple:
+    """`key` of the instance a step claims to apply: its rule with its
+    first relation or presentation premise, or with its target when it
+    cites only facts (R2)."""
+    cite = next((p for p in step.premises if p[0] != "fact"), step.target)
+    return (step.rule, cite)
 
 
 # Marker for a rule whose premise bounds already conflict; narrowing it is
 # the inconsistency signal.
 _EMPTY = "EMPTY"
-
-
-def _inf_add(a, b):
-    if a in (NEG_INF, POS_INF):
-        return a
-    return a + b
 
 
 def _narrow(state: _State, target: str, qty: str, constraint):
@@ -531,7 +593,7 @@ def propagate(
         changed = False
         if rng is not None:
             rng.shuffle(instances)
-        for rule, payload in instances:
+        for inst in instances:
             spent += 1
             if spent > budget:
                 raise BudgetExceededError(
@@ -541,19 +603,19 @@ def propagate(
             applied = True
             while applied:
                 applied = False
-                for target, qty, constraint, premises in _implications(
-                        rule, payload, state):
+                for target, qty, constraint, premises in inst.implications(
+                        state):
                     try:
                         result = _narrow(state, target, qty, constraint)
                     except EmptyIntervalError as e:
                         raise InconsistentError(
-                            f"{rule} on {target}.{qty}: {e}",
+                            f"{inst.rule} on {target}.{qty}: {e}",
                             certificate=Certificate(tuple(steps))) from e
                     if result is not None:
                         changed = True
                         applied = True
                         steps.append(CertStep(
-                            index=len(steps), rule=rule, target=target,
+                            index=len(steps), rule=inst.rule, target=target,
                             quantity=qty, premises=premises,
                             conclusion=constraint, result=result))
                         break
@@ -577,14 +639,20 @@ def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certi
 
 
 def replay(cert: Certificate, base: FactBase) -> bool:
-    """Re-derive every step from the base's axioms, checking each
-    conclusion follows from its premises by the named rule.  Raises
-    BrokenStepError at the first failure."""
+    """Re-derive every step from the base's axioms: the step must cite a
+    rule instance of the base, and that instance must yield the step's
+    conclusion in the replayed state.  Raises BrokenStepError at the first
+    failure."""
     state = _State(base)
+    instances = {inst.key: inst for inst in _instances(base)}
     for step in cert.steps:
-        payload = _replay_payload(step)
+        inst = instances.get(_cited_key(step))
+        if inst is None:
+            raise BrokenStepError(
+                f"step {step.index}: cites no {step.rule} instance of the "
+                f"base", step_index=step.index)
         implied = None
-        for target, qty, constraint, _ in _implications(step.rule, payload, state):
+        for target, qty, constraint, _ in inst.implications(state):
             if target == step.target and qty == step.quantity \
                     and constraint == step.conclusion:
                 implied = constraint
@@ -605,17 +673,3 @@ def replay(cert: Certificate, base: FactBase) -> bool:
                 f"step {step.index}: recorded result {step.result} but "
                 f"replay produced {result}", step_index=step.index)
     return True
-
-
-def _replay_payload(step: CertStep):
-    """Reconstruct the rule payload from the step's premises."""
-    if step.rule == "R2":
-        return step.target
-    for kind, *info in step.premises:
-        if kind == "relation":
-            return info[0]
-        if kind == "presentation":
-            return (info[0], info[1])
-    raise BrokenStepError(
-        f"step {step.index}: no payload premise for rule {step.rule}",
-        step_index=step.index)

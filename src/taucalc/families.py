@@ -47,22 +47,6 @@ class PretzelParams:
             raise FamilyParamError("pretzel needs at least one twist region")
 
 
-@dataclass(frozen=True)
-class DoubleSpec:
-    """Untwisted positive-clasp Whitehead double, iterated.
-
-    Only the positive clasp with zero twisting is modeled; anything else is
-    outside the closed-form result and rejected here.
-    """
-
-    companion: str
-    iterations: int = 1
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise FamilyParamError("iterations must be >= 1")
-
-
 def torus_braid(t: TorusParams) -> BraidWord:
     """The standard p-strand positive word (sigma_1 ... sigma_{p-1})^q."""
     block = tuple(range(1, t.p))
@@ -87,11 +71,12 @@ def pretzel_tau(p: PretzelParams) -> int | None:
     return (k - 1) // 2
 
 
-def whitehead_double_tau(d: DoubleSpec, tb_lower: int) -> int | None:
-    """1 for every iterate when the companion has a certified nonnegative
-    Thurston-Bennequin lower bound; None otherwise.  The value is also the
-    slice genus of the double.  Independent of the iteration count: the
-    first double itself has Thurston-Bennequin number >= 1."""
+def whitehead_double_tau(tb_lower: int) -> int | None:
+    """Invariant of every iterated untwisted positive Whitehead double of a
+    companion with Thurston-Bennequin lower bound `tb_lower`: 1 when the
+    bound is nonnegative, None otherwise.  The value is also the slice
+    genus of the double.  Independent of the iteration count: the first
+    double itself has Thurston-Bennequin number >= 1."""
     if tb_lower < 0:
         return None
     return 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .braid import count_cycles
 from .errors import (
     GridSyntaxError,
     InvalidRowError,
@@ -51,12 +52,6 @@ class GridDiagram:
                 raise MarkerCollisionError(
                     f"X and O share cell (row {r}, column {self.xs[r]})"
                 )
-
-    def x_row(self, col: int) -> int:
-        return self.xs.index(col)
-
-    def o_row(self, col: int) -> int:
-        return self.os.index(col)
 
     def __str__(self) -> str:
         return "{}\nX: {}\nO: {}".format(
@@ -94,31 +89,20 @@ def parse_grid(text: str) -> GridDiagram:
     return GridDiagram(n, cols["X"], cols["O"])
 
 
+def _rows(cols: tuple[int, ...]) -> list[int]:
+    """Inverse of a marker permutation: rows[c] is the row whose marker
+    sits in column c."""
+    rows = [0] * len(cols)
+    for r, c in enumerate(cols):
+        rows[c] = r
+    return rows
+
+
 def components(g: GridDiagram) -> int:
     """Closed curves traced by alternating row (O to X) and column (X to O)
     segments.  Row r's successor is the row holding the O of column xs[r]."""
-    nxt = [g.o_row(g.xs[r]) for r in range(g.size)]
-    seen = [False] * g.size
-    count = 0
-    for r in range(g.size):
-        if seen[r]:
-            continue
-        count += 1
-        j = r
-        while not seen[j]:
-            seen[j] = True
-            j = nxt[j]
-    return count
-
-
-def _h_span(g: GridDiagram, r: int) -> tuple[int, int]:
-    a, b = g.xs[r], g.os[r]
-    return (a, b) if a < b else (b, a)
-
-
-def _v_span(g: GridDiagram, c: int) -> tuple[int, int]:
-    a, b = g.x_row(c), g.o_row(c)
-    return (a, b) if a < b else (b, a)
+    o_row = _rows(g.os)
+    return count_cycles([o_row[c] for c in g.xs])
 
 
 def crossings(g: GridDiagram) -> list[tuple[int, int, int]]:
@@ -128,14 +112,13 @@ def crossings(g: GridDiagram) -> list[tuple[int, int, int]]:
     Sign: +1 when the horizontal (eastward = +1) and vertical (northward =
     +1) directions agree in sign, -1 otherwise.
     """
+    x_row, o_row = _rows(g.xs), _rows(g.os)
     out = []
-    for r in range(g.size):
-        lo, hi = _h_span(g, r)
-        h_dir = 1 if g.xs[r] > g.os[r] else -1
-        for c in range(lo + 1, hi):
-            vlo, vhi = _v_span(g, c)
-            if vlo < r < vhi:
-                v_dir = 1 if g.o_row(c) > g.x_row(c) else -1
+    for r, (x, o) in enumerate(zip(g.xs, g.os)):
+        h_dir = 1 if x > o else -1
+        for c in range(min(x, o) + 1, max(x, o)):
+            if min(x_row[c], o_row[c]) < r < max(x_row[c], o_row[c]):
+                v_dir = 1 if o_row[c] > x_row[c] else -1
                 out.append((r, c, h_dir * v_dir))
     return out
 
@@ -147,11 +130,12 @@ def writhe_grid(g: GridDiagram) -> int:
 def corner_census(g: GridDiagram) -> dict[str, int]:
     """Classify all 2n markers by which compass extreme of their two
     incident segments they occupy."""
+    x_row, o_row = _rows(g.xs), _rows(g.os)
     census = dict.fromkeys(CORNER_KINDS, 0)
     for r in range(g.size):
         for c, other_col, other_row in (
-            (g.xs[r], g.os[r], g.o_row(g.xs[r])),
-            (g.os[r], g.xs[r], g.x_row(g.os[r])),
+            (g.xs[r], g.os[r], o_row[g.xs[r]]),
+            (g.os[r], g.xs[r], x_row[g.os[r]]),
         ):
             east = "E" if other_col < c else "W"  # horizontal extends west -> marker east
             north = "N" if other_row < r else "S"  # vertical extends south -> marker north

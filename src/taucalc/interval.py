@@ -103,11 +103,3 @@ def fmt_endpoint(v) -> str:
     if v == POS_INF:
         return "inf"
     return str(v)
-
-
-def parse_endpoint(s):
-    if s in ("-inf", "-Infinity"):
-        return NEG_INF
-    if s in ("inf", "Infinity"):
-        return POS_INF
-    return int(s)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .deduce import Certificate, CertStep, FactBase
 from .interval import fmt_endpoint
 
@@ -36,6 +38,7 @@ def step_to_dict(step: CertStep) -> dict:
 def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) -> dict:
     """JSON-ready report of per-knot intervals; byte-for-byte reproducible
     from the same inputs (ids sorted, no timestamps)."""
+    steps_per_knot = Counter(s.target for s in cert.steps)
     knots = []
     for id in sorted(base.records):
         rec = base.records[id]
@@ -46,7 +49,7 @@ def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) ->
             "g3": rec.g3,
             "tb_lower": rec.tb_lower,
             "seeds": sorted({p.kind for p in rec.presentations}),
-            "certificate_steps": sum(1 for s in cert.steps if s.target == id),
+            "certificate_steps": steps_per_knot[id],
         })
     out = {"knots": knots, "total_steps": len(cert)}
     if certify:

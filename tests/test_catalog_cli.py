@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taucalc
 from taucalc.catalog import (
     factbase_to_dict,
     load_bundled_catalog,
@@ -168,6 +172,48 @@ class TestCli:
                       {"id": "a", "kind": "g3", "value": 0}],
         }))
         assert main(["deduce", str(path)]) == 3
+
+    @pytest.mark.parametrize("kind,value", [
+        ("dt", "4 6 2"), ("torus", "2 3 4"), ("pretzel", "3 x")])
+    def test_bad_presentation_exits_2(self, tmp_path, capsys, kind, value):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [
+            {"id": "k1", "presentations": [{"kind": kind, "value": value}]}]}))
+        assert main(["deduce", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'k1'" in err and repr(value) in err
+
+    def test_zero_iterations_exit_2(self, tmp_path, capsys):
+        assert main(["double", "--companion", "k", "--tb-lower", "0",
+                     "--iterations", "0"]) == 2
+        assert "iterations" in capsys.readouterr().err
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "k"}, {"id": "wh"}],
+            "relations": [{"kind": "double", "companion": "k", "result": "wh",
+                           "iterations": 0}],
+        }))
+        assert main(["deduce", str(path)]) == 2
+        assert "iterations" in capsys.readouterr().err
+
+    def test_broken_certificate_exits_2(self):
+        # Under -O as well: the replay check must not be an assert.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(taucalc.__file__).parents[1])!r})\n"
+            "from taucalc import cli, deduce\n"
+            "from taucalc.interval import Interval\n"
+            "def forged(base):\n"
+            "    fixed, _ = deduce.propagate(base)\n"
+            "    step = deduce.CertStep(0, 'R1', 'trefoil', 'tau', (),\n"
+            "                           Interval.exact(0), Interval.exact(0))\n"
+            "    return fixed, deduce.Certificate((step,))\n"
+            "cli.propagate = forged\n"
+            "sys.exit(cli.main(['catalog']))\n")
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2, run.stderr
+        assert "step 0" in run.stderr
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as ei:

@@ -268,6 +268,42 @@ class TestCertificates:
             replay(bad, base)
         assert ei.value.step_index == victim.index
 
+    def test_forged_relation_rejected(self):
+        base = base_with("a").add_relation(Unknotting("a", 2, 1))
+        _, cert = propagate(base)
+        forged = _append_step(cert, "R6", "a", "tau", Interval.exact(0),
+                              ("relation", Unknotting("a", 0, 0)))
+        with pytest.raises(BrokenStepError) as ei:
+            replay(forged, base)
+        assert ei.value.step_index == len(cert)
+
+    def test_forged_presentation_rejected(self):
+        base = base_with("a")
+        forged = _append_step(Certificate(), "R7-torus", "a", "tau",
+                              Interval.exact(1),
+                              ("presentation", "a", Presentation("torus", "2 3")))
+        with pytest.raises(BrokenStepError) as ei:
+            replay(forged, base)
+        assert ei.value.step_index == 0
+
+    def test_rule_must_match_cited_relation(self):
+        base = base_with("a", "b").add_relation(Mirror("a", "b"))
+        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        _, cert = propagate(base)
+        victim = next(s for s in cert.steps if s.rule == "R1")
+        bad = Certificate(tuple(
+            replace(s, rule="R3") if s is victim else s for s in cert.steps))
+        with pytest.raises(BrokenStepError) as ei:
+            replay(bad, base)
+        assert ei.value.step_index == victim.index
+
+    def test_r2_step_on_unknown_knot_rejected(self):
+        base = base_with("a")
+        forged = _append_step(Certificate(), "R2", "zz", "g4", Interval(0, 3))
+        with pytest.raises(BrokenStepError) as ei:
+            replay(forged, base)
+        assert ei.value.step_index == 0
+
     def test_monotone_narrowing(self):
         base = _random_consistent_base(random.Random(21))[0]
         _, cert = propagate(base)
@@ -284,6 +320,13 @@ class TestCertificates:
         for id in list(fixed.records)[:10]:
             _, sub = query(fixed, cert, id)
             assert replay(sub, base)
+
+
+def _append_step(cert, rule, target, quantity, value, *premises):
+    """`cert` plus one step claiming that `rule` narrowed target.quantity
+    to `value`."""
+    step = CertStep(len(cert), rule, target, quantity, premises, value, value)
+    return Certificate(cert.steps + (step,))
 
 
 def _random_consistent_base(rng, size=30):
