@@ -37,20 +37,37 @@ _BRAID_SUMMARIES = {
 }
 
 
+def _array(doc: dict, key: str, owner: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise CatalogError(f"{owner}: {key!r} must be an array, got {value!r}")
+    return value
+
+
+def _entry(entry, what: str, keyed: bool = True) -> dict:
+    """`entry` if it is an object; a `keyed` one needs a string "id"."""
+    if not isinstance(entry, dict):
+        raise CatalogError(f"{what} entry must be an object, got {entry!r}")
+    if keyed and type(entry.get("id")) is not str:
+        raise CatalogError(f"{what} entry {entry}: 'id' must be a string")
+    return entry
+
+
 def factbase_from_dict(doc: dict) -> FactBase:
+    if not isinstance(doc, dict):
+        raise CatalogError(
+            f"fact file must be a JSON object, got {type(doc).__name__}")
     base = FactBase()
-    for entry in doc.get("knots", ()):
-        try:
-            base = base.add_knot(entry["id"], entry.get("presentations", ()))
-        except KeyError:
-            raise CatalogError(f"knot entry missing 'id': {entry}") from None
-    for fact in doc.get("facts", ()):
-        base = base.add_fact(
-            fact["id"], fact["kind"], fact["value"], fact.get("source", "")
-        )
-    for rel in doc.get("relations", ()):
-        kind = rel.get("kind")
-        if kind not in _RELATION_TYPES:
+    for entry in _array(doc, "knots", "fact file"):
+        id = _entry(entry, "knot")["id"]
+        base = base.add_knot(id, _array(entry, "presentations", f"knot {id!r}"))
+    for fact in _array(doc, "facts", "fact file"):
+        _entry(fact, "fact")
+        base = base.add_fact(fact["id"], fact.get("kind"), fact.get("value"),
+                             fact.get("source", ""))
+    for rel in _array(doc, "relations", "fact file"):
+        kind = _entry(rel, "relation", keyed=False).get("kind")
+        if type(kind) is not str or kind not in _RELATION_TYPES:
             raise CatalogError(f"unknown relation kind {kind!r}")
         fields = {k: v for k, v in rel.items() if k != "kind"}
         try:

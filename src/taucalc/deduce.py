@@ -10,7 +10,13 @@ certificate.
 
 Rule catalog.  Each rule instance is one object, shared by
 `FactBase.add_relation`, `propagate` and `replay`: a relation, the R2
-instance of a knot, or the R7 seed of a stored presentation.
+instance of a knot, or the R7 seed of a stored presentation.  A rule only
+reads: `implications(state)` returns each conclusion with the (knot,
+quantity) keys it was computed from, and the engine writes.  For a
+narrowing it records, `propagate` makes the step's premises from the
+instance's `cites` and the values of those keys.  R7 seeds depend on the
+presentation alone, so a `Presentation` computes them once, when it is
+constructed.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
   R2          each knot       -g4 <= tau <= g4, 0 <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
@@ -61,20 +67,23 @@ FACT_KINDS = ("g3", "g4_upper", "tb_lower", "tau_lower", "tau_upper")
 @dataclass(frozen=True)
 class Presentation:
     """Tagged presentation string in one of the `PRESENTATION_KINDS`
-    grammars: braid / grid / torus / pretzel."""
+    grammars: braid / grid / torus / pretzel.  Construction parses the
+    value, checks that it presents a knot, and keeps the R7 seed bounds it
+    proves in `seeds`."""
 
     kind: str
     value: str
+    seeds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PRESENTATION_KINDS:
             raise CatalogError(f"unknown presentation kind {self.kind!r} "
                                f"for value {self.value!r}")
-
-    def resolve(self):
-        """Parse and check that the value presents a knot; returns the
-        parsed object."""
-        return PRESENTATION_KINDS[self.kind][1](self.value)
+        if type(self.value) is not str:
+            raise CatalogError(f"{self.kind} presentation value must be a "
+                               f"string, got {self.value!r}")
+        _, parse, seeds = PRESENTATION_KINDS[self.kind]
+        object.__setattr__(self, "seeds", tuple(seeds(parse(self.value))))
 
 
 def _ints(kind: str, value: str) -> tuple[int, ...]:
@@ -152,20 +161,36 @@ PRESENTATION_KINDS = {
 class _Relation:
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
-    certificate steps, the `knots` it reads or narrows, a `key` that
-    `replay` finds it by from what its steps cite, and `implications(state)`
-    listing the narrowings it implies as (target, quantity, constraint,
-    premises); constraints are Intervals except for tb_lower (an int)."""
+    certificate steps, the `cites` that head the premises of its steps, a
+    `key` that `replay` finds it by from what its steps cite, and
+    `implications(state)` listing the narrowings it implies as (target,
+    quantity, constraint, reads): `reads` are the (knot, quantity) keys the
+    constraint was computed from.  Constraints are Intervals except for
+    tb_lower (an int).  A relation also lists the `knots` it reads or
+    narrows, which `FactBase.add_relation` checks."""
 
     operands: tuple[str, ...] = ()  # names of the fields holding knot ids
+    counts: dict[str, int] = {}  # integer fields -> their least valid value
+
+    def __post_init__(self):
+        for f, least in self.counts.items():
+            v = getattr(self, f)
+            if type(v) is not int or v < least:
+                raise families.FamilyParamError(
+                    f"{self.kind} relation on {self.knots}: {f} must be an "
+                    f"integer >= {least}, got {v!r}")
 
     @property
     def knots(self) -> tuple[str, ...]:
         return tuple(getattr(self, f) for f in self.operands)
 
     @property
+    def cites(self) -> tuple:
+        return (("relation", self),)
+
+    @property
     def key(self) -> tuple:
-        return (self.rule, ("relation", self))
+        return (self.rule, *self.cites)
 
 
 @dataclass(frozen=True)
@@ -177,13 +202,10 @@ class Mirror(_Relation):
     operands = ("a", "b")
 
     def implications(self, state: _State) -> list:
-        cite = ("relation", self)
         out = []
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            out.append((y, "tau", -state.tau[x],
-                        (cite, state.fact_premise(x, "tau"))))
-            out.append((y, "g4", state.g4[x],
-                        (cite, state.fact_premise(x, "g4"))))
+            out.append((y, "tau", -state.tau[x], ((x, "tau"),)))
+            out.append((y, "g4", state.g4[x], ((x, "g4"),)))
         return out
 
 
@@ -199,11 +221,10 @@ class Sum(_Relation):
     def implications(self, state: _State) -> list:
         a, b, c = self.a, self.b, self.c
         ta, tb, tc = state.tau[a], state.tau[b], state.tau[c]
-        cite, fact = ("relation", self), state.fact_premise
         return [
-            (c, "tau", ta + tb, (cite, fact(a, "tau"), fact(b, "tau"))),
-            (a, "tau", tc - tb, (cite, fact(c, "tau"), fact(b, "tau"))),
-            (b, "tau", tc - ta, (cite, fact(c, "tau"), fact(a, "tau"))),
+            (c, "tau", ta + tb, ((a, "tau"), (b, "tau"))),
+            (a, "tau", tc - tb, ((c, "tau"), (b, "tau"))),
+            (b, "tau", tc - ta, ((c, "tau"), (a, "tau"))),
         ]
 
 
@@ -218,12 +239,9 @@ class CrossingChange(_Relation):
 
     def implications(self, state: _State) -> list:
         tp, tm = state.tau[self.plus], state.tau[self.minus]
-        cite = ("relation", self)
         return [
-            (self.plus, "tau", tm + self._up,
-             (cite, state.fact_premise(self.minus, "tau"))),
-            (self.minus, "tau", tp + self._down,
-             (cite, state.fact_premise(self.plus, "tau"))),
+            (self.plus, "tau", tm + self._up, ((self.minus, "tau"),)),
+            (self.minus, "tau", tp + self._down, ((self.plus, "tau"),)),
         ]
 
 
@@ -235,10 +253,10 @@ class Cobordism(_Relation):
     kind: str = field(default="cobordism", init=False)
     rule = "R5"
     operands = ("a", "b")
+    counts = {"genus": 0}
 
     def implications(self, state: _State) -> list:
-        return [(y, "tau", state.tau[x].widen_by(self.genus),
-                 (("relation", self), state.fact_premise(x, "tau")))
+        return [(y, "tau", state.tau[x].widen_by(self.genus), ((x, "tau"),))
                 for x, y in ((self.a, self.b), (self.b, self.a))]
 
 
@@ -250,12 +268,12 @@ class Unknotting(_Relation):
     kind: str = field(default="unknotting", init=False)
     rule = "R6"
     operands = ("knot",)
+    counts = {"positive": 0, "negative": 0}
 
     def implications(self, state: _State) -> list:
-        cite = (("relation", self),)
         return [
-            (self.knot, "tau", Interval(-self.negative, self.positive), cite),
-            (self.knot, "g4", Interval(0, self.positive + self.negative), cite),
+            (self.knot, "tau", Interval(-self.negative, self.positive), ()),
+            (self.knot, "g4", Interval(0, self.positive + self.negative), ()),
         ]
 
 
@@ -270,22 +288,16 @@ class Double(_Relation):
     kind: str = field(default="double", init=False)
     rule = "R7-double"
     operands = ("companion", "result")
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise families.FamilyParamError(
-                f"double {self.result!r} of {self.companion!r}: iterations "
-                f"must be >= 1, got {self.iterations}")
+    counts = {"iterations": 1}
 
     def implications(self, state: _State) -> list:
         tb = state.tb_lower[self.companion]
         v = None if tb is None else families.whitehead_double_tau(tb)
         if v is None:
             return []
-        prem = (("relation", self),
-                ("fact", self.companion, "tb_lower", str(tb)))
-        return [(self.result, "tau", Interval.exact(v), prem),
-                (self.result, "g4", Interval.exact(v), prem)]
+        reads = ((self.companion, "tb_lower"),)
+        return [(self.result, "tau", Interval.exact(v), reads),
+                (self.result, "g4", Interval.exact(v), reads)]
 
 
 Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
@@ -296,10 +308,10 @@ class _GenusChain:
     knot."""
 
     rule = "R2"
+    cites = ()
 
     def __init__(self, knot: str):
         self.knot = knot
-        self.knots = (knot,)
         self.key = (self.rule, knot)
 
     def implications(self, state: _State) -> list:
@@ -308,33 +320,28 @@ class _GenusChain:
         g3, g3_upper = state.g3[id], state.g3_upper[id]
         out = []
         if g4.hi != POS_INF:
-            out.append((id, "tau", Interval(-g4.hi, g4.hi),
-                        (state.fact_premise(id, "g4"),)))
+            out.append((id, "tau", Interval(-g4.hi, g4.hi), ((id, "g4"),)))
         lo = max(0, tau.lo, -tau.hi)
         hi = g3_upper if g3 is None else min(g3_upper, g3)
         out.append((id, "g4", _EMPTY if lo > hi else Interval(lo, hi),
-                    (state.fact_premise(id, "tau"),
-                     ("fact", id, "g3", str(g3)),
-                     ("fact", id, "g3_upper", str(g3_upper)))))
+                    ((id, "tau"), (id, "g3"), (id, "g3_upper"))))
         return out
 
 
 class _Seed:
-    """The R7 seed of one stored presentation: the bounds it proves for
-    its knot, whatever the state."""
+    """The R7 seed of one stored presentation: the bounds it proved for
+    its knot when it was constructed, whatever the state."""
 
     def __init__(self, knot: str, presentation: Presentation):
         self.knot = knot
-        self.knots = (knot,)
         self.presentation = presentation
         self.rule = PRESENTATION_KINDS[presentation.kind][0]
-        self.cite = ("presentation", knot, presentation)
-        self.key = (self.rule, self.cite)
+        self.cites = (("presentation", knot, presentation),)
+        self.key = (self.rule, *self.cites)
 
     def implications(self, state: _State) -> list:
-        seeds = PRESENTATION_KINDS[self.presentation.kind][2]
-        return [(self.knot, qty, constraint, (self.cite,))
-                for qty, constraint in seeds(self.presentation.resolve())]
+        return [(self.knot, qty, constraint, ())
+                for qty, constraint in self.presentation.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +357,11 @@ class Fact:
 
     def __post_init__(self):
         if self.kind not in FACT_KINDS:
-            raise ValueError(f"unknown fact kind {self.kind!r}")
+            raise CatalogError(
+                f"fact on {self.knot!r}: unknown kind {self.kind!r}")
+        if type(self.value) is not int:
+            raise CatalogError(f"fact {self.kind} on {self.knot!r}: value "
+                               f"must be an integer, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -394,7 +405,9 @@ class FactBase:
             try:
                 if not isinstance(p, Presentation):
                     p = Presentation(**p)
-                p.resolve()
+            except TypeError:  # not an object of exactly kind and value
+                raise CatalogError(
+                    f"knot {id!r}: bad presentation entry {p!r}") from None
             except TaucalcError as e:
                 raise CatalogError(f"knot {id!r}: {e}") from e
             pres.append(p)
@@ -506,9 +519,6 @@ class _State:
     def get(self, knot: str, qty: str):
         return getattr(self, qty)[knot]
 
-    def fact_premise(self, knot: str, qty: str) -> tuple:
-        return ("fact", knot, qty, str(self.get(knot, qty)))
-
 
 def _instances(base: FactBase) -> list:
     """Every rule instance of the base in evaluation order: each knot's R2
@@ -578,8 +588,9 @@ def propagate(
 
     `shuffle_seed` randomizes the rule application order; the fixpoint is
     unaffected (the rules are monotone meets) but certificates differ.
-    Raises InconsistentError (empty interval; carries the certificate
-    prefix) or BudgetExceededError.
+    `step_budget` (default `TAU_STEP_BUDGET` or 10**6) caps the number of
+    rule-instance evaluations.  Raises InconsistentError (empty interval;
+    carries the certificate prefix) or BudgetExceededError.
     """
     budget = step_budget if step_budget is not None else step_budget_default()
     state = _State(base)
@@ -594,17 +605,20 @@ def propagate(
         if rng is not None:
             rng.shuffle(instances)
         for inst in instances:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceededError(
-                    f"propagation exceeded step budget {budget}")
             # Re-derive after every applied narrowing so each recorded
             # conclusion is computed from the exact state replay will see.
             applied = True
             while applied:
                 applied = False
-                for target, qty, constraint, premises in inst.implications(
+                spent += 1
+                if spent > budget:
+                    raise BudgetExceededError(
+                        f"propagation exceeded step budget {budget}")
+                for target, qty, constraint, reads in inst.implications(
                         state):
+                    # A rule may read its own target (Sum(a, a, c)): its
+                    # premise is the value before the meet.
+                    prior = getattr(state, qty)[target]
                     try:
                         result = _narrow(state, target, qty, constraint)
                     except EmptyIntervalError as e:
@@ -614,6 +628,9 @@ def propagate(
                     if result is not None:
                         changed = True
                         applied = True
+                        premises = inst.cites + tuple(
+                            ("fact", k, q, prior if (k, q) == (target, qty)
+                             else state.get(k, q)) for k, q in reads)
                         steps.append(CertStep(
                             index=len(steps), rule=inst.rule, target=target,
                             quantity=qty, premises=premises,

@@ -196,6 +196,64 @@ class TestCli:
         assert main(["deduce", str(path)]) == 2
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"knots": [{"id": "a"}],
+          "facts": [{"id": "a", "kind": "tau_min", "value": 1}]}, "tau_min"),
+        ({"knots": [{"id": "a"}],
+          "facts": [{"kind": "tau_lower", "value": 1}]}, "'id'"),
+        ({"knots": [{"id": "a"}],
+          "facts": [{"id": "a", "kind": "tau_lower", "value": 1.5}]}, "1.5"),
+        ({"knots": [{"id": "a"}],
+          "facts": [{"id": "a", "kind": "tb_lower", "value": "x"}]}, "'x'"),
+        ({"knots": [{"id": "a"}],
+          "facts": [{"id": "a", "kind": "tau_lower", "value": True}]}, "True"),
+        ([{"id": "a"}], "list"),
+        ({"knots": ["a"]}, "'a'"),
+        ({"knots": [{"id": 1}]}, "'id'"),
+        ({"knots": [{"id": "k1", "presentations": [{"kind": "braid"}]}]},
+         "'k1'"),
+        ({"knots": [{"id": "k1", "presentations":
+                     [{"kind": "braid", "value": 23}]}]}, "'k1'"),
+        ({"knots": [{"id": "k1", "presentations": "braid"}]}, "'k1'"),
+        ({"knots": [{"id": "a"}, {"id": "b"}],
+          "facts": [{"id": "a", "kind": "tau_lower", "value": 0},
+                    {"id": "a", "kind": "tau_upper", "value": 10}],
+          "relations": [{"kind": "cobordism", "a": "a", "b": "b",
+                         "genus": -1}]}, "genus"),
+        ({"knots": [{"id": "a"}, {"id": "b"}],
+          "facts": [{"id": "a", "kind": "tau_lower", "value": 0}],
+          "relations": [{"kind": "cobordism", "a": "a", "b": "b",
+                         "genus": -1}]}, "genus"),
+        ({"knots": [{"id": "a"}, {"id": "b"}],
+          "relations": [{"kind": "cobordism", "a": "a", "b": "b",
+                         "genus": "1"}]}, "genus"),
+        ({"knots": [{"id": "a"}],
+          "relations": [{"kind": "unknotting", "knot": "a", "positive": 0,
+                         "negative": -1}]}, "negative"),
+        ({"knots": [{"id": "k"}, {"id": "wh"}],
+          "relations": [{"kind": "double", "companion": "k", "result": "wh",
+                         "iterations": "1"}]}, "iterations"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["deduce", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_climbing_base_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TAU_STEP_BUDGET", "100")
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}, {"id": "b"}],
+            "facts": [{"id": "b", "kind": "tau_lower", "value": 1},
+                      {"id": "b", "kind": "tau_upper", "value": 1},
+                      {"id": "a", "kind": "tau_lower", "value": 0}],
+            "relations": [{"kind": "sum", "a": "a", "b": "b", "c": "a"}],
+        }))
+        assert main(["deduce", str(path)]) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_broken_certificate_exits_2(self):
         # Under -O as well: the replay check must not be an assert.
         code = (

@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from taucalc import braid, grid
 from taucalc.deduce import (
     Certificate,
     CertStep,
@@ -26,7 +28,9 @@ from taucalc.errors import (
     InconsistentError,
     UnknownIdError,
 )
+from taucalc.families import FamilyParamError
 from taucalc.interval import POS_INF, Interval
+from taucalc.report import step_to_dict
 
 
 def base_with(*ids):
@@ -61,6 +65,17 @@ class TestFactBase:
         base = base.add_fact("a", "tau_lower", 2).add_fact("a", "tau_upper", 2)
         fixed, _ = propagate(base)
         assert fixed.knot("c").tau == Interval.exact(4)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Cobordism("a", "b", -1),
+        lambda: Cobordism("a", "b", "1"),
+        lambda: Unknotting("a", 1, -1),
+        lambda: Unknotting("a", True, 0),
+        lambda: Double("k", "wh", "1"),
+    ])
+    def test_relation_counts_validated(self, make):
+        with pytest.raises(FamilyParamError):
+            make()
 
     def test_immutability(self):
         base = base_with("a")
@@ -178,6 +193,24 @@ class TestRules:
         with pytest.raises(Exception):
             FactBase().add_knot("l", [Presentation("braid", "3: 1 1")])
 
+    def test_propagate_and_replay_do_not_reparse(self, monkeypatch):
+        tref = "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0"
+        base = FactBase().add_knot(
+            "k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
+        base = base.add_knot("tref", [Presentation("grid", tref)])
+        calls = Counter()
+        for mod, name in ((braid, "parse_braid"), (braid, "closure_components"),
+                          (grid, "parse_grid"), (grid, "tb")):
+            def counted(*args, _fn=getattr(mod, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(mod, name, counted)
+        _, cert = propagate(base)
+        replay(cert, base)
+        assert calls == Counter()
+        Presentation("grid", tref)  # construction is what parses
+        assert calls == Counter(parse_grid=1, tb=1)
+
 
 class TestWorkedScenarios:
     def test_positive_braid_length_ten(self):
@@ -237,6 +270,15 @@ class TestErrors:
         base = base.add_fact("a", "g3", 2)
         with pytest.raises(BudgetExceededError):
             propagate(base, step_budget=1)
+
+    def test_budget_bounds_rederivation(self):
+        # tau(a) = tau(a) + tau(b) with tau(b) = 1 climbs by one each time
+        # the same instance is re-derived.
+        base = base_with("a", "b").add_relation(Sum("a", "b", "a"))
+        base = base.add_fact("b", "tau_lower", 1).add_fact("b", "tau_upper", 1)
+        base = base.add_fact("a", "tau_lower", 0)
+        with pytest.raises(BudgetExceededError):
+            propagate(base, step_budget=5)
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("TAU_STEP_BUDGET", "1")
@@ -303,6 +345,17 @@ class TestCertificates:
         with pytest.raises(BrokenStepError) as ei:
             replay(forged, base)
         assert ei.value.step_index == 0
+
+    def test_self_read_premise_is_prior_value(self):
+        rel = Sum("a", "a", "c")
+        base = base_with("a", "c").add_relation(rel)
+        base = base.add_fact("c", "tau_lower", 4).add_fact("c", "tau_upper", 4)
+        base = base.add_fact("a", "tau_lower", 0)
+        _, cert = propagate(base)
+        step = next(s for s in cert.steps if s.target == "a")
+        assert step_to_dict(step)["premises"] == [
+            f"relation {rel}", "fact c.tau = [4, 4]", "fact a.tau = [0, inf]"]
+        assert step.result == Interval(0, 4)
 
     def test_monotone_narrowing(self):
         base = _random_consistent_base(random.Random(21))[0]

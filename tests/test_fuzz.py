@@ -1,0 +1,103 @@
+"""Property-based fuzzing of the fact-file boundary: whatever the document,
+`tau deduce` exits 0, 2 or 3 and never raises."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+from importlib import resources
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from taucalc.cli import main
+
+CATALOG = json.loads(
+    resources.files("taucalc").joinpath("data/catalog.json").read_text())
+BAD_VALUES = [None, True, 1.5, "x", [], {}, -1]
+FIELD_NAMES = ["knots", "facts", "relations", "presentations", "id", "kind",
+               "value", "source", "a", "b", "c", "plus", "minus", "genus",
+               "knot", "positive", "negative", "companion", "result",
+               "iterations"]
+KIND_NAMES = ["braid", "grid", "torus", "pretzel", "g3", "g4_upper",
+              "tb_lower", "tau_lower", "tau_upper", "mirror", "sum",
+              "crossing_change", "cobordism", "unknotting", "double"]
+FUZZ_SETTINGS = settings(max_examples=200, derandomize=True, database=None,
+                         deadline=None)
+
+
+def _paths(node, path=()):
+    """Path of every value below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        yield path + (k,)
+        yield from _paths(v, path + (k,))
+
+
+PATHS = list(_paths(CATALOG))
+KIND_PATHS = [p for p in PATHS if p[-1] == "kind"]
+
+
+@st.composite
+def mutated_catalog(draw):
+    """The bundled catalog with one key dropped, one value replaced by a
+    wrong-typed or negative one, or one kind renamed."""
+    doc = copy.deepcopy(CATALOG)
+    op = draw(st.sampled_from(["drop", "set", "rename"]))
+    *head, last = draw(st.sampled_from(KIND_PATHS if op == "rename"
+                                       else PATHS))
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if op == "drop":
+        del parent[last]
+    elif op == "set":
+        parent[last] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        parent[last] = draw(st.text(max_size=8))
+    return doc
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(KIND_NAMES),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELD_NAMES) | st.text(max_size=3), inner,
+        max_size=5),
+    max_leaves=30)
+# Shaped like a fact file down to its entries, with arbitrary fields.
+fact_files = st.fixed_dictionaries({}, optional={
+    key: st.lists(st.dictionaries(st.sampled_from(FIELD_NAMES), json_values,
+                                  max_size=5), max_size=4)
+    for key in ("knots", "facts", "relations")})
+
+
+def _deduce_exit_code(doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "facts.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        # A fuzzed base may climb by one per step (e.g. tau(a) = tau(a) + 1);
+        # a small budget ends it fast.
+        with mock.patch.dict(os.environ, {"TAU_STEP_BUDGET": "10000"}), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(["deduce", path, "--json"])
+
+
+@FUZZ_SETTINGS
+@given(mutated_catalog())
+def test_mutated_catalog_exits_cleanly(doc):
+    assert _deduce_exit_code(doc) in (0, 2, 3)
+
+
+@FUZZ_SETTINGS
+@given(json_values | fact_files)
+def test_arbitrary_json_exits_cleanly(doc):
+    assert _deduce_exit_code(doc) in (0, 2, 3)
