@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .braid import parse_braid
 from .deduce import FactBase, Relation
 from .errors import CatalogError
 
@@ -57,24 +56,31 @@ def factbase_from_dict(doc: dict) -> FactBase:
     if not isinstance(doc, dict):
         raise CatalogError(
             f"fact file must be a JSON object, got {type(doc).__name__}")
-    base = FactBase()
-    for entry in _array(doc, "knots", "fact file"):
-        id = _entry(entry, "knot")["id"]
-        base = base.add_knot(id, _array(entry, "presentations", f"knot {id!r}"))
-    for fact in _array(doc, "facts", "fact file"):
-        _entry(fact, "fact")
-        base = base.add_fact(fact["id"], fact.get("kind"), fact.get("value"),
-                             fact.get("source", ""))
-    for rel in _array(doc, "relations", "fact file"):
-        kind = _entry(rel, "relation", keyed=False).get("kind")
-        if type(kind) is not str or kind not in _RELATION_TYPES:
-            raise CatalogError(f"unknown relation kind {kind!r}")
-        fields = {k: v for k, v in rel.items() if k != "kind"}
-        try:
-            base = base.add_relation(_RELATION_TYPES[kind](**fields))
-        except TypeError as e:
-            raise CatalogError(f"bad {kind} relation {rel}: {e}") from None
-    return base
+    rel = None  # the relation entry being read
+
+    def knots():
+        for entry in _array(doc, "knots", "fact file"):
+            id = _entry(entry, "knot")["id"]
+            yield id, _array(entry, "presentations", f"knot {id!r}")
+
+    def facts():
+        for fact in _array(doc, "facts", "fact file"):
+            f = _entry(fact, "fact")
+            yield f["id"], f.get("kind"), f.get("value"), f.get("source", "")
+
+    def relations():
+        nonlocal rel
+        for rel in _array(doc, "relations", "fact file"):
+            kind = _entry(rel, "relation", keyed=False).get("kind")
+            if type(kind) is not str or kind not in _RELATION_TYPES:
+                raise CatalogError(f"unknown relation kind {kind!r}")
+            fields = {k: v for k, v in rel.items() if k != "kind"}
+            yield _RELATION_TYPES[kind](**fields)
+
+    try:
+        return FactBase().extend(knots(), facts(), relations())
+    except TypeError as e:  # wrong fields, or an unhashable knot operand
+        raise CatalogError(f"bad {rel['kind']} relation {rel}: {e}") from None
 
 
 def factbase_to_dict(base: FactBase) -> dict:
@@ -125,12 +131,10 @@ def load_bundled_catalog() -> FactBase:
     doc = json.loads(text)
     base = factbase_from_dict(doc)
     for id, (n, kp, km) in _BRAID_SUMMARIES.items():
-        words = [
-            p for p in base.knot(id).presentations if p.kind == "braid"
-        ]
-        if not words:
+        b = next((p.parsed for p in base.knot(id).presentations
+                  if p.kind == "braid"), None)
+        if b is None:
             raise CatalogError(f"catalog entry {id} lost its braid word")
-        b = parse_braid(words[0].value)
         if (b.strands, b.k_plus, b.k_minus) != (n, kp, km):
             raise CatalogError(
                 f"catalog braid word for {id} has summary "

@@ -1,22 +1,23 @@
 """Monotone interval propagation over a fact graph of knots.
 
-Knots carry integer intervals for the concordance invariant tau and the
-slice genus g4, an optional Seifert-genus interval g3, and an optional
-Thurston-Bennequin lower bound.  Relations (mirror, connected sum,
-crossing change, cobordism, unknotting, Whitehead double) and stored
-presentations generate monotone narrowing rules; propagation runs the
-rules to their least fixpoint and records every narrowing in a replayable
-certificate.
+Each knot's record holds integer intervals for the concordance invariant
+tau and the slice genus g4, an optional exact Seifert genus g3 with an
+upper bound g3_upper, and an optional Thurston-Bennequin lower bound.
+Relations (mirror, connected sum, crossing change, cobordism, unknotting,
+Whitehead double) and stored presentations generate monotone narrowing
+rules; propagation runs the rules to their least fixpoint and records
+every narrowing in a replayable certificate.
 
 Rule catalog.  Each rule instance is one object, shared by
-`FactBase.add_relation`, `propagate` and `replay`: a relation, the R2
-instance of a knot, or the R7 seed of a stored presentation.  A rule only
-reads: `implications(state)` returns each conclusion with the (knot,
-quantity) keys it was computed from, and the engine writes.  For a
-narrowing it records, `propagate` makes the step's premises from the
-instance's `cites` and the values of those keys.  R7 seeds depend on the
-presentation alone, so a `Presentation` computes them once, when it is
-constructed.
+`FactBase.extend`, `propagate` and `replay`: a relation, the R2 instance
+of a knot, or the R7 seed of a stored presentation.  A rule only reads:
+`implications(state)` returns each conclusion with the (knot, quantity)
+keys it was computed from.  The state is the records themselves (knot id
+-> KnotRecord), and `_narrow`, the one function that meets a bound into a
+record, writes; input facts narrow through it too.  For a narrowing it
+records, `propagate` makes the step's premises from the instance's `cites`
+and the values of those keys.  R7 seeds depend on the presentation alone,
+so a `Presentation` computes them once, when it is constructed.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
   R2          each knot       -g4 <= tau <= g4, 0 <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
@@ -57,7 +58,14 @@ from .errors import (
 from .interval import POS_INF, Interval
 
 DEFAULT_STEP_BUDGET = 10**6
-FACT_KINDS = ("g3", "g4_upper", "tb_lower", "tau_lower", "tau_upper")
+# fact kind -> (quantity, the bound on that quantity the fact's value gives)
+FACT_KINDS = {
+    "g3": ("g3", int),
+    "g4_upper": ("g4", Interval.at_most),
+    "tb_lower": ("tb_lower", int),
+    "tau_lower": ("tau", Interval.at_least),
+    "tau_upper": ("tau", Interval.at_most),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +76,12 @@ FACT_KINDS = ("g3", "g4_upper", "tb_lower", "tau_lower", "tau_upper")
 class Presentation:
     """Tagged presentation string in one of the `PRESENTATION_KINDS`
     grammars: braid / grid / torus / pretzel.  Construction parses the
-    value, checks that it presents a knot, and keeps the R7 seed bounds it
-    proves in `seeds`."""
+    value into `parsed`, checks that it presents a knot, and keeps the R7
+    seed bounds it proves in `seeds`."""
 
     kind: str
     value: str
+    parsed: object = field(init=False, repr=False, compare=False)
     seeds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,7 +92,8 @@ class Presentation:
             raise CatalogError(f"{self.kind} presentation value must be a "
                                f"string, got {self.value!r}")
         _, parse, seeds = PRESENTATION_KINDS[self.kind]
-        object.__setattr__(self, "seeds", tuple(seeds(parse(self.value))))
+        object.__setattr__(self, "parsed", parse(self.value))
+        object.__setattr__(self, "seeds", tuple(seeds(self.parsed)))
 
 
 def _ints(kind: str, value: str) -> tuple[int, ...]:
@@ -163,11 +173,11 @@ class _Relation:
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cites` that head the premises of its steps, a
     `key` that `replay` finds it by from what its steps cite, and
-    `implications(state)` listing the narrowings it implies as (target,
-    quantity, constraint, reads): `reads` are the (knot, quantity) keys the
-    constraint was computed from.  Constraints are Intervals except for
-    tb_lower (an int).  A relation also lists the `knots` it reads or
-    narrows, which `FactBase.add_relation` checks."""
+    `implications(state)` listing the narrowings the records in `state`
+    imply as (target, quantity, constraint, reads): `reads` are the (knot,
+    quantity) keys the constraint was computed from.  Constraints are
+    Intervals except for tb_lower (an int).  A relation also lists the
+    `knots` it reads or narrows, which `FactBase.extend` checks."""
 
     operands: tuple[str, ...] = ()  # names of the fields holding knot ids
     counts: dict[str, int] = {}  # integer fields -> their least valid value
@@ -201,11 +211,11 @@ class Mirror(_Relation):
     rule = "R1"
     operands = ("a", "b")
 
-    def implications(self, state: _State) -> list:
+    def implications(self, state: dict) -> list:
         out = []
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            out.append((y, "tau", -state.tau[x], ((x, "tau"),)))
-            out.append((y, "g4", state.g4[x], ((x, "g4"),)))
+            out.append((y, "tau", -state[x].tau, ((x, "tau"),)))
+            out.append((y, "g4", state[x].g4, ((x, "g4"),)))
         return out
 
 
@@ -218,9 +228,9 @@ class Sum(_Relation):
     rule = "R4"
     operands = ("a", "b", "c")
 
-    def implications(self, state: _State) -> list:
+    def implications(self, state: dict) -> list:
         a, b, c = self.a, self.b, self.c
-        ta, tb, tc = state.tau[a], state.tau[b], state.tau[c]
+        ta, tb, tc = state[a].tau, state[b].tau, state[c].tau
         return [
             (c, "tau", ta + tb, ((a, "tau"), (b, "tau"))),
             (a, "tau", tc - tb, ((c, "tau"), (b, "tau"))),
@@ -237,8 +247,8 @@ class CrossingChange(_Relation):
     operands = ("plus", "minus")
     _up, _down = Interval(0, 1), Interval(-1, 0)
 
-    def implications(self, state: _State) -> list:
-        tp, tm = state.tau[self.plus], state.tau[self.minus]
+    def implications(self, state: dict) -> list:
+        tp, tm = state[self.plus].tau, state[self.minus].tau
         return [
             (self.plus, "tau", tm + self._up, ((self.minus, "tau"),)),
             (self.minus, "tau", tp + self._down, ((self.plus, "tau"),)),
@@ -255,8 +265,8 @@ class Cobordism(_Relation):
     operands = ("a", "b")
     counts = {"genus": 0}
 
-    def implications(self, state: _State) -> list:
-        return [(y, "tau", state.tau[x].widen_by(self.genus), ((x, "tau"),))
+    def implications(self, state: dict) -> list:
+        return [(y, "tau", state[x].tau.widen_by(self.genus), ((x, "tau"),))
                 for x, y in ((self.a, self.b), (self.b, self.a))]
 
 
@@ -270,7 +280,7 @@ class Unknotting(_Relation):
     operands = ("knot",)
     counts = {"positive": 0, "negative": 0}
 
-    def implications(self, state: _State) -> list:
+    def implications(self, state: dict) -> list:
         return [
             (self.knot, "tau", Interval(-self.negative, self.positive), ()),
             (self.knot, "g4", Interval(0, self.positive + self.negative), ()),
@@ -290,8 +300,8 @@ class Double(_Relation):
     operands = ("companion", "result")
     counts = {"iterations": 1}
 
-    def implications(self, state: _State) -> list:
-        tb = state.tb_lower[self.companion]
+    def implications(self, state: dict) -> list:
+        tb = state[self.companion].tb_lower
         v = None if tb is None else families.whitehead_double_tau(tb)
         if v is None:
             return []
@@ -314,15 +324,14 @@ class _GenusChain:
         self.knot = knot
         self.key = (self.rule, knot)
 
-    def implications(self, state: _State) -> list:
-        id = self.knot
-        tau, g4 = state.tau[id], state.g4[id]
-        g3, g3_upper = state.g3[id], state.g3_upper[id]
+    def implications(self, state: dict) -> list:
+        id, rec = self.knot, state[self.knot]
         out = []
-        if g4.hi != POS_INF:
-            out.append((id, "tau", Interval(-g4.hi, g4.hi), ((id, "g4"),)))
-        lo = max(0, tau.lo, -tau.hi)
-        hi = g3_upper if g3 is None else min(g3_upper, g3)
+        if rec.g4.hi != POS_INF:
+            out.append((id, "tau", Interval(-rec.g4.hi, rec.g4.hi),
+                        ((id, "g4"),)))
+        lo = max(0, rec.tau.lo, -rec.tau.hi)
+        hi = rec.g3_upper if rec.g3 is None else min(rec.g3_upper, rec.g3)
         out.append((id, "g4", _EMPTY if lo > hi else Interval(lo, hi),
                     ((id, "tau"), (id, "g3"), (id, "g3_upper"))))
         return out
@@ -339,7 +348,7 @@ class _Seed:
         self.cites = (("presentation", knot, presentation),)
         self.key = (self.rule, *self.cites)
 
-    def implications(self, state: _State) -> list:
+    def implications(self, state: dict) -> list:
         return [(self.knot, qty, constraint, ())
                 for qty, constraint in self.presentation.seeds]
 
@@ -356,7 +365,7 @@ class Fact:
     source: str = ""
 
     def __post_init__(self):
-        if self.kind not in FACT_KINDS:
+        if type(self.kind) is not str or self.kind not in FACT_KINDS:
             raise CatalogError(
                 f"fact on {self.knot!r}: unknown kind {self.kind!r}")
         if type(self.value) is not int:
@@ -366,26 +375,23 @@ class Fact:
 
 @dataclass(frozen=True)
 class KnotRecord:
+    """A knot's element of the lattice; the defaults are its top.  `g3` is
+    exact, from a fact; `g3_upper` bounds it by rules' Seifert surfaces."""
+
     id: str
-    tau: Interval
-    g4: Interval
+    tau: Interval = Interval.top()
+    g4: Interval = Interval(0, POS_INF)
     g3: int | None = None
     tb_lower: int | None = None
     presentations: tuple[Presentation, ...] = ()
-
-    @staticmethod
-    def fresh(id: str, presentations: tuple[Presentation, ...] = ()) -> "KnotRecord":
-        return KnotRecord(id, Interval.top(), Interval(0, POS_INF),
-                          presentations=presentations)
+    g3_upper: int | float = POS_INF
 
 
 @dataclass(frozen=True)
 class FactBase:
-    """Immutable snapshot: knots with presentations, input facts, relations.
-
-    Records hold the current intervals; on a freshly built base they are
-    the axiom intervals implied by the input facts alone.  `propagate`
-    produces a new base at the rule fixpoint.
+    """Immutable snapshot: knot records, input facts, relations.  On a
+    freshly built base the records hold what the input facts alone imply;
+    `propagate` returns a new base whose records are at the rule fixpoint.
     """
 
     records: dict[str, KnotRecord] = field(default_factory=dict)
@@ -397,54 +403,54 @@ class FactBase:
             raise UnknownIdError(f"unknown knot id {id!r}")
         return self.records[id]
 
-    def add_knot(self, id: str, presentations=()) -> "FactBase":
-        if id in self.records:
-            raise DuplicateIdError(f"knot id {id!r} already present")
-        pres = []
-        for p in presentations:
-            try:
-                if not isinstance(p, Presentation):
-                    p = Presentation(**p)
-            except TypeError:  # not an object of exactly kind and value
-                raise CatalogError(
-                    f"knot {id!r}: bad presentation entry {p!r}") from None
-            except TaucalcError as e:
-                raise CatalogError(f"knot {id!r}: {e}") from e
-            pres.append(p)
+    def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
+        """The base plus `knots` ((id, presentations) pairs), `facts` ((knot,
+        kind, value, source)) and `relations`, in one pass: knots, then facts,
+        then relations, each checked and applied in order."""
         records = dict(self.records)
-        records[id] = KnotRecord.fresh(id, tuple(pres))
-        return replace(self, records=records)
+        base = replace(self, records=records)  # `records` fills in below
+        for id, presentations in knots:
+            if id in records:
+                raise DuplicateIdError(f"knot id {id!r} already present")
+            pres = []
+            for p in presentations:
+                try:
+                    if not isinstance(p, Presentation):
+                        p = Presentation(**p)
+                except TypeError:  # not an object of exactly kind and value
+                    raise CatalogError(
+                        f"knot {id!r}: bad presentation entry {p!r}") from None
+                except TaucalcError as e:
+                    raise CatalogError(f"knot {id!r}: {e}") from e
+                pres.append(p)
+            records[id] = KnotRecord(id, presentations=tuple(pres))
+        added = []
+        for knot, kind, value, source in facts:
+            base.knot(knot)
+            fact = Fact(knot, kind, value, source)
+            qty, bound = FACT_KINDS[kind]
+            try:
+                _narrow(records, knot, qty, bound(value))
+            except EmptyIntervalError as e:
+                raise InconsistentError(
+                    f"fact {fact} contradicts {knot}: {e}") from e
+            added.append(fact)
+        rels = []
+        for rel in relations:
+            for id in rel.knots:
+                base.knot(id)
+            rels.append(rel)
+        return replace(base, facts=self.facts + tuple(added),
+                       relations=self.relations + tuple(rels))
+
+    def add_knot(self, id: str, presentations=()) -> "FactBase":
+        return self.extend(knots=[(id, presentations)])
 
     def add_fact(self, knot: str, kind: str, value: int, source: str = "") -> "FactBase":
-        rec = self.knot(knot)
-        fact = Fact(knot, kind, value, source)
-        try:
-            rec = _apply_fact(rec, fact)
-        except EmptyIntervalError as e:
-            raise InconsistentError(f"fact {fact} contradicts {knot}: {e}") from e
-        records = dict(self.records)
-        records[knot] = rec
-        return replace(self, records=records, facts=self.facts + (fact,))
+        return self.extend(facts=[(knot, kind, value, source)])
 
     def add_relation(self, rel: Relation) -> "FactBase":
-        for id in rel.knots:
-            self.knot(id)
-        return replace(self, relations=self.relations + (rel,))
-
-
-def _apply_fact(rec: KnotRecord, fact: Fact) -> KnotRecord:
-    if fact.kind == "g3":
-        if rec.g3 is not None and rec.g3 != fact.value:
-            raise EmptyIntervalError(f"g3 already pinned to {rec.g3}")
-        return replace(rec, g3=fact.value)
-    if fact.kind == "g4_upper":
-        return replace(rec, g4=rec.g4.meet(Interval.at_most(fact.value)))
-    if fact.kind == "tb_lower":
-        tb = fact.value if rec.tb_lower is None else max(rec.tb_lower, fact.value)
-        return replace(rec, tb_lower=tb)
-    if fact.kind == "tau_lower":
-        return replace(rec, tau=rec.tau.meet(Interval.at_least(fact.value)))
-    return replace(rec, tau=rec.tau.meet(Interval.at_most(fact.value)))
+        return self.extend(relations=[rel])
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +510,6 @@ class Certificate:
 # propagation engine
 
 
-class _State:
-    """Mutable working copy of the lattice during propagation/replay."""
-
-    def __init__(self, base: FactBase):
-        self.tau = {id: r.tau for id, r in base.records.items()}
-        self.g4 = {id: r.g4 for id, r in base.records.items()}
-        self.g3 = {id: r.g3 for id, r in base.records.items()}
-        # g3 upper bounds derived from Seifert surfaces; kept apart from the
-        # exact input value so the record's g3 slot stays an input fact.
-        self.g3_upper = {id: POS_INF for id in base.records}
-        self.tb_lower = {id: r.tb_lower for id, r in base.records.items()}
-
-    def get(self, knot: str, qty: str):
-        return getattr(self, qty)[knot]
-
-
 def _instances(base: FactBase) -> list:
     """Every rule instance of the base in evaluation order: each knot's R2
     instance and presentation seeds, then the relations."""
@@ -544,33 +534,35 @@ def _cited_key(step: CertStep) -> tuple:
 _EMPTY = "EMPTY"
 
 
-def _narrow(state: _State, target: str, qty: str, constraint):
-    """Meet `constraint` into the state; returns the new value or None if
-    nothing changed."""
+def _narrow(state: dict, target: str, qty: str, constraint):
+    """Meet `constraint` into the record of `target` in `state` (knot id ->
+    KnotRecord), replacing the record; returns the new value, or None if
+    nothing changed.  The one place a bound is met into a knot: input
+    facts, `propagate` and `replay` all narrow through it."""
     if constraint == _EMPTY:
         raise EmptyIntervalError(f"conflicting bounds on {target}.{qty}")
-    if qty == "tb_lower":
-        cur = state.tb_lower[target]
-        if cur is None or constraint > cur:
-            state.tb_lower[target] = constraint
-            return constraint
-        return None
-    if qty == "g3_upper":
-        cur = state.g3_upper[target]
+    rec = state[target]
+    cur = getattr(rec, qty)
+    if qty in ("g3", "tb_lower"):  # ints: an exact value, a lower bound
+        if qty == "g3" and cur not in (None, constraint):
+            raise EmptyIntervalError(f"g3 already pinned to {cur}")
+        if cur is not None and constraint <= cur:
+            return None
+        new = result = constraint
+    elif qty == "g3_upper":
         new = min(cur, constraint.hi)
-        if state.g3[target] is not None and new < state.g3[target]:
+        if rec.g3 is not None and new < rec.g3:
             raise EmptyIntervalError(
-                f"g3 upper bound {new} below exact g3 = {state.g3[target]}")
-        if new < cur:
-            state.g3_upper[target] = new
-            return Interval.at_most(new)
-        return None
-    cur = state.get(target, qty)
-    new = cur.meet(constraint)
-    if new != cur:
-        getattr(state, qty)[target] = new
-        return new
-    return None
+                f"g3 upper bound {new} below exact g3 = {rec.g3}")
+        if new == cur:
+            return None
+        result = Interval.at_most(new)
+    else:
+        new = result = cur.meet(constraint)
+        if new == cur:
+            return None
+    state[target] = KnotRecord(**{**vars(rec), qty: new})
+    return result
 
 
 def step_budget_default() -> int:
@@ -593,7 +585,7 @@ def propagate(
     carries the certificate prefix) or BudgetExceededError.
     """
     budget = step_budget if step_budget is not None else step_budget_default()
-    state = _State(base)
+    state = dict(base.records)
     instances = _instances(base)
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     steps: list[CertStep] = []
@@ -618,7 +610,7 @@ def propagate(
                         state):
                     # A rule may read its own target (Sum(a, a, c)): its
                     # premise is the value before the meet.
-                    prior = getattr(state, qty)[target]
+                    prior = getattr(state[target], qty)
                     try:
                         result = _narrow(state, target, qty, constraint)
                     except EmptyIntervalError as e:
@@ -630,23 +622,14 @@ def propagate(
                         applied = True
                         premises = inst.cites + tuple(
                             ("fact", k, q, prior if (k, q) == (target, qty)
-                             else state.get(k, q)) for k, q in reads)
+                             else getattr(state[k], q)) for k, q in reads)
                         steps.append(CertStep(
                             index=len(steps), rule=inst.rule, target=target,
                             quantity=qty, premises=premises,
                             conclusion=constraint, result=result))
                         break
 
-    records = {
-        id: replace(
-            rec,
-            tau=state.tau[id],
-            g4=state.g4[id],
-            tb_lower=state.tb_lower[id],
-        )
-        for id, rec in base.records.items()
-    }
-    return replace(base, records=records), Certificate(tuple(steps))
+    return replace(base, records=state), Certificate(tuple(steps))
 
 
 def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certificate]:
@@ -660,7 +643,7 @@ def replay(cert: Certificate, base: FactBase) -> bool:
     rule instance of the base, and that instance must yield the step's
     conclusion in the replayed state.  Raises BrokenStepError at the first
     failure."""
-    state = _State(base)
+    state = dict(base.records)
     instances = {inst.key: inst for inst in _instances(base)}
     for step in cert.steps:
         inst = instances.get(_cited_key(step))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import taucalc
+from taucalc import braid, catalog
 from taucalc.catalog import (
     factbase_to_dict,
     load_bundled_catalog,
@@ -45,6 +46,21 @@ class TestCatalogFiles:
         }))
         with pytest.raises(CatalogError, match="satellite"):
             load_factbase(str(path))
+
+    def test_braid_words_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counted(word, _fn=braid.parse_braid):
+            calls.append(word)
+            return _fn(word)
+        monkeypatch.setattr(braid, "parse_braid", counted)
+        load_bundled_catalog()
+        assert len(calls) == 6
+
+    def test_braid_summary_checked(self, monkeypatch):
+        monkeypatch.setitem(catalog._BRAID_SUMMARIES, "trefoil", (2, 4, 0))
+        with pytest.raises(CatalogError, match="trefoil"):
+            load_bundled_catalog()
 
     def test_round_trip_same_fixpoint(self, tmp_path):
         base = load_bundled_catalog()
@@ -173,6 +189,21 @@ class TestCli:
         }))
         assert main(["deduce", str(path)]) == 3
 
+    @pytest.mark.parametrize("presentations,values", [
+        ([], [2, 3]),
+        # The braid's Seifert surface has genus 4, below the exact g3.
+        ([{"kind": "braid", "value": "3: 1 1 1 -2 1 1 1 2 2 2"}], [5]),
+    ])
+    def test_g3_conflict_exit_code(self, tmp_path, capsys, presentations,
+                                   values):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a", "presentations": presentations}],
+            "facts": [{"id": "a", "kind": "g3", "value": v} for v in values],
+        }))
+        assert main(["deduce", str(path)]) == 3
+        assert "g3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,value", [
         ("dt", "4 6 2"), ("torus", "2 3 4"), ("pretzel", "3 x")])
     def test_bad_presentation_exits_2(self, tmp_path, capsys, kind, value):
@@ -233,6 +264,11 @@ class TestCli:
         ({"knots": [{"id": "k"}, {"id": "wh"}],
           "relations": [{"kind": "double", "companion": "k", "result": "wh",
                          "iterations": "1"}]}, "iterations"),
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "grid", "value": "4 / X: 0 1 2 3 / O: 1 0 3 2"}]}]},
+         "'k1'"),
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "pretzel", "value": ""}]}]}, "'k1'"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, doc, named):
         path = tmp_path / "facts.json"
@@ -272,6 +308,18 @@ class TestCli:
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 2, run.stderr
         assert "step 0" in run.stderr
+
+    @pytest.mark.parametrize("argv,name", [
+        (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),
+        (["catalog", "--certify"], "catalog_certify.txt"),
+        (["catalog", "--query", "m10_145"], "catalog_query_m10_145.txt"),
+    ])
+    def test_output_matches_golden_file(self, capsys, argv, name):
+        # A change that alters reports on purpose regenerates these files
+        # with `tau <argv> > tests/data/<name>`.
+        assert main(argv) == 0
+        golden = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as ei:

@@ -264,6 +264,16 @@ class TestErrors:
         base = base_with("a").add_fact("a", "tau_lower", 3)
         with pytest.raises(InconsistentError):
             base.add_fact("a", "tau_upper", 2)
+        base = base_with("a").add_fact("a", "g3", 2)
+        with pytest.raises(InconsistentError):
+            base.add_fact("a", "g3", 3)
+
+    def test_seifert_bound_below_exact_g3(self):
+        # The braid's Seifert surface has genus 4.
+        base = FactBase().add_knot(
+            "k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
+        with pytest.raises(InconsistentError, match="below exact g3"):
+            propagate(base.add_fact("k", "g3", 5))
 
     def test_budget_exceeded(self):
         base = base_with("a", "b").add_relation(Mirror("a", "b"))
@@ -336,6 +346,28 @@ class TestCertificates:
         bad = Certificate(tuple(
             replace(s, rule="R3") if s is victim else s for s in cert.steps))
         with pytest.raises(BrokenStepError) as ei:
+            replay(bad, base)
+        assert ei.value.step_index == victim.index
+
+    def test_empty_meet_rejected(self):
+        rel = Unknotting("a", 0, 0)
+        base = base_with("a").add_relation(rel)
+        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        forged = _append_step(Certificate(), "R6", "a", "tau",
+                              Interval.exact(0), ("relation", rel))
+        with pytest.raises(BrokenStepError, match="meet is empty") as ei:
+            replay(forged, base)
+        assert ei.value.step_index == 0
+
+    def test_wrong_result_rejected(self):
+        base = base_with("a", "b").add_relation(Mirror("a", "b"))
+        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        _, cert = propagate(base)
+        victim = next(s for s in cert.steps if s.rule == "R1")
+        bad = Certificate(tuple(
+            replace(s, result=Interval.exact(5)) if s is victim else s
+            for s in cert.steps))
+        with pytest.raises(BrokenStepError, match="recorded result") as ei:
             replay(bad, base)
         assert ei.value.step_index == victim.index
 

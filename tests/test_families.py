@@ -3,8 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from taucalc.braid import bennequin_genus, closure_components, tau_positive_braid
-from taucalc.deduce import Double, FactBase, propagate
+from taucalc.braid import (
+    bennequin_genus,
+    closure_components,
+    parse_braid,
+    tau_positive_braid,
+)
+from taucalc.deduce import Double, FactBase, Mirror, Presentation, propagate
 from taucalc.families import (
     FamilyParamError,
     PretzelParams,
@@ -14,6 +19,7 @@ from taucalc.families import (
     torus_braid,
     whitehead_double_tau,
 )
+from taucalc.interval import Interval
 
 
 class TestTorus:
@@ -67,6 +73,20 @@ class TestPretzel:
             assert pretzel_tau(PretzelParams(twists)) == 1
         for twists in permutations((3, 5, -7)):
             assert pretzel_tau(PretzelParams(twists)) is None
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_negative_ones_are_positive_torus_knots(self, k):
+        # Sign convention: P(-1, ..., -1) with k odd entries is T(2, k).
+        word = parse_braid("2: " + " ".join(["1"] * k))
+        assert pretzel_tau(PretzelParams((-1,) * k)) == (k - 1) // 2
+        assert tau_torus(TorusParams(2, k)) == (k - 1) // 2
+        assert tau_positive_braid(word) == (k - 1) // 2
+
+    def test_mirror_agrees_with_negative_braid(self):
+        base = FactBase().add_knot("p", [Presentation("pretzel", "-1 -1 -1")])
+        base = base.add_knot("m", [Presentation("braid", "2: -1 -1 -1")])
+        fixed, _ = propagate(base.add_relation(Mirror("p", "m")))
+        assert fixed.knot("m").tau == Interval.exact(-1)
 
 
 def double_tau(iterations: int, tb_lower: int) -> int | None:
