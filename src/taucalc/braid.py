@@ -119,6 +119,12 @@ def closure_components(b: BraidWord) -> int:
 
 
 def _require_knot(b: BraidWord) -> None:
+    # A generator that never occurs splits the closure, so a knot needs at
+    # least n - 1 letters; refuse a shorter word before any per-strand
+    # work, which for a huge n would not fit in memory.
+    if b.strands > b.length + 1:
+        raise NotAKnotError(f"closure has at least "
+                            f"{b.strands - b.length} components, need 1")
     c = closure_components(b)
     if c != 1:
         raise NotAKnotError(f"closure has {c} components, need 1")
@@ -126,12 +132,11 @@ def _require_knot(b: BraidWord) -> None:
 
 def bennequin_genus(b: BraidWord) -> int:
     """Genus (k - n + 1) / 2 of the banded Seifert surface of the closure:
-    n disks joined by k twisted bands, Euler characteristic n - k."""
+    n disks joined by k twisted bands, Euler characteristic n - k.  For a
+    knot the closure permutation is an n-cycle, of sign (-1)^(n-1), and a
+    product of k transpositions, of sign (-1)^k, so k - n + 1 is even."""
     _require_knot(b)
-    num = b.length - b.strands + 1
-    if num % 2 != 0:
-        raise NotAKnotError(f"parity violation: k - n + 1 = {num} is odd")
-    return num // 2
+    return (b.length - b.strands + 1) // 2
 
 
 def tau_positive_braid(b: BraidWord) -> int:
@@ -143,12 +148,10 @@ def tau_positive_braid(b: BraidWord) -> int:
 
 
 def slice_bennequin_lower(b: BraidWord) -> int:
-    """Lower bound (k+ - k- - n + 1) / 2 for the invariant of the closure."""
+    """Lower bound (k+ - k- - n + 1) / 2 for the invariant of the closure;
+    the writhe has the parity of k, so the numerator is even."""
     _require_knot(b)
-    num = b.writhe - b.strands + 1
-    if num % 2 != 0:
-        raise NotAKnotError(f"parity violation: k+ - k- - n + 1 = {num} is odd")
-    return num // 2
+    return (b.writhe - b.strands + 1) // 2
 
 
 def mirror_braid(b: BraidWord) -> BraidWord:

@@ -16,6 +16,7 @@ entry is a hard error, not a wrong answer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 
@@ -97,16 +98,8 @@ def factbase_to_dict(base: FactBase) -> dict:
         {"id": f.knot, "kind": f.kind, "value": f.value, "source": f.source}
         for f in base.facts
     ]
-    relations = [_relation_to_dict(r) for r in base.relations]
+    relations = [dataclasses.asdict(r) for r in base.relations]
     return {"knots": knots, "facts": facts, "relations": relations}
-
-
-def _relation_to_dict(rel: Relation) -> dict:
-    d = {"kind": rel.kind}
-    for name in rel.__dataclass_fields__:
-        if name != "kind":
-            d[name] = getattr(rel, name)
-    return d
 
 
 def load_factbase(path: str) -> FactBase:
@@ -116,6 +109,9 @@ def load_factbase(path: str) -> FactBase:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise CatalogError(f"{path}:{e.lineno}: {e.msg}") from None
+        except (ValueError, RecursionError) as e:
+            # invalid UTF-8, an int past the digit limit, or deep nesting
+            raise CatalogError(f"{path}: {e}") from None
     return factbase_from_dict(doc)
 
 

@@ -51,7 +51,6 @@ from .errors import (
     DuplicateIdError,
     EmptyIntervalError,
     InconsistentError,
-    NotAKnotError,
     TaucalcError,
     UnknownIdError,
 )
@@ -76,8 +75,8 @@ FACT_KINDS = {
 class Presentation:
     """Tagged presentation string in one of the `PRESENTATION_KINDS`
     grammars: braid / grid / torus / pretzel.  Construction parses the
-    value into `parsed`, checks that it presents a knot, and keeps the R7
-    seed bounds it proves in `seeds`."""
+    value into `parsed` and keeps the R7 seed bounds it proves in `seeds`;
+    computing them checks that the value presents a knot."""
 
     kind: str
     value: str
@@ -103,21 +102,6 @@ def _ints(kind: str, value: str) -> tuple[int, ...]:
         raise families.FamilyParamError(
             f"{kind} presentation {value!r}: parameters must be integers"
         ) from None
-
-
-def _parse_braid(value: str) -> braid_mod.BraidWord:
-    b = braid_mod.parse_braid(value)
-    if braid_mod.closure_components(b) != 1:
-        raise NotAKnotError(f"braid presentation {value!r} closes to a link")
-    return b
-
-
-def _parse_grid(value: str) -> grid_mod.GridDiagram:
-    g = grid_mod.parse_grid(value)
-    if grid_mod.components(g) != 1:
-        raise NotAKnotError(
-            f"grid presentation has {grid_mod.components(g)} components")
-    return g
 
 
 def _parse_torus(value: str) -> families.TorusParams:
@@ -148,13 +132,14 @@ def _pretzel_seeds(p: families.PretzelParams) -> list:
     return [] if v is None else [("tau", Interval.exact(v))]
 
 
-# kind -> (rule name, parser that checks the value presents a knot, seed
-# bounds of the parsed object as (quantity, constraint) pairs).  Module
-# functions are looked up at call time, so wrapping them (e.g. to profile)
-# takes effect here too.
+# kind -> (rule name, parser, seed bounds of the parsed object as (quantity,
+# constraint) pairs).  The seed function is the knot check: the braid
+# genus bounds and grid tb refuse a closure or diagram that is a link.
+# Module functions are looked up at call time, so wrapping them (e.g. to
+# profile) takes effect here too.
 PRESENTATION_KINDS = {
-    "braid": ("R7-braid", _parse_braid, _braid_seeds),
-    "grid": ("R7-grid", _parse_grid,
+    "braid": ("R7-braid", lambda v: braid_mod.parse_braid(v), _braid_seeds),
+    "grid": ("R7-grid", lambda v: grid_mod.parse_grid(v),
              lambda g: [("tb_lower", grid_mod.tb(g))]),
     "torus": ("R7-torus", _parse_torus,
               lambda t: _exact_seeds(families.tau_torus(t))),
@@ -171,8 +156,7 @@ PRESENTATION_KINDS = {
 class _Relation:
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
-    certificate steps, the `cites` that head the premises of its steps, a
-    `key` that `replay` finds it by from what its steps cite, and
+    certificate steps, the `cites` that head the premises of its steps, and
     `implications(state)` listing the narrowings the records in `state`
     imply as (target, quantity, constraint, reads): `reads` are the (knot,
     quantity) keys the constraint was computed from.  Constraints are
@@ -197,10 +181,6 @@ class _Relation:
     @property
     def cites(self) -> tuple:
         return (("relation", self),)
-
-    @property
-    def key(self) -> tuple:
-        return (self.rule, *self.cites)
 
 
 @dataclass(frozen=True)
@@ -314,15 +294,14 @@ Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
 
 
 class _GenusChain:
-    """R2 on one knot.  Its steps cite only facts, so it is keyed by the
-    knot."""
+    """R2 on one knot.  Its steps cite only facts, so `replay` finds it by
+    the knot."""
 
     rule = "R2"
     cites = ()
 
     def __init__(self, knot: str):
         self.knot = knot
-        self.key = (self.rule, knot)
 
     def implications(self, state: dict) -> list:
         id, rec = self.knot, state[self.knot]
@@ -346,7 +325,6 @@ class _Seed:
         self.presentation = presentation
         self.rule = PRESENTATION_KINDS[presentation.kind][0]
         self.cites = (("presentation", knot, presentation),)
-        self.key = (self.rule, *self.cites)
 
     def implications(self, state: dict) -> list:
         return [(self.knot, qty, constraint, ())
@@ -484,26 +462,16 @@ class Certificate:
 
     def for_knot(self, id: str) -> "Certificate":
         """Minimal sub-derivation supporting the knot's current intervals:
-        steps targeting the knot plus the transitive closure of the steps
-        that narrowed their premises."""
-        wanted: set[int] = set()
-        frontier = [s for s in self.steps if s.target == id]
-        by_key: dict[tuple[str, str], list[CertStep]] = {}
-        for s in self.steps:
-            by_key.setdefault((s.target, s.quantity), []).append(s)
-        while frontier:
-            step = frontier.pop()
-            if step.index in wanted:
-                continue
-            wanted.add(step.index)
-            for kind, *info in step.premises:
-                if kind != "fact":
-                    continue
-                knot, qty = info[0], info[1]
-                for prior in by_key.get((knot, qty), ()):
-                    if prior.index < step.index and prior.index not in wanted:
-                        frontier.append(prior)
-        return Certificate(tuple(s for s in self.steps if s.index in wanted))
+        the steps targeting the knot, plus every step that narrowed a
+        (knot, quantity) a later wanted step read.  One backward pass over
+        the steps, which are in index order."""
+        read: set[tuple[str, str]] = set()  # keys read by later wanted steps
+        wanted = []
+        for s in reversed(self.steps):
+            if s.target == id or (s.target, s.quantity) in read:
+                wanted.append(s)
+                read.update(p[1:3] for p in s.premises if p[0] == "fact")
+        return Certificate(tuple(reversed(wanted)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +490,9 @@ def _instances(base: FactBase) -> list:
 
 
 def _cited_key(step: CertStep) -> tuple:
-    """`key` of the instance a step claims to apply: its rule with its
-    first relation or presentation premise, or with its target when it
-    cites only facts (R2)."""
+    """Key of the instance a step claims to apply: its rule with its first
+    relation or presentation premise, or with its target when it cites
+    only facts (R2).  `replay` keys the base's instances the same way."""
     cite = next((p for p in step.premises if p[0] != "fact"), step.target)
     return (step.rule, cite)
 
@@ -567,7 +535,11 @@ def _narrow(state: dict, target: str, qty: str, constraint):
 
 def step_budget_default() -> int:
     env = os.environ.get("TAU_STEP_BUDGET")
-    return int(env) if env else DEFAULT_STEP_BUDGET
+    try:
+        return int(env) if env else DEFAULT_STEP_BUDGET
+    except ValueError:
+        raise TaucalcError(
+            f"TAU_STEP_BUDGET must be an integer, got {env!r}") from None
 
 
 def propagate(
@@ -644,7 +616,8 @@ def replay(cert: Certificate, base: FactBase) -> bool:
     conclusion in the replayed state.  Raises BrokenStepError at the first
     failure."""
     state = dict(base.records)
-    instances = {inst.key: inst for inst in _instances(base)}
+    instances = {(i.rule, i.cites[0] if i.cites else i.knot): i
+                 for i in _instances(base)}
     for step in cert.steps:
         inst = instances.get(_cited_key(step))
         if inst is None:

@@ -1,11 +1,12 @@
 """Exact integer intervals with infinite endpoints.
 
-Endpoints are Python ints or the float infinities, used purely as order
-sentinels.  All finite arithmetic stays in int; the only float values that
-ever appear are -inf and +inf.  Absorption rules: inf + finite = inf,
--inf + finite = -inf.  The combinations that would be indeterminate
-(inf - inf in the same slot) cannot arise because lo = +inf and hi = -inf
-are rejected at construction.
+Endpoints are Python ints or Python's float infinities, used purely as
+order sentinels; str() prints them as "-inf" and "inf".  All finite
+arithmetic stays in int.  `_add` absorbs a finite addend into an infinite
+one without converting it, because Python's int + float raises
+OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
+arise in one slot because lo = +inf and hi = -inf are rejected at
+construction.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class Interval:
         return Interval(_add(self.lo, -g), _add(self.hi, g))
 
     def __str__(self) -> str:
-        return f"[{fmt_endpoint(self.lo)}, {fmt_endpoint(self.hi)}]"
+        return f"[{self.lo}, {self.hi}]"
 
 
 def _add(a, b):
@@ -95,11 +96,3 @@ def _add(a, b):
     if b in (NEG_INF, POS_INF):
         return b
     return a + b
-
-
-def fmt_endpoint(v) -> str:
-    if v == NEG_INF:
-        return "-inf"
-    if v == POS_INF:
-        return "inf"
-    return str(v)

@@ -5,11 +5,10 @@ from __future__ import annotations
 from collections import Counter
 
 from .deduce import Certificate, CertStep, FactBase
-from .interval import fmt_endpoint
 
 
 def _fmt_interval(iv) -> list[str]:
-    return [fmt_endpoint(iv.lo), fmt_endpoint(iv.hi)]
+    return [str(iv.lo), str(iv.hi)]
 
 
 def _premise_str(premise: tuple) -> str:

@@ -19,6 +19,10 @@ from taucalc.errors import CatalogError
 from taucalc.interval import Interval
 from taucalc.report import build_report
 
+DATA = Path(__file__).parent / "data"
+# A fact file on which each of the eleven rules makes a narrowing.
+ALL_RULES = str(DATA / "all_rules.json")
+
 
 class TestCatalogFiles:
     def test_bundled_catalog_loads(self):
@@ -269,6 +273,12 @@ class TestCli:
          "'k1'"),
         ({"knots": [{"id": "k1", "presentations": [
             {"kind": "pretzel", "value": ""}]}]}, "'k1'"),
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "braid", "value": "2: 1 1"}]}]}, "'k1'"),
+        # Too few letters to join the strands: refused before any
+        # per-strand work, which would not fit in memory.
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "braid", "value": "100000000000: 1"}]}]}, "'k1'"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, doc, named):
         path = tmp_path / "facts.json"
@@ -276,6 +286,23 @@ class TestCli:
         assert main(["deduce", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"knots": [], "n": 1' + b"0" * 5000 + b"}",  # over int's digit cap
+        b'{"knots": [{"id": "\xff"}]}',  # not UTF-8
+        b"[" * 100_000,
+    ], ids=["long-int", "invalid-utf8", "deep-nesting"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "facts.json"
+        path.write_bytes(raw)
+        assert main(["deduce", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_bad_step_budget_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TAU_STEP_BUDGET", "abc")
+        assert main(["catalog"]) == 2
+        assert "TAU_STEP_BUDGET" in capsys.readouterr().err
 
     def test_climbing_base_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TAU_STEP_BUDGET", "100")
@@ -313,13 +340,25 @@ class TestCli:
         (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),
         (["catalog", "--certify"], "catalog_certify.txt"),
         (["catalog", "--query", "m10_145"], "catalog_query_m10_145.txt"),
+        (["deduce", ALL_RULES, "--json", "--certify"],
+         "all_rules_json_certify.txt"),
+        (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
+        (["deduce", ALL_RULES, "--query", "s2"], "all_rules_query_s2.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files
-        # with `tau <argv> > tests/data/<name>`.
+        # with `tau <argv> > tests/data/<name>`, run from the repository
+        # root.
         assert main(argv) == 0
-        golden = Path(__file__).parent / "data" / name
+        golden = DATA / name
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_all_rules_golden_file_fires_every_rule(self):
+        report = json.loads(
+            (DATA / "all_rules_json_certify.txt").read_text(encoding="utf-8"))
+        assert {s["rule"] for s in report["certificate"]} == {
+            "R1", "R2", "R3", "R4", "R5", "R6", "R7-braid", "R7-torus",
+            "R7-pretzel", "R7-grid", "R7-double"}
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as ei:

@@ -406,6 +406,40 @@ class TestCertificates:
             _, sub = query(fixed, cert, id)
             assert replay(sub, base)
 
+    def test_for_knot_matches_closure_oracle(self):
+        for seed in range(10):
+            base = _random_consistent_base(random.Random(seed))[0]
+            for shuffle_seed in (None, 1):
+                fixed, cert = propagate(base, shuffle_seed=shuffle_seed)
+                for id in fixed.records:
+                    sub = cert.for_knot(id)
+                    assert sub == _closure_slice(cert, id)
+                    # A slice's step indices have gaps; slice it again.
+                    for other in {s.target for s in sub.steps}:
+                        assert sub.for_knot(other) == _closure_slice(
+                            sub, other)
+
+
+def _closure_slice(cert, id):
+    """Reference slice: the steps targeting `id`, closed under "an earlier
+    step narrowed a (knot, quantity) that a wanted step read"."""
+    wanted = set()
+    frontier = [s for s in cert.steps if s.target == id]
+    by_key = {}
+    for s in cert.steps:
+        by_key.setdefault((s.target, s.quantity), []).append(s)
+    while frontier:
+        step = frontier.pop()
+        if step.index in wanted:
+            continue
+        wanted.add(step.index)
+        for kind, *info in step.premises:
+            if kind == "fact":
+                for prior in by_key.get((info[0], info[1]), ()):
+                    if prior.index < step.index:
+                        frontier.append(prior)
+    return Certificate(tuple(s for s in cert.steps if s.index in wanted))
+
 
 def _append_step(cert, rule, target, quantity, value, *premises):
     """`cert` plus one step claiming that `rule` narrowed target.quantity

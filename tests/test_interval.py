@@ -3,7 +3,7 @@ import random
 import pytest
 
 from taucalc.errors import EmptyIntervalError
-from taucalc.interval import NEG_INF, POS_INF, Interval, fmt_endpoint
+from taucalc.interval import NEG_INF, POS_INF, Interval
 
 
 def test_construction_rejects_empty():
@@ -60,11 +60,20 @@ def test_arithmetic():
     assert Interval.at_least(3) + Interval.exact(1) == Interval.at_least(4)
     assert -Interval.at_least(3) == Interval.at_most(-3)
     assert Interval.top() + Interval.exact(5) == Interval.top()
+    assert Interval.at_most(2) + Interval.at_most(3) == Interval.at_most(5)
+    assert Interval.top() - Interval.top() == Interval.top()
+    assert Interval.at_most(2) - Interval.at_least(3) == Interval.at_most(-1)
+    # An int beyond float range still meets an infinite endpoint.
+    assert Interval.at_least(10**400) + Interval.top() == Interval.top()
 
 
 def test_widen_by():
     assert Interval.exact(4).widen_by(1) == Interval(3, 5)
     assert Interval.at_least(0).widen_by(2) == Interval.at_least(-2)
+    assert Interval.top().widen_by(3) == Interval.top()
+    assert Interval.at_most(1).widen_by(2) == Interval.at_most(3)
+    assert Interval.at_most(1).widen_by(10**400) == Interval.at_most(
+        10**400 + 1)
 
 
 def test_contains():
@@ -78,4 +87,4 @@ def test_contains():
 def test_formatting():
     assert str(Interval.top()) == "[-inf, inf]"
     assert str(Interval.exact(3)) == "[3, 3]"
-    assert fmt_endpoint(NEG_INF) == "-inf"
+    assert str(NEG_INF) == "-inf"
