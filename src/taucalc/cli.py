@@ -68,14 +68,16 @@ def _run_deduction(base, args) -> int:
     fixed, cert = propagate(base)
     replay(cert, base)  # raises BrokenStepError on a step that does not follow
     if args.query:
-        rec, sub = query(fixed, cert, args.query)
+        _, sub = query(fixed, cert, args.query)
+        out = build_report(fixed, sub, certify=args.certify)
+        out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
         if args.json:
-            out = build_report(fixed, sub, certify=args.certify)
-            out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
             print(json.dumps(out, indent=2))
         else:
-            print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
-                  f"g3 = {rec.g3}, tb >= {rec.tb_lower}")
+            k = out["knots"][0]
+            print(f"{k['id']}: tau = [{', '.join(k['tau'])}], g4 = "
+                  f"[{', '.join(k['g4'])}], g3 = {k['g3']}, "
+                  f"tb >= {k['tb_lower']}")
             for step in sub.steps:
                 print("  " + step.describe())
         return 0

@@ -1,8 +1,8 @@
 """Monotone interval propagation over a fact graph of knots.
 
-Each knot's record holds integer intervals for the concordance invariant
-tau and the slice genus g4, an optional exact Seifert genus g3 with an
-upper bound g3_upper, and an optional Thurston-Bennequin lower bound.
+Each knot's record holds one integer interval per quantity: the
+concordance invariant tau, the slice genus g4, the Seifert genus g3 and
+the Thurston-Bennequin number tb of a Legendrian representative.
 Relations (mirror, connected sum, crossing change, cobordism, unknotting,
 Whitehead double) and stored presentations generate monotone narrowing
 rules; propagation runs the rules to their least fixpoint and records
@@ -14,12 +14,13 @@ of a knot, or the R7 seed of a stored presentation.  A rule only reads:
 `implications(state)` returns each conclusion with the (knot, quantity)
 keys it was computed from.  The state is the records themselves (knot id
 -> KnotRecord), and `_narrow`, the one function that meets a bound into a
-record, writes; input facts narrow through it too.  For a narrowing it
+record, writes; input facts narrow through it too.  Every conclusion is an
+Interval, so a conflict is always an empty meet there.  For a narrowing it
 records, `propagate` makes the step's premises from the instance's `cites`
 and the values of those keys.  R7 seeds depend on the presentation alone,
 so a `Presentation` computes them once, when it is constructed.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
-  R2          each knot       -g4 <= tau <= g4, 0 <= g4 <= g3
+  R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
   R4          Sum             tau(a # b) = tau(a) + tau(b)
   R5          Cobordism       |tau(a) - tau(b)| <= g  when g4(a # -b) <= g
@@ -59,9 +60,9 @@ from .interval import POS_INF, Interval
 DEFAULT_STEP_BUDGET = 10**6
 # fact kind -> (quantity, the bound on that quantity the fact's value gives)
 FACT_KINDS = {
-    "g3": ("g3", int),
+    "g3": ("g3", Interval.exact),
     "g4_upper": ("g4", Interval.at_most),
-    "tb_lower": ("tb_lower", int),
+    "tb_lower": ("tb", Interval.at_least),
     "tau_lower": ("tau", Interval.at_least),
     "tau_upper": ("tau", Interval.at_most),
 }
@@ -115,13 +116,13 @@ def _parse_torus(value: str) -> families.TorusParams:
 def _exact_seeds(v: int) -> list:
     """Bounds of a knot with tau = g4 = v whose Seifert genus is at most v."""
     return [("tau", Interval.exact(v)), ("g4", Interval.exact(v)),
-            ("g3_upper", Interval.at_most(v))]
+            ("g3", Interval.at_most(v))]
 
 
 def _braid_seeds(b: braid_mod.BraidWord) -> list:
     genus = braid_mod.bennequin_genus(b)
     seeds = [("tau", Interval.at_least(braid_mod.slice_bennequin_lower(b))),
-             ("g3_upper", Interval.at_most(genus))]
+             ("g3", Interval.at_most(genus))]
     if b.is_positive:
         seeds += _exact_seeds(braid_mod.tau_positive_braid(b))
     return seeds
@@ -140,7 +141,7 @@ def _pretzel_seeds(p: families.PretzelParams) -> list:
 PRESENTATION_KINDS = {
     "braid": ("R7-braid", lambda v: braid_mod.parse_braid(v), _braid_seeds),
     "grid": ("R7-grid", lambda v: grid_mod.parse_grid(v),
-             lambda g: [("tb_lower", grid_mod.tb(g))]),
+             lambda g: [("tb", Interval.at_least(grid_mod.tb(g)))]),
     "torus": ("R7-torus", _parse_torus,
               lambda t: _exact_seeds(families.tau_torus(t))),
     "pretzel": ("R7-pretzel",
@@ -159,9 +160,8 @@ class _Relation:
     certificate steps, the `cites` that head the premises of its steps, and
     `implications(state)` listing the narrowings the records in `state`
     imply as (target, quantity, constraint, reads): `reads` are the (knot,
-    quantity) keys the constraint was computed from.  Constraints are
-    Intervals except for tb_lower (an int).  A relation also lists the
-    `knots` it reads or narrows, which `FactBase.extend` checks."""
+    quantity) keys the constraint was computed from.  A relation also lists
+    the `knots` it reads or narrows, which `FactBase.extend` checks."""
 
     operands: tuple[str, ...] = ()  # names of the fields holding knot ids
     counts: dict[str, int] = {}  # integer fields -> their least valid value
@@ -261,10 +261,8 @@ class Unknotting(_Relation):
     counts = {"positive": 0, "negative": 0}
 
     def implications(self, state: dict) -> list:
-        return [
-            (self.knot, "tau", Interval(-self.negative, self.positive), ()),
-            (self.knot, "g4", Interval(0, self.positive + self.negative), ()),
-        ]
+        p, m = Interval(0, self.positive), Interval(0, self.negative)
+        return [(self.knot, "tau", p - m, ()), (self.knot, "g4", p + m, ())]
 
 
 @dataclass(frozen=True)
@@ -281,11 +279,10 @@ class Double(_Relation):
     counts = {"iterations": 1}
 
     def implications(self, state: dict) -> list:
-        tb = state[self.companion].tb_lower
-        v = None if tb is None else families.whitehead_double_tau(tb)
+        v = families.whitehead_double_tau(state[self.companion].tb.lo)
         if v is None:
             return []
-        reads = ((self.companion, "tb_lower"),)
+        reads = ((self.companion, "tb"),)
         return [(self.result, "tau", Interval.exact(v), reads),
                 (self.result, "g4", Interval.exact(v), reads)]
 
@@ -310,9 +307,9 @@ class _GenusChain:
             out.append((id, "tau", Interval(-rec.g4.hi, rec.g4.hi),
                         ((id, "g4"),)))
         lo = max(0, rec.tau.lo, -rec.tau.hi)
-        hi = rec.g3_upper if rec.g3 is None else min(rec.g3_upper, rec.g3)
-        out.append((id, "g4", _EMPTY if lo > hi else Interval(lo, hi),
-                    ((id, "tau"), (id, "g3"), (id, "g3_upper"))))
+        out.append((id, "g4", Interval.at_least(lo), ((id, "tau"),)))
+        if rec.g3.hi != POS_INF:
+            out.append((id, "g4", Interval.at_most(rec.g3.hi), ((id, "g3"),)))
         return out
 
 
@@ -353,16 +350,16 @@ class Fact:
 
 @dataclass(frozen=True)
 class KnotRecord:
-    """A knot's element of the lattice; the defaults are its top.  `g3` is
-    exact, from a fact; `g3_upper` bounds it by rules' Seifert surfaces."""
+    """A knot's element of the lattice: one interval per quantity, narrowed
+    only by `_narrow`; the defaults are its top.  Facts pin `g3` or raise
+    `tb`, and seeds bound `g3` by a Seifert surface and `tb` by a grid."""
 
     id: str
     tau: Interval = Interval.top()
     g4: Interval = Interval(0, POS_INF)
-    g3: int | None = None
-    tb_lower: int | None = None
+    g3: Interval = Interval(0, POS_INF)
+    tb: Interval = Interval.top()
     presentations: tuple[Presentation, ...] = ()
-    g3_upper: int | float = POS_INF
 
 
 @dataclass(frozen=True)
@@ -411,7 +408,7 @@ class FactBase:
                 _narrow(records, knot, qty, bound(value))
             except EmptyIntervalError as e:
                 raise InconsistentError(
-                    f"fact {fact} contradicts {knot}: {e}") from e
+                    f"fact {fact} contradicts {knot}.{qty}: {e}") from e
             added.append(fact)
         rels = []
         for rel in relations:
@@ -443,10 +440,10 @@ class CertStep:
     index: int
     rule: str
     target: str
-    quantity: str  # tau | g4 | g3_upper | tb_lower
+    quantity: str  # tau | g4 | g3 | tb
     premises: tuple = ()
-    conclusion: object = None  # Interval, or int for tb_lower
-    result: object = None
+    conclusion: Interval | None = None
+    result: Interval | None = None
 
     def describe(self) -> str:
         return (f"[{self.index}] {self.rule}: {self.target}.{self.quantity} "
@@ -497,40 +494,19 @@ def _cited_key(step: CertStep) -> tuple:
     return (step.rule, cite)
 
 
-# Marker for a rule whose premise bounds already conflict; narrowing it is
-# the inconsistency signal.
-_EMPTY = "EMPTY"
-
-
-def _narrow(state: dict, target: str, qty: str, constraint):
+def _narrow(state: dict, target: str, qty: str, constraint: Interval):
     """Meet `constraint` into the record of `target` in `state` (knot id ->
     KnotRecord), replacing the record; returns the new value, or None if
     nothing changed.  The one place a bound is met into a knot: input
-    facts, `propagate` and `replay` all narrow through it."""
-    if constraint == _EMPTY:
-        raise EmptyIntervalError(f"conflicting bounds on {target}.{qty}")
+    facts, `propagate` and `replay` all narrow through it.  An empty meet
+    raises EmptyIntervalError."""
     rec = state[target]
     cur = getattr(rec, qty)
-    if qty in ("g3", "tb_lower"):  # ints: an exact value, a lower bound
-        if qty == "g3" and cur not in (None, constraint):
-            raise EmptyIntervalError(f"g3 already pinned to {cur}")
-        if cur is not None and constraint <= cur:
-            return None
-        new = result = constraint
-    elif qty == "g3_upper":
-        new = min(cur, constraint.hi)
-        if rec.g3 is not None and new < rec.g3:
-            raise EmptyIntervalError(
-                f"g3 upper bound {new} below exact g3 = {rec.g3}")
-        if new == cur:
-            return None
-        result = Interval.at_most(new)
-    else:
-        new = result = cur.meet(constraint)
-        if new == cur:
-            return None
+    new = cur.meet(constraint)
+    if new == cur:
+        return None
     state[target] = KnotRecord(**{**vars(rec), qty: new})
-    return result
+    return new
 
 
 def step_budget_default() -> int:

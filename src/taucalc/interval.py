@@ -4,16 +4,17 @@ Endpoints are Python ints or Python's float infinities, used purely as
 order sentinels; str() prints them as "-inf" and "inf".  All finite
 arithmetic stays in int.  `_add` absorbs a finite addend into an infinite
 one without converting it, because Python's int + float raises
-OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
-arise in one slot because lo = +inf and hi = -inf are rejected at
-construction.
+OverflowError for an int past ~1e308, and refuses a finite sum too long to
+print.  The indeterminate inf - inf cannot arise in one slot because
+lo = +inf and hi = -inf are rejected at construction.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .errors import EmptyIntervalError
+from .errors import EmptyIntervalError, TaucalcError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -95,4 +96,13 @@ def _add(a, b):
         return a
     if b in (NEG_INF, POS_INF):
         return b
-    return a + b
+    s = a + b
+    # Interval arithmetic grows endpoints only here: refuse one too long for
+    # str() to print.  A digit is over 3 bits, so short sums skip the test.
+    limit = _max_str_digits()  # 0: no limit
+    if limit and s.bit_length() > 3 * limit and abs(s) >= 10**limit:
+        raise TaucalcError(f"an interval endpoint exceeds {limit} digits")
+    return s
+
+
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)

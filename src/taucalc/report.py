@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .deduce import Certificate, CertStep, FactBase
+from .interval import NEG_INF
 
 
 def _fmt_interval(iv) -> list[str]:
@@ -45,8 +46,8 @@ def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) ->
             "id": id,
             "tau": _fmt_interval(rec.tau),
             "g4": _fmt_interval(rec.g4),
-            "g3": rec.g3,
-            "tb_lower": rec.tb_lower,
+            "g3": rec.g3.lo if rec.g3.is_exact else None,
+            "tb_lower": None if rec.tb.lo == NEG_INF else rec.tb.lo,
             "seeds": sorted({p.kind for p in rec.presentations}),
             "certificate_steps": steps_per_knot[id],
         })

@@ -100,7 +100,7 @@ class TestCatalogDeduction:
         assert fixed.knot("10_145").tau == Interval.exact(-2)
 
     def test_doubles(self, fixed):
-        assert fixed.knot("trefoil").tb_lower == 0
+        assert fixed.knot("trefoil").tb == Interval.at_least(0)
         for n in range(1, 6):
             assert fixed.knot(f"wh{n}_trefoil").tau == Interval.exact(1)
             assert fixed.knot(f"wh{n}_trefoil").g4 == Interval.exact(1)
@@ -132,6 +132,10 @@ class TestCli:
         assert main(["braid", "2: 1 1 1", "--positive"]) == 0
         out = capsys.readouterr().out
         assert "tau = 1, g4 = 1, g3 = 1" in out
+
+    def test_braid_many_untouched_strands(self, capsys):
+        assert main(["braid", "100000000000: 1"]) == 0
+        assert "closure components: 99999999999" in capsys.readouterr().out
 
     def test_braid_negative_letters_rejected(self, capsys):
         assert main(["braid", "2: 1 -1 1", "--positive"]) == 2
@@ -197,6 +201,7 @@ class TestCli:
         ([], [2, 3]),
         # The braid's Seifert surface has genus 4, below the exact g3.
         ([{"kind": "braid", "value": "3: 1 1 1 -2 1 1 1 2 2 2"}], [5]),
+        ([], [-1]),
     ])
     def test_g3_conflict_exit_code(self, tmp_path, capsys, presentations,
                                    values):
@@ -206,7 +211,7 @@ class TestCli:
             "facts": [{"id": "a", "kind": "g3", "value": v} for v in values],
         }))
         assert main(["deduce", str(path)]) == 3
-        assert "g3" in capsys.readouterr().err
+        assert "a.g3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,value", [
         ("dt", "4 6 2"), ("torus", "2 3 4"), ("pretzel", "3 x")])
@@ -275,8 +280,8 @@ class TestCli:
             {"kind": "pretzel", "value": ""}]}]}, "'k1'"),
         ({"knots": [{"id": "k1", "presentations": [
             {"kind": "braid", "value": "2: 1 1"}]}]}, "'k1'"),
-        # Too few letters to join the strands: refused before any
-        # per-strand work, which would not fit in memory.
+        # Too few letters to join the strands: a link of 99999999999
+        # components, counted in one pass over the letters.
         ({"knots": [{"id": "k1", "presentations": [
             {"kind": "braid", "value": "100000000000: 1"}]}]}, "'k1'"),
     ])
@@ -286,6 +291,25 @@ class TestCli:
         assert main(["deduce", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python prints integers of any length")
+    @pytest.mark.parametrize("relation", [
+        {"kind": "sum", "a": "a", "b": "b", "c": "c"},
+        {"kind": "unknotting", "knot": "c", "positive": int("9" * 4300),
+         "negative": int("9" * 4300)},
+    ])
+    def test_bound_past_digit_limit_exits_2(self, tmp_path, capsys,
+                                            relation):
+        # Values of 4,300 digits, the most `str` prints, add into 4,301.
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "facts": [{"id": k, "kind": "tau_lower", "value": int("9" * 4300)}
+                      for k in "ab"],
+            "relations": [relation]}))
+        assert main(["deduce", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("raw", [
         b'{"knots": [], "n": 1' + b"0" * 5000 + b"}",  # over int's digit cap
