@@ -114,12 +114,15 @@ def count_cycles(images) -> int:
 
 
 def closure_components(b: BraidWord) -> int:
-    """Number of link components of the braid closure.  No letter touches
-    the strands above the highest generator, so each closes on its own;
-    only the sub-braid below them is traced, in O(length) time."""
-    touched = max(map(abs, b.letters), default=0) + 1
-    sub = count_cycles(closure_permutation(BraidWord(touched, b.letters)))
-    return sub + b.strands - touched
+    """Number of link components of the braid closure, in O(length) time:
+    each strand no letter touches closes on its own."""
+    at = {}  # at[pos]: the strand now at touched position pos
+    for l in b.letters:
+        i = abs(l)
+        at[i - 1], at[i] = at.get(i, i), at.get(i - 1, i - 1)
+    index = {pos: n for n, pos in enumerate(at)}
+    touched = count_cycles([index[strand] for strand in at.values()])
+    return touched + b.strands - len(at)
 
 
 def _require_knot(b: BraidWord) -> None:

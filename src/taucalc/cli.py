@@ -14,7 +14,7 @@ from . import catalog as catalog_mod
 from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
-from .report import build_report, render_report
+from .report import build_report, knot_to_dict, render_report
 
 
 def _cmd_braid(args) -> int:
@@ -68,16 +68,15 @@ def _run_deduction(base, args) -> int:
     fixed, cert = propagate(base)
     replay(cert, base)  # raises BrokenStepError on a step that does not follow
     if args.query:
-        _, sub = query(fixed, cert, args.query)
-        out = build_report(fixed, sub, certify=args.certify)
-        out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
+        rec, sub = query(fixed, cert, args.query)
         if args.json:
+            out = build_report(fixed, sub, certify=args.certify)
+            out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
             print(json.dumps(out, indent=2))
         else:
-            k = out["knots"][0]
-            print(f"{k['id']}: tau = [{', '.join(k['tau'])}], g4 = "
-                  f"[{', '.join(k['g4'])}], g3 = {k['g3']}, "
-                  f"tb >= {k['tb_lower']}")
+            k = knot_to_dict(rec)
+            print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
+                  f"g3 = {k['g3']}, tb >= {k['tb_lower']}")
             for step in sub.steps:
                 print("  " + step.describe())
         return 0

@@ -499,12 +499,16 @@ def _narrow(state: dict, target: str, qty: str, constraint: Interval):
     KnotRecord), replacing the record; returns the new value, or None if
     nothing changed.  The one place a bound is met into a knot: input
     facts, `propagate` and `replay` all narrow through it.  An empty meet
-    raises EmptyIntervalError."""
+    raises EmptyIntervalError; a constraint that narrows or conflicts must
+    be printable, since the certificate and the error message print it."""
     rec = state[target]
     cur = getattr(rec, qty)
-    new = cur.meet(constraint)
-    if new == cur:
+    if constraint.contains_interval(cur):
         return None
+    if not constraint.is_printable:
+        raise TaucalcError(f"{target}.{qty}: a bound has more digits than "
+                           f"str() prints")
+    new = cur.meet(constraint)
     state[target] = KnotRecord(**{**vars(rec), qty: new})
     return new
 

@@ -4,9 +4,9 @@ Endpoints are Python ints or Python's float infinities, used purely as
 order sentinels; str() prints them as "-inf" and "inf".  All finite
 arithmetic stays in int.  `_add` absorbs a finite addend into an infinite
 one without converting it, because Python's int + float raises
-OverflowError for an int past ~1e308, and refuses a finite sum too long to
-print.  The indeterminate inf - inf cannot arise in one slot because
-lo = +inf and hi = -inf are rejected at construction.
+OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
+arise in one slot because lo = +inf and hi = -inf are rejected at
+construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import EmptyIntervalError, TaucalcError
+from .errors import EmptyIntervalError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -87,6 +87,16 @@ class Interval:
         """[lo - g, hi + g]; used for genus-g cobordism bounds."""
         return Interval(_add(self.lo, -g), _add(self.hi, g))
 
+    @property
+    def is_printable(self) -> bool:
+        """False if an endpoint has more digits than str() prints, on a
+        Python with that limit.  A digit is over 3 bits, so short ends skip
+        the power of 10."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        return not limit or all(
+            v.bit_length() <= 3 * limit or abs(v) < 10**limit
+            for v in (self.lo, self.hi) if isinstance(v, int))
+
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -96,13 +106,4 @@ def _add(a, b):
         return a
     if b in (NEG_INF, POS_INF):
         return b
-    s = a + b
-    # Interval arithmetic grows endpoints only here: refuse one too long for
-    # str() to print.  A digit is over 3 bits, so short sums skip the test.
-    limit = _max_str_digits()  # 0: no limit
-    if limit and s.bit_length() > 3 * limit and abs(s) >= 10**limit:
-        raise TaucalcError(f"an interval endpoint exceeds {limit} digits")
-    return s
-
-
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    return a + b

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .deduce import Certificate, CertStep, FactBase
+from .deduce import Certificate, CertStep, FactBase, KnotRecord
 from .interval import NEG_INF
 
 
@@ -35,22 +35,25 @@ def step_to_dict(step: CertStep) -> dict:
     }
 
 
+def knot_to_dict(rec: KnotRecord) -> dict:
+    """A knot as the report prints it: g3 if exact, tb's finite lower end."""
+    return {
+        "id": rec.id,
+        "tau": _fmt_interval(rec.tau),
+        "g4": _fmt_interval(rec.g4),
+        "g3": rec.g3.lo if rec.g3.is_exact else None,
+        "tb_lower": None if rec.tb.lo == NEG_INF else rec.tb.lo,
+        "seeds": sorted({p.kind for p in rec.presentations}),
+    }
+
+
 def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) -> dict:
     """JSON-ready report of per-knot intervals; byte-for-byte reproducible
     from the same inputs (ids sorted, no timestamps)."""
     steps_per_knot = Counter(s.target for s in cert.steps)
-    knots = []
-    for id in sorted(base.records):
-        rec = base.records[id]
-        knots.append({
-            "id": id,
-            "tau": _fmt_interval(rec.tau),
-            "g4": _fmt_interval(rec.g4),
-            "g3": rec.g3.lo if rec.g3.is_exact else None,
-            "tb_lower": None if rec.tb.lo == NEG_INF else rec.tb.lo,
-            "seeds": sorted({p.kind for p in rec.presentations}),
-            "certificate_steps": steps_per_knot[id],
-        })
+    knots = [{**knot_to_dict(base.records[id]),
+              "certificate_steps": steps_per_knot[id]}
+             for id in sorted(base.records)]
     out = {"knots": knots, "total_steps": len(cert)}
     if certify:
         out["certificate"] = [step_to_dict(s) for s in cert.steps]

@@ -84,15 +84,18 @@ class TestClosure:
             b = random_braid_word(rng)
             assert closure_components(b) == strand_trace_cycles(b)
 
-    def test_untouched_top_strands(self):
-        # Strands above the highest letter each close on their own.
+    def test_untouched_strands(self):
+        # Strands no letter touches, below or above the letters, each close
+        # on their own.
         rng = random.Random(3)
         for _ in range(100):
             b = random_braid_word(rng)
-            extra = rng.randint(0, 6)
-            padded = BraidWord(b.strands + extra, b.letters)
+            below, above = rng.randint(0, 6), rng.randint(0, 6)
+            padded = BraidWord(below + b.strands + above, tuple(
+                l + below if l > 0 else l - below for l in b.letters))
             assert closure_components(padded) == strand_trace_cycles(padded)
-            assert closure_components(padded) == closure_components(b) + extra
+            assert closure_components(padded) == \
+                closure_components(b) + below + above
 
 
 class TestGenus:

@@ -133,8 +133,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tau = 1, g4 = 1, g3 = 1" in out
 
-    def test_braid_many_untouched_strands(self, capsys):
-        assert main(["braid", "100000000000: 1"]) == 0
+    @pytest.mark.parametrize("word", ["100000000000: 1",
+                                      "100000000000: 99999999999"])
+    def test_braid_many_untouched_strands(self, capsys, word):
+        assert main(["braid", word]) == 0
         assert "closure components: 99999999999" in capsys.readouterr().out
 
     def test_braid_negative_letters_rejected(self, capsys):
@@ -284,6 +286,9 @@ class TestCli:
         # components, counted in one pass over the letters.
         ({"knots": [{"id": "k1", "presentations": [
             {"kind": "braid", "value": "100000000000: 1"}]}]}, "'k1'"),
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "braid", "value": "100000000000: 99999999999"}]}]},
+         "'k1'"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, doc, named):
         path = tmp_path / "facts.json"
@@ -309,7 +314,26 @@ class TestCli:
                       for k in "ab"],
             "relations": [relation]}))
         assert main(["deduce", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: c.")
+
+    @pytest.mark.parametrize("facts,relation", [
+        ([("c", "g4_upper", 0)],
+         {"kind": "unknotting", "knot": "c", "positive": int("9" * 4300),
+          "negative": int("9" * 4300)}),
+        ([("a", "tau_upper", int("9" * 4300)), ("c", "tau_upper", 0)],
+         {"kind": "cobordism", "a": "a", "b": "c", "genus": 1}),
+    ])
+    def test_long_bound_that_narrows_nothing_exits_0(self, tmp_path, capsys,
+                                                     facts, relation):
+        # 2X and X + 1 pass str()'s digit limit but narrow nothing, so they
+        # are neither recorded nor printed.
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}, {"id": "c"}],
+            "facts": [{"id": k, "kind": kind, "value": v}
+                      for k, kind, v in facts],
+            "relations": [relation]}))
+        assert main(["deduce", str(path), "--certify"]) == 0
 
     @pytest.mark.parametrize("raw", [
         b'{"knots": [], "n": 1' + b"0" * 5000 + b"}",  # over int's digit cap
