@@ -74,7 +74,11 @@ def parse_braid(text: str) -> BraidWord:
     m = _HEAD.match(text)
     if m is None:
         raise BraidSyntaxError(f"expected 'n: letters', got {text!r}")
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:
+        raise BraidSyntaxError(
+            "braid strand count has more digits than int() reads") from None
     letters = []
     for tok in m.group(2).split():
         try:

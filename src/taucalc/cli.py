@@ -14,6 +14,7 @@ from . import catalog as catalog_mod
 from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
+from .interval import Interval
 from .report import build_report, knot_to_dict, render_report
 
 
@@ -46,7 +47,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_torus(args) -> int:
-    print(families.tau_torus(families.TorusParams(args.p, args.q)))
+    v = families.tau_torus(families.TorusParams(args.p, args.q))
+    if not Interval.exact(v).is_printable:
+        raise TaucalcError("(p-1)(q-1)/2 has more digits than str() prints")
+    print(v)
     return 0
 
 

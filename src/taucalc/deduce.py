@@ -11,9 +11,10 @@ every narrowing in a replayable certificate.
 Rule catalog.  Each rule instance is one object, shared by
 `FactBase.extend`, `propagate` and `replay`: a relation, the R2 instance
 of a knot, or the R7 seed of a stored presentation.  A rule only reads:
-`implications(state)` returns each conclusion with the (knot, quantity)
-keys it was computed from.  The state is the records themselves (knot id
--> KnotRecord), and `_narrow`, the one function that meets a bound into a
+`implications(state)` returns every conclusion whatever the state (the top
+interval if it cannot narrow) with the (knot, quantity) keys it was
+computed from, because those `reads` re-queue the instance when a key
+narrows.  The state is the records themselves (knot id -> KnotRecord), and `_narrow`, the one function that meets a bound into a
 record, writes; input facts narrow through it too.  Every conclusion is an
 Interval, so a conflict is always an empty meet there.  For a narrowing it
 records, `propagate` makes the step's premises from the instance's `cites`
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import braid as braid_mod
@@ -160,8 +162,10 @@ class _Relation:
     certificate steps, the `cites` that head the premises of its steps, and
     `implications(state)` listing the narrowings the records in `state`
     imply as (target, quantity, constraint, reads): `reads` are the (knot,
-    quantity) keys the constraint was computed from.  A relation also lists
-    the `knots` it reads or narrows, which `FactBase.extend` checks."""
+    quantity) keys the constraint was computed from.  It lists every
+    conclusion whatever the state, the top interval if it cannot narrow,
+    since only its `reads` re-queue it.  A relation also lists the `knots`
+    it reads or narrows, which `FactBase.extend` checks."""
 
     operands: tuple[str, ...] = ()  # names of the fields holding knot ids
     counts: dict[str, int] = {}  # integer fields -> their least valid value
@@ -280,11 +284,10 @@ class Double(_Relation):
 
     def implications(self, state: dict) -> list:
         v = families.whitehead_double_tau(state[self.companion].tb.lo)
-        if v is None:
-            return []
+        bound = Interval.top() if v is None else Interval.exact(v)
         reads = ((self.companion, "tb"),)
-        return [(self.result, "tau", Interval.exact(v), reads),
-                (self.result, "g4", Interval.exact(v), reads)]
+        return [(self.result, "tau", bound, reads),
+                (self.result, "g4", bound, reads)]
 
 
 Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
@@ -302,15 +305,10 @@ class _GenusChain:
 
     def implications(self, state: dict) -> list:
         id, rec = self.knot, state[self.knot]
-        out = []
-        if rec.g4.hi != POS_INF:
-            out.append((id, "tau", Interval(-rec.g4.hi, rec.g4.hi),
-                        ((id, "g4"),)))
         lo = max(0, rec.tau.lo, -rec.tau.hi)
-        out.append((id, "g4", Interval.at_least(lo), ((id, "tau"),)))
-        if rec.g3.hi != POS_INF:
-            out.append((id, "g4", Interval.at_most(rec.g3.hi), ((id, "g3"),)))
-        return out
+        return [(id, "tau", Interval(-rec.g4.hi, rec.g4.hi), ((id, "g4"),)),
+                (id, "g4", Interval.at_least(lo), ((id, "tau"),)),
+                (id, "g4", Interval.at_most(rec.g3.hi), ((id, "g3"),))]
 
 
 class _Seed:
@@ -530,56 +528,58 @@ def propagate(
 ) -> tuple[FactBase, Certificate]:
     """Run all rules to their least fixpoint.
 
-    `shuffle_seed` randomizes the rule application order; the fixpoint is
-    unaffected (the rules are monotone meets) but certificates differ.
-    `step_budget` (default `TAU_STEP_BUDGET` or 10**6) caps the number of
-    rule-instance evaluations.  Raises InconsistentError (empty interval;
-    carries the certificate prefix) or BudgetExceededError.
+    A FIFO queue holds each rule instance once, first in `_instances`
+    order, or shuffled by `shuffle_seed`.  An evaluation makes the front
+    instance a reader of the keys in its `reads` and stops at its first
+    narrowing: the readers of the narrowed key join the back, and the
+    instance stays in front until it narrows nothing.  The fixpoint does not
+    depend on the order (the rules are monotone meets); certificates do.
+    `step_budget` (default `TAU_STEP_BUDGET` or 10**6) caps evaluations.
+    Raises InconsistentError (empty interval; carries the certificate
+    prefix) or BudgetExceededError.
     """
     budget = step_budget if step_budget is not None else step_budget_default()
     state = dict(base.records)
-    instances = _instances(base)
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    queue = deque(_instances(base))
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(queue)
+    queued = {id(inst) for inst in queue}
+    readers: dict[tuple, dict] = {}  # key -> {id: instance} of its readers
     steps: list[CertStep] = []
     spent = 0
 
-    changed = True
-    while changed:
-        changed = False
-        if rng is not None:
-            rng.shuffle(instances)
-        for inst in instances:
-            # Re-derive after every applied narrowing so each recorded
-            # conclusion is computed from the exact state replay will see.
-            applied = True
-            while applied:
-                applied = False
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceededError(
-                        f"propagation exceeded step budget {budget}")
-                for target, qty, constraint, reads in inst.implications(
-                        state):
-                    # A rule may read its own target (Sum(a, a, c)): its
-                    # premise is the value before the meet.
-                    prior = getattr(state[target], qty)
-                    try:
-                        result = _narrow(state, target, qty, constraint)
-                    except EmptyIntervalError as e:
-                        raise InconsistentError(
-                            f"{inst.rule} on {target}.{qty}: {e}",
-                            certificate=Certificate(tuple(steps))) from e
-                    if result is not None:
-                        changed = True
-                        applied = True
-                        premises = inst.cites + tuple(
-                            ("fact", k, q, prior if (k, q) == (target, qty)
-                             else getattr(state[k], q)) for k, q in reads)
-                        steps.append(CertStep(
-                            index=len(steps), rule=inst.rule, target=target,
-                            quantity=qty, premises=premises,
-                            conclusion=constraint, result=result))
-                        break
+    while queue:
+        inst = queue[0]  # it stays in front while its evaluations narrow
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError(
+                f"propagation exceeded step budget {budget}")
+        for target, qty, constraint, reads in inst.implications(state):
+            for key in reads:
+                readers.setdefault(key, {})[id(inst)] = inst
+            # Sum(a, a, c) reads its own target: the premise is the prior.
+            prior = getattr(state[target], qty)
+            try:
+                result = _narrow(state, target, qty, constraint)
+            except EmptyIntervalError as e:
+                raise InconsistentError(
+                    f"{inst.rule} on {target}.{qty}: {e}",
+                    certificate=Certificate(tuple(steps))) from e
+            if result is not None:
+                premises = inst.cites + tuple(
+                    ("fact", k, q, prior if (k, q) == (target, qty)
+                     else getattr(state[k], q)) for k, q in reads)
+                steps.append(CertStep(
+                    index=len(steps), rule=inst.rule, target=target,
+                    quantity=qty, premises=premises, conclusion=constraint,
+                    result=result))
+                for i, reader in readers.get((target, qty), {}).items():
+                    if i not in queued:
+                        queue.append(reader)
+                        queued.add(i)
+                break  # re-derive from the state replay will see
+        else:
+            queued.discard(id(queue.popleft()))
 
     return replace(base, records=state), Certificate(tuple(steps))
 

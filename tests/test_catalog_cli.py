@@ -122,6 +122,14 @@ class TestCli:
     def test_torus_link_rejected(self, capsys):
         assert main(["torus", "2", "4"]) == 2
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python prints integers of any length")
+    def test_torus_value_past_digit_limit_exits_2(self, capsys):
+        # (p-1)(q-1)/2 has 6,000 digits; p and q have 3,001.
+        p, q = 10**3000 + 1, 10**3000 + 3
+        assert main(["torus", str(p), str(q)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_pretzel(self, capsys):
         assert main(["pretzel", "3", "-5", "-7"]) == 0
         assert capsys.readouterr().out.strip() == "1"
@@ -138,6 +146,10 @@ class TestCli:
     def test_braid_many_untouched_strands(self, capsys, word):
         assert main(["braid", word]) == 0
         assert "closure components: 99999999999" in capsys.readouterr().out
+
+    def test_braid_strand_count_past_int_digit_limit_exits_2(self, capsys):
+        assert main(["braid", "1" * 5000 + ": 1"]) == 2
+        assert "strand count" in capsys.readouterr().err
 
     def test_braid_negative_letters_rejected(self, capsys):
         assert main(["braid", "2: 1 -1 1", "--positive"]) == 2
@@ -289,6 +301,9 @@ class TestCli:
         ({"knots": [{"id": "k1", "presentations": [
             {"kind": "braid", "value": "100000000000: 99999999999"}]}]},
          "'k1'"),
+        # A strand count with more digits than int() reads.
+        ({"knots": [{"id": "k1", "presentations": [
+            {"kind": "braid", "value": "1" * 5000 + ": 1"}]}]}, "'k1'"),
     ])
     def test_malformed_input_exits_2(self, tmp_path, capsys, doc, named):
         path = tmp_path / "facts.json"

@@ -191,6 +191,23 @@ class TestRules:
         fixed, _ = propagate(base)
         assert fixed.knot("wh").tau == Interval.top()
 
+    def test_r2_rereads_g3_narrowed_by_a_seed(self):
+        # The braid's seed narrows only g3 (its Seifert surface has genus
+        # 1); R2 must carry that on to g4.
+        base = FactBase().add_knot("k", [Presentation("braid", "3: 1 -2 1 -2")])
+        base = base.add_fact("k", "tau_lower", 0).add_fact("k", "tau_upper", 0)
+        fixed, _ = propagate(base)
+        assert fixed.knot("k").g4 == Interval(0, 1)
+
+    def test_double_rereads_tb_in_any_order(self):
+        base = FactBase().add_knot(
+            "c", [Presentation("grid", "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0")])
+        base = base.add_knot("w").add_relation(Double("c", "w"))
+        for seed in range(20):
+            fixed, _ = propagate(base, shuffle_seed=seed)
+            assert fixed.knot("c").tb == Interval.at_least(1)
+            assert fixed.knot("w").tau == Interval.exact(1), seed
+
     def test_presentation_must_be_knot(self):
         with pytest.raises(Exception):
             FactBase().add_knot("l", [Presentation("braid", "3: 1 1")])
@@ -501,14 +518,43 @@ def _random_consistent_base(rng, size=30):
     return base, truth
 
 
+def _chain(n, reverse):
+    """c0 - c1 - ... - cn, each link a crossing change or a genus-1
+    cobordism, with g3 = 0 at cn; the links are inserted from c0 toward cn,
+    or from cn toward c0.  With a crossing changes and b cobordisms,
+    tau(c0) is exactly [-b, a + b]."""
+    rng = random.Random(n)
+    links = [CrossingChange(f"c{i}", f"c{i + 1}") if rng.random() < 0.5
+             else Cobordism(f"c{i}", f"c{i + 1}", 1) for i in range(n)]
+    a = sum(isinstance(rel, CrossingChange) for rel in links)
+    base = FactBase().extend(
+        knots=[(f"c{i}", ()) for i in range(n + 1)],
+        facts=[(f"c{n}", "g3", 0, "")],
+        relations=links[::-1] if reverse else links)
+    return base, Interval(-(n - a), n)
+
+
 class TestConfluenceAndSoundness:
     def test_shuffled_orders_reach_same_fixpoint(self):
-        base, _ = _random_consistent_base(random.Random(30))
-        reference, _ = propagate(base)
-        for seed in range(20):
-            fixed, cert = propagate(base, shuffle_seed=seed)
-            assert fixed.records == reference.records
-            assert replay(cert, base)
+        for base in (_random_consistent_base(random.Random(30))[0],
+                     load_bundled_catalog(),
+                     load_factbase(Path(__file__).parent
+                                   / "data/all_rules.json")):
+            reference, _ = propagate(base)
+            for seed in range(20):
+                fixed, cert = propagate(base, shuffle_seed=seed)
+                assert fixed.records == reference.records
+                assert replay(cert, base)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_chain_costs_linear_evaluations(self, reverse):
+        # Each link re-runs only the instances that read the key it
+        # narrowed, whatever the insertion order.
+        n = 1600
+        base, tau = _chain(n, reverse)
+        fixed, cert = propagate(base, step_budget=10 * n)
+        assert fixed.knot("c0").tau == tau
+        assert replay(cert, base)
 
     def test_final_intervals_contain_truth(self):
         for seed in range(5):

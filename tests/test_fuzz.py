@@ -19,7 +19,7 @@ from taucalc.cli import main
 
 CATALOG = json.loads(
     resources.files("taucalc").joinpath("data/catalog.json").read_text())
-BAD_VALUES = [None, True, 1.5, "x", [], {}, -1]
+BAD_VALUES = [None, True, 1.5, "x", [], {}, -1, "9" * 5000 + ": 1"]
 FIELD_NAMES = ["knots", "facts", "relations", "presentations", "id", "kind",
                "value", "source", "a", "b", "c", "plus", "minus", "genus",
                "knot", "positive", "negative", "companion", "result",
