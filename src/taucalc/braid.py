@@ -9,7 +9,7 @@ underlying permutation is a single n-cycle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     BraidSyntaxError,
@@ -19,24 +19,23 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(namedtuple("BraidWord", "strands letters")):
     """Word in the braid group B_n as signed generator indices."""
 
-    strands: int
-    letters: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise LetterRangeError(f"need at least one strand, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
+    def __new__(cls, strands, letters=()):
+        if strands < 1:
+            raise LetterRangeError(f"need at least one strand, got {strands}")
+        letters = tuple(letters)
+        for l in letters:
             if l == 0:
                 raise LetterRangeError("letter 0 is not a generator")
-            if abs(l) >= self.strands:
+            if abs(l) >= strands:
                 raise LetterRangeError(
-                    f"letter {l} out of range for {self.strands} strands"
+                    f"letter {l} out of range for {strands} strands"
                 )
+        return super().__new__(cls, strands, letters)
 
     @property
     def length(self) -> int:

@@ -16,14 +16,14 @@ entry is a hard error, not a wrong answer.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from importlib import resources
 
 from .deduce import FactBase, Relation
 from .errors import CatalogError
 
-_RELATION_TYPES = {cls.kind: cls for cls in Relation.__args__}
+_RELATION_TYPES = {cls._field_defaults["kind"]: cls
+                   for cls in Relation.__args__}
 
 # Expected (strands, positive letters, negative letters) for the bundled
 # braid words, as reported for these knots in genus tables.
@@ -98,7 +98,7 @@ def factbase_to_dict(base: FactBase) -> dict:
         {"id": f.knot, "kind": f.kind, "value": f.value, "source": f.source}
         for f in base.facts
     ]
-    relations = [dataclasses.asdict(r) for r in base.relations]
+    relations = [r._asdict() for r in base.relations]
     return {"knots": knots, "facts": facts, "relations": relations}
 
 

@@ -1,12 +1,14 @@
 """Command-line driver.
 
-Exit codes: 0 success, 2 usage or input errors, 3 inconsistent fact base.
+Exit codes: 0 success, 1 standard output closed before the report was
+written (a broken pipe), 2 usage or input errors, 3 inconsistent fact base.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import braid as braid_mod
@@ -155,7 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; as the `signal` docs advise, flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InconsistentError as e:
         print(f"inconsistent: {e}", file=sys.stderr)
         return 3

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
 from . import braid as braid_mod
@@ -165,18 +165,27 @@ class _Relation:
     quantity) keys the constraint was computed from.  It lists every
     conclusion whatever the state, the top interval if it cannot narrow,
     since only its `reads` re-queue it.  A relation also lists the `knots`
-    it reads or narrows, which `FactBase.extend` checks."""
+    it reads or narrows, which `FactBase.extend` checks.  A relation is a
+    named tuple whose last field is its fact-file `kind`, fixed by default
+    so that relations of different types never compare equal."""
 
+    __slots__ = ()
     operands: tuple[str, ...] = ()  # names of the fields holding knot ids
     counts: dict[str, int] = {}  # integer fields -> their least valid value
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kind != cls._field_defaults["kind"]:
+            raise TypeError(f"{cls.__name__} has kind "
+                            f"{cls._field_defaults['kind']!r}, not "
+                            f"{self.kind!r}")
         for f, least in self.counts.items():
             v = getattr(self, f)
             if type(v) is not int or v < least:
                 raise families.FamilyParamError(
                     f"{self.kind} relation on {self.knots}: {f} must be an "
                     f"integer >= {least}, got {v!r}")
+        return self
 
     @property
     def knots(self) -> tuple[str, ...]:
@@ -187,11 +196,8 @@ class _Relation:
         return (("relation", self),)
 
 
-@dataclass(frozen=True)
-class Mirror(_Relation):
-    a: str
-    b: str
-    kind: str = field(default="mirror", init=False)
+class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
+    __slots__ = ()
     rule = "R1"
     operands = ("a", "b")
 
@@ -203,12 +209,10 @@ class Mirror(_Relation):
         return out
 
 
-@dataclass(frozen=True)
-class Sum(_Relation):
-    a: str
-    b: str
-    c: str  # c = a # b
-    kind: str = field(default="sum", init=False)
+class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
+    """c = a # b"""
+
+    __slots__ = ()
     rule = "R4"
     operands = ("a", "b", "c")
 
@@ -222,11 +226,11 @@ class Sum(_Relation):
         ]
 
 
-@dataclass(frozen=True)
-class CrossingChange(_Relation):
-    plus: str
-    minus: str  # minus obtained from plus by one positive-to-negative change
-    kind: str = field(default="crossing_change", init=False)
+class CrossingChange(_Relation, namedtuple(
+        "CrossingChange", "plus minus kind", defaults=["crossing_change"])):
+    """`minus` is obtained from `plus` by one positive-to-negative change."""
+
+    __slots__ = ()
     rule = "R3"
     operands = ("plus", "minus")
     _up, _down = Interval(0, 1), Interval(-1, 0)
@@ -239,12 +243,9 @@ class CrossingChange(_Relation):
         ]
 
 
-@dataclass(frozen=True)
-class Cobordism(_Relation):
-    a: str
-    b: str
-    genus: int
-    kind: str = field(default="cobordism", init=False)
+class Cobordism(_Relation, namedtuple(
+        "Cobordism", "a b genus kind", defaults=["cobordism"])):
+    __slots__ = ()
     rule = "R5"
     operands = ("a", "b")
     counts = {"genus": 0}
@@ -254,12 +255,12 @@ class Cobordism(_Relation):
                 for x, y in ((self.a, self.b), (self.b, self.a))]
 
 
-@dataclass(frozen=True)
-class Unknotting(_Relation):
-    knot: str
-    positive: int  # positive-to-negative changes
-    negative: int  # negative-to-positive changes
-    kind: str = field(default="unknotting", init=False)
+class Unknotting(_Relation, namedtuple(
+        "Unknotting", "knot positive negative kind", defaults=["unknotting"])):
+    """`positive` positive-to-negative and `negative` negative-to-positive
+    crossing changes turn `knot` into the unknot."""
+
+    __slots__ = ()
     rule = "R6"
     operands = ("knot",)
     counts = {"positive": 0, "negative": 0}
@@ -269,15 +270,12 @@ class Unknotting(_Relation):
         return [(self.knot, "tau", p - m, ()), (self.knot, "g4", p + m, ())]
 
 
-@dataclass(frozen=True)
-class Double(_Relation):
+class Double(_Relation, namedtuple(
+        "Double", "companion result iterations kind", defaults=[1, "double"])):
     """`result` is the `iterations`-fold untwisted positive Whitehead
     double of `companion`."""
 
-    companion: str
-    result: str
-    iterations: int = 1
-    kind: str = field(default="double", init=False)
+    __slots__ = ()
     rule = "R7-double"
     operands = ("companion", "result")
     counts = {"iterations": 1}
@@ -330,34 +328,28 @@ class _Seed:
 # fact base
 
 
-@dataclass(frozen=True)
-class Fact:
-    knot: str
-    kind: str
-    value: int
-    source: str = ""
+class Fact(namedtuple("Fact", "knot kind value source")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.kind) is not str or self.kind not in FACT_KINDS:
-            raise CatalogError(
-                f"fact on {self.knot!r}: unknown kind {self.kind!r}")
-        if type(self.value) is not int:
-            raise CatalogError(f"fact {self.kind} on {self.knot!r}: value "
-                               f"must be an integer, got {self.value!r}")
+    def __new__(cls, knot, kind, value, source=""):
+        if type(kind) is not str or kind not in FACT_KINDS:
+            raise CatalogError(f"fact on {knot!r}: unknown kind {kind!r}")
+        if type(value) is not int:
+            raise CatalogError(f"fact {kind} on {knot!r}: value "
+                               f"must be an integer, got {value!r}")
+        return super().__new__(cls, knot, kind, value, source)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    """A knot's element of the lattice: one interval per quantity, narrowed
-    only by `_narrow`; the defaults are its top.  Facts pin `g3` or raise
-    `tb`, and seeds bound `g3` by a Seifert surface and `tb` by a grid."""
+class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
+                            defaults=(Interval.top(), Interval(0, POS_INF),
+                                      Interval(0, POS_INF), Interval.top(),
+                                      ()))):
+    """A knot's element of the lattice: one interval per quantity (`tau`,
+    `g4`, `g3`, `tb`), narrowed only by `_narrow`; the defaults are its top.
+    Facts pin `g3` or raise `tb`, and seeds bound `g3` by a Seifert surface
+    and `tb` by a grid.  `presentations` is a tuple of Presentations."""
 
-    id: str
-    tau: Interval = Interval.top()
-    g4: Interval = Interval(0, POS_INF)
-    g3: Interval = Interval(0, POS_INF)
-    tb: Interval = Interval.top()
-    presentations: tuple[Presentation, ...] = ()
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -507,7 +499,7 @@ def _narrow(state: dict, target: str, qty: str, constraint: Interval):
         raise TaucalcError(f"{target}.{qty}: a bound has more digits than "
                            f"str() prints")
     new = cur.meet(constraint)
-    state[target] = KnotRecord(**{**vars(rec), qty: new})
+    state[target] = rec._replace(**{qty: new})
     return new
 
 

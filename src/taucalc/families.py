@@ -12,7 +12,7 @@ inapplicable criterion says nothing about the invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .braid import BraidWord
@@ -23,28 +23,27 @@ class FamilyParamError(TaucalcError):
     """Family parameters violate the family's invariants."""
 
 
-@dataclass(frozen=True)
-class TorusParams:
-    p: int
-    q: int
+class TorusParams(namedtuple("TorusParams", "p q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise FamilyParamError(f"need p, q >= 2, got ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
+    def __new__(cls, p, q):
+        if p < 2 or q < 2:
+            raise FamilyParamError(f"need p, q >= 2, got ({p}, {q})")
+        if math.gcd(p, q) != 1:
             raise FamilyParamError(
-                f"T({self.p},{self.q}) is a link, not a knot (gcd > 1)"
+                f"T({p},{q}) is a link, not a knot (gcd > 1)"
             )
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class PretzelParams:
-    twists: tuple[int, ...]
+class PretzelParams(namedtuple("PretzelParams", "twists")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(self.twists))
-        if not self.twists:
+    def __new__(cls, twists):
+        twists = tuple(twists)
+        if not twists:
             raise FamilyParamError("pretzel needs at least one twist region")
+        return super().__new__(cls, twists)
 
 
 def torus_braid(t: TorusParams) -> BraidWord:

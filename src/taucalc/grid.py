@@ -14,7 +14,7 @@ is pinned by the bundled positive-trefoil diagram having writhe +3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braid import count_cycles
 from .errors import (
@@ -28,30 +28,26 @@ from .errors import (
 CORNER_KINDS = ("NE", "NW", "SE", "SW")
 
 
-@dataclass(frozen=True)
-class GridDiagram:
+class GridDiagram(namedtuple("GridDiagram", "size xs os")):
     """xs[r] / os[r] give the column of the X / O marker in row r."""
 
-    size: int
-    xs: tuple[int, ...]
-    os: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.size
-        if n < 2:
-            raise GridSyntaxError(f"grid size must be >= 2, got {n}")
-        object.__setattr__(self, "xs", tuple(self.xs))
-        object.__setattr__(self, "os", tuple(self.os))
-        for name, perm in (("X", self.xs), ("O", self.os)):
-            if sorted(perm) != list(range(n)):
+    def __new__(cls, size, xs, os):
+        if size < 2:
+            raise GridSyntaxError(f"grid size must be >= 2, got {size}")
+        xs, os = tuple(xs), tuple(os)
+        for name, perm in (("X", xs), ("O", os)):
+            if sorted(perm) != list(range(size)):
                 raise NotPermutationError(
-                    f"{name} columns are not a permutation of 0..{n - 1}: {perm}"
+                    f"{name} columns are not a permutation of 0..{size - 1}: {perm}"
                 )
-        for r in range(n):
-            if self.xs[r] == self.os[r]:
+        for r in range(size):
+            if xs[r] == os[r]:
                 raise MarkerCollisionError(
-                    f"X and O share cell (row {r}, column {self.xs[r]})"
+                    f"X and O share cell (row {r}, column {xs[r]})"
                 )
+        return super().__new__(cls, size, xs, os)
 
     def __str__(self) -> str:
         return "{}\nX: {}\nO: {}".format(

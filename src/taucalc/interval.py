@@ -12,7 +12,7 @@ construction.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyIntervalError
 
@@ -28,20 +28,19 @@ def _check_endpoint(v):
     raise TypeError(f"interval endpoint must be int or +/-inf, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed integer interval [lo, hi], possibly unbounded on either side."""
 
-    lo: object
-    hi: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo = _check_endpoint(self.lo)
-        hi = _check_endpoint(self.hi)
+    def __new__(cls, lo, hi):
+        lo = _check_endpoint(lo)
+        hi = _check_endpoint(hi)
         if lo == POS_INF or hi == NEG_INF:
             raise EmptyIntervalError(f"degenerate endpoints [{lo}, {hi}]")
         if lo > hi:
             raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))  # the hottest constructor
 
     @staticmethod
     def top() -> "Interval":

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -398,6 +399,25 @@ class TestCli:
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 2, run.stderr
         assert "step 0" in run.stderr
+
+    def test_closed_stdout_exits_1_silently(self, tmp_path):
+        # A report of about 500 KiB: more than a pipe buffer holds, so the
+        # writer is still writing when the reader closes its end.
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(
+            {"knots": [{"id": f"k{i}"} for i in range(2000)]}))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "taucalc.cli", "deduce", str(path),
+             "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        assert proc.stdout.read(10) == b'{\n  "knots'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     @pytest.mark.parametrize("argv,name", [
         (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),
