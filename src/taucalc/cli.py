@@ -37,7 +37,10 @@ def _cmd_braid(args) -> int:
 
 def _cmd_grid(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        g = grid_mod.parse_grid(fh.read())
+        try:
+            g = grid_mod.parse_grid(fh.read())
+        except UnicodeDecodeError as e:
+            raise TaucalcError(f"{args.file}: {e}") from None
     census = grid_mod.corner_census(g)
     print(f"size: {g.size}")
     print(f"components: {grid_mod.components(g)}")
@@ -83,7 +86,7 @@ def _run_deduction(base, args) -> int:
             k = knot_to_dict(rec)
             print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
                   f"g3 = {k['g3']}, tb >= {k['tb_lower']}")
-            for step in sub.steps:
+            for step in sub:
                 print("  " + step.describe())
         return 0
     report = build_report(fixed, cert, certify=args.certify)
@@ -92,7 +95,7 @@ def _run_deduction(base, args) -> int:
     else:
         print(render_report(report))
         if args.certify:
-            for step in cert.steps:
+            for step in cert:
                 print(step.describe())
     return 0
 

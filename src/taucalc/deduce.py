@@ -14,12 +14,13 @@ of a knot, or the R7 seed of a stored presentation.  A rule only reads:
 `implications(state)` returns every conclusion whatever the state (the top
 interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key
-narrows.  The state is the records themselves (knot id -> KnotRecord), and `_narrow`, the one function that meets a bound into a
-record, writes; input facts narrow through it too.  Every conclusion is an
-Interval, so a conflict is always an empty meet there.  For a narrowing it
-records, `propagate` makes the step's premises from the instance's `cites`
-and the values of those keys.  R7 seeds depend on the presentation alone,
-so a `Presentation` computes them once, when it is constructed.
+narrows.  The state is the records themselves (knot id -> KnotRecord);
+`_narrow`, the one function that meets a bound into a record, writes it,
+for input facts too.  Every conclusion is an Interval, so a conflict is
+always an empty meet there.  A certificate is the tuple of its steps: each
+names its instance by the instance's `cite` (None for R2, found by its
+target) and records the (knot, quantity, value) triples it read.  R7 seeds
+depend on the presentation alone, so a `Presentation` computes them once.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
   R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
@@ -97,6 +98,9 @@ class Presentation:
         object.__setattr__(self, "parsed", parse(self.value))
         object.__setattr__(self, "seeds", tuple(seeds(self.parsed)))
 
+    def __str__(self):
+        return f"{self.kind}: {self.value}"
+
 
 def _ints(kind: str, value: str) -> tuple[int, ...]:
     try:
@@ -159,8 +163,8 @@ PRESENTATION_KINDS = {
 class _Relation:
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
-    certificate steps, the `cites` that head the premises of its steps, and
-    `implications(state)` listing the narrowings the records in `state`
+    certificate steps, the `cite` that names it in its steps (None for R2),
+    and `implications(state)` listing the narrowings the records in `state`
     imply as (target, quantity, constraint, reads): `reads` are the (knot,
     quantity) keys the constraint was computed from.  It lists every
     conclusion whatever the state, the top interval if it cannot narrow,
@@ -192,8 +196,8 @@ class _Relation:
         return tuple(getattr(self, f) for f in self.operands)
 
     @property
-    def cites(self) -> tuple:
-        return (("relation", self),)
+    def cite(self) -> tuple:
+        return ("relation", self)
 
 
 class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
@@ -292,11 +296,11 @@ Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
 
 
 class _GenusChain:
-    """R2 on one knot.  Its steps cite only facts, so `replay` finds it by
+    """R2 on one knot.  Its steps cite no instance, so `replay` finds it by
     the knot."""
 
     rule = "R2"
-    cites = ()
+    cite = None
 
     def __init__(self, knot: str):
         self.knot = knot
@@ -317,7 +321,7 @@ class _Seed:
         self.knot = knot
         self.presentation = presentation
         self.rule = PRESENTATION_KINDS[presentation.kind][0]
-        self.cites = (("presentation", knot, presentation),)
+        self.cite = ("presentation", knot, presentation)
 
     def implications(self, state: dict) -> list:
         return [(self.knot, qty, constraint, ())
@@ -422,30 +426,24 @@ class FactBase:
 # certificates
 
 
-@dataclass(frozen=True)
-class CertStep:
-    """One narrowing: `rule` applied to `premises` concluded `conclusion`
-    for (target, quantity); `result` is the meet with the prior value."""
+class CertStep(namedtuple(
+        "CertStep", "index rule target quantity cite reads conclusion result")):
+    """One narrowing: `rule` applied to the instance named by `cite` read
+    the (knot, quantity, value) triples in `reads` and concluded
+    `conclusion` for (target, quantity); `result` is the meet with the
+    prior value."""
 
-    index: int
-    rule: str
-    target: str
-    quantity: str  # tau | g4 | g3 | tb
-    premises: tuple = ()
-    conclusion: Interval | None = None
-    result: Interval | None = None
+    __slots__ = ()
 
     def describe(self) -> str:
         return (f"[{self.index}] {self.rule}: {self.target}.{self.quantity} "
                 f"<- {self.conclusion} => {self.result}")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    steps: tuple[CertStep, ...] = ()
+class Certificate(tuple):
+    """The steps of a run, in index order."""
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    __slots__ = ()
 
     def for_knot(self, id: str) -> "Certificate":
         """Minimal sub-derivation supporting the knot's current intervals:
@@ -454,11 +452,11 @@ class Certificate:
         the steps, which are in index order."""
         read: set[tuple[str, str]] = set()  # keys read by later wanted steps
         wanted = []
-        for s in reversed(self.steps):
+        for s in reversed(self):
             if s.target == id or (s.target, s.quantity) in read:
                 wanted.append(s)
-                read.update(p[1:3] for p in s.premises if p[0] == "fact")
-        return Certificate(tuple(reversed(wanted)))
+                read.update((k, q) for k, q, _ in s.reads)
+        return Certificate(reversed(wanted))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +472,6 @@ def _instances(base: FactBase) -> list:
         out.extend(_Seed(id, p) for p in rec.presentations)
     out.extend(base.relations)
     return out
-
-
-def _cited_key(step: CertStep) -> tuple:
-    """Key of the instance a step claims to apply: its rule with its first
-    relation or presentation premise, or with its target when it cites
-    only facts (R2).  `replay` keys the base's instances the same way."""
-    cite = next((p for p in step.premises if p[0] != "fact"), step.target)
-    return (step.rule, cite)
 
 
 def _narrow(state: dict, target: str, qty: str, constraint: Interval):
@@ -556,15 +546,13 @@ def propagate(
             except EmptyIntervalError as e:
                 raise InconsistentError(
                     f"{inst.rule} on {target}.{qty}: {e}",
-                    certificate=Certificate(tuple(steps))) from e
+                    certificate=Certificate(steps)) from e
             if result is not None:
-                premises = inst.cites + tuple(
-                    ("fact", k, q, prior if (k, q) == (target, qty)
-                     else getattr(state[k], q)) for k, q in reads)
                 steps.append(CertStep(
-                    index=len(steps), rule=inst.rule, target=target,
-                    quantity=qty, premises=premises, conclusion=constraint,
-                    result=result))
+                    len(steps), inst.rule, target, qty, inst.cite,
+                    tuple((k, q, prior if (k, q) == (target, qty)
+                           else getattr(state[k], q)) for k, q in reads),
+                    constraint, result))
                 for i, reader in readers.get((target, qty), {}).items():
                     if i not in queued:
                         queue.append(reader)
@@ -573,7 +561,7 @@ def propagate(
         else:
             queued.discard(id(queue.popleft()))
 
-    return replace(base, records=state), Certificate(tuple(steps))
+    return replace(base, records=state), Certificate(steps)
 
 
 def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certificate]:
@@ -584,31 +572,32 @@ def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certi
 
 def replay(cert: Certificate, base: FactBase) -> bool:
     """Re-derive every step from the base's axioms: the step must cite a
-    rule instance of the base, and that instance must yield the step's
-    conclusion in the replayed state.  Raises BrokenStepError at the first
-    failure."""
+    rule instance of the base, which must yield the step's conclusion from
+    the step's `reads` in the replayed state.  Raises BrokenStepError at
+    the first failure."""
     state = dict(base.records)
-    instances = {(i.rule, i.cites[0] if i.cites else i.knot): i
-                 for i in _instances(base)}
-    for step in cert.steps:
-        inst = instances.get(_cited_key(step))
+    instances = {(i.rule, i.cite or i.knot): i for i in _instances(base)}
+    for step in cert:
+        inst = instances.get((step.rule, step.cite or step.target))
         if inst is None:
             raise BrokenStepError(
                 f"step {step.index}: cites no {step.rule} instance of the "
                 f"base", step_index=step.index)
-        implied = None
-        for target, qty, constraint, _ in inst.implications(state):
-            if target == step.target and qty == step.quantity \
-                    and constraint == step.conclusion:
-                implied = constraint
-                break
+        claim = (step.target, step.quantity, step.conclusion)
+        implied = next((c for c in inst.implications(state)
+                        if c[:3] == claim), None)
         if implied is None:
             raise BrokenStepError(
                 f"step {step.index}: {step.rule} does not yield "
                 f"{step.conclusion} for {step.target}.{step.quantity}",
                 step_index=step.index)
+        read = tuple((k, q, getattr(state[k], q)) for k, q in implied[3])
+        if step.reads != read:
+            raise BrokenStepError(
+                f"step {step.index}: recorded reads {step.reads} but replay "
+                f"read {read}", step_index=step.index)
         try:
-            result = _narrow(state, step.target, step.quantity, implied)
+            result = _narrow(state, *implied[:3])
         except EmptyIntervalError as e:
             raise BrokenStepError(
                 f"step {step.index}: meet is empty: {e}",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations
 
 from .braid import BraidWord
 from .errors import TaucalcError
@@ -59,13 +58,14 @@ def tau_torus(t: TorusParams) -> int:
 
 def pretzel_tau(p: PretzelParams) -> int | None:
     """(k-1)/2 when k and all twists are odd and every pairwise sum is
-    negative; None when the criterion does not apply."""
+    negative, which holds when the two largest twists sum to a negative
+    number; None when the criterion does not apply."""
     k = len(p.twists)
-    if k % 2 == 0:
+    if k % 2 == 0 or any(t % 2 == 0 for t in p.twists):
         return None
-    if any(t % 2 == 0 for t in p.twists):
-        return None
-    if any(a + b >= 0 for a, b in combinations(p.twists, 2)):
+    i = p.twists.index(max(p.twists))
+    rest = p.twists[:i] + p.twists[i + 1:]
+    if rest and p.twists[i] + max(rest) >= 0:
         return None
     return (k - 1) // 2
 

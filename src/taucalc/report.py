@@ -12,15 +12,10 @@ def _fmt_interval(iv) -> list[str]:
     return [str(iv.lo), str(iv.hi)]
 
 
-def _premise_str(premise: tuple) -> str:
-    kind = premise[0]
-    if kind == "fact":
-        _, knot, qty, value = premise
-        return f"fact {knot}.{qty} = {value}"
-    if kind == "relation":
-        return f"relation {premise[1]}"
-    _, knot, pres = premise
-    return f"presentation {knot} {pres.kind}: {pres.value}"
+def _premises(step: CertStep) -> list[str]:
+    """The instance the step cites, then each value it read."""
+    cite = [" ".join(map(str, step.cite))] if step.cite else []
+    return cite + [f"fact {k}.{q} = {v}" for k, q, v in step.reads]
 
 
 def step_to_dict(step: CertStep) -> dict:
@@ -29,7 +24,7 @@ def step_to_dict(step: CertStep) -> dict:
         "rule": step.rule,
         "target": step.target,
         "quantity": step.quantity,
-        "premises": [_premise_str(p) for p in step.premises],
+        "premises": _premises(step),
         "conclusion": str(step.conclusion),
         "result": str(step.result),
     }
@@ -50,13 +45,13 @@ def knot_to_dict(rec: KnotRecord) -> dict:
 def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) -> dict:
     """JSON-ready report of per-knot intervals; byte-for-byte reproducible
     from the same inputs (ids sorted, no timestamps)."""
-    steps_per_knot = Counter(s.target for s in cert.steps)
+    steps_per_knot = Counter(s.target for s in cert)
     knots = [{**knot_to_dict(base.records[id]),
               "certificate_steps": steps_per_knot[id]}
              for id in sorted(base.records)]
     out = {"knots": knots, "total_steps": len(cert)}
     if certify:
-        out["certificate"] = [step_to_dict(s) for s in cert.steps]
+        out["certificate"] = [step_to_dict(s) for s in cert]
     return out
 
 

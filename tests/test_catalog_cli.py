@@ -171,6 +171,13 @@ class TestCli:
         assert "components: 1" in out
         assert "tb: 0" in out
 
+    def test_grid_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.grid"
+        path.write_bytes(b"2\nX: 0 1\nO: 1 0\xff\n")
+        assert main(["grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     def test_catalog_text(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
@@ -390,7 +397,7 @@ class TestCli:
             "from taucalc.interval import Interval\n"
             "def forged(base):\n"
             "    fixed, _ = deduce.propagate(base)\n"
-            "    step = deduce.CertStep(0, 'R1', 'trefoil', 'tau', (),\n"
+            "    step = deduce.CertStep(0, 'R1', 'trefoil', 'tau', None, (),\n"
             "                           Interval.exact(0), Interval.exact(0))\n"
             "    return fixed, deduce.Certificate((step,))\n"
             "cli.propagate = forged\n"
@@ -427,6 +434,10 @@ class TestCli:
          "all_rules_json_certify.txt"),
         (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
         (["deduce", ALL_RULES, "--query", "s2"], "all_rules_query_s2.txt"),
+        (["catalog", "--query", "m10_145", "--json", "--certify"],
+         "catalog_query_m10_145_json_certify.txt"),
+        (["deduce", ALL_RULES, "--query", "s2", "--json", "--certify"],
+         "all_rules_query_s2_json_certify.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files

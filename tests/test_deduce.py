@@ -1,7 +1,6 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -330,11 +329,10 @@ class TestCertificates:
         base = base_with("a", "b").add_relation(Mirror("a", "b"))
         base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
         _, cert = propagate(base)
-        victim = next(s for s in cert.steps if s.rule == "R1")
-        forged = replace(victim, conclusion=Interval.exact(7),
-                         result=Interval.exact(7))
-        bad = Certificate(tuple(
-            forged if s is victim else s for s in cert.steps))
+        victim = next(s for s in cert if s.rule == "R1")
+        forged = victim._replace(conclusion=Interval.exact(7),
+                                 result=Interval.exact(7))
+        bad = Certificate(forged if s is victim else s for s in cert)
         with pytest.raises(BrokenStepError) as ei:
             replay(bad, base)
         assert ei.value.step_index == victim.index
@@ -361,9 +359,9 @@ class TestCertificates:
         base = base_with("a", "b").add_relation(Mirror("a", "b"))
         base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
         _, cert = propagate(base)
-        victim = next(s for s in cert.steps if s.rule == "R1")
-        bad = Certificate(tuple(
-            replace(s, rule="R3") if s is victim else s for s in cert.steps))
+        victim = next(s for s in cert if s.rule == "R1")
+        bad = Certificate(
+            s._replace(rule="R3") if s is victim else s for s in cert)
         with pytest.raises(BrokenStepError) as ei:
             replay(bad, base)
         assert ei.value.step_index == victim.index
@@ -382,11 +380,23 @@ class TestCertificates:
         base = base_with("a", "b").add_relation(Mirror("a", "b"))
         base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
         _, cert = propagate(base)
-        victim = next(s for s in cert.steps if s.rule == "R1")
-        bad = Certificate(tuple(
-            replace(s, result=Interval.exact(5)) if s is victim else s
-            for s in cert.steps))
+        victim = next(s for s in cert if s.rule == "R1")
+        bad = Certificate(
+            s._replace(result=Interval.exact(5)) if s is victim else s
+            for s in cert)
         with pytest.raises(BrokenStepError, match="recorded result") as ei:
+            replay(bad, base)
+        assert ei.value.step_index == victim.index
+
+    def test_altered_read_value_rejected(self):
+        base = base_with("a", "b").add_relation(Mirror("a", "b"))
+        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        _, cert = propagate(base)
+        victim = next(s for s in cert if s.rule == "R1")
+        (knot, qty, _), = victim.reads
+        forged = victim._replace(reads=((knot, qty, Interval.exact(7)),))
+        bad = Certificate(forged if s is victim else s for s in cert)
+        with pytest.raises(BrokenStepError, match="reads") as ei:
             replay(bad, base)
         assert ei.value.step_index == victim.index
 
@@ -403,7 +413,7 @@ class TestCertificates:
         base = base.add_fact("c", "tau_lower", 4).add_fact("c", "tau_upper", 4)
         base = base.add_fact("a", "tau_lower", 0)
         _, cert = propagate(base)
-        step = next(s for s in cert.steps if s.target == "a")
+        step = next(s for s in cert if s.target == "a")
         assert step_to_dict(step)["premises"] == [
             f"relation {rel}", "fact c.tau = [4, 4]", "fact a.tau = [0, inf]"]
         assert step.result == Interval(0, 4)
@@ -415,7 +425,7 @@ class TestCertificates:
                                    / "data/all_rules.json")):
             _, cert = propagate(base)
             last = {}
-            for step in cert.steps:
+            for step in cert:
                 key = (step.target, step.quantity)
                 if key in last:
                     assert last[key].contains_interval(step.result)
@@ -437,7 +447,7 @@ class TestCertificates:
                     sub = cert.for_knot(id)
                     assert sub == _closure_slice(cert, id)
                     # A slice's step indices have gaps; slice it again.
-                    for other in {s.target for s in sub.steps}:
+                    for other in {s.target for s in sub}:
                         assert sub.for_knot(other) == _closure_slice(
                             sub, other)
 
@@ -446,28 +456,27 @@ def _closure_slice(cert, id):
     """Reference slice: the steps targeting `id`, closed under "an earlier
     step narrowed a (knot, quantity) that a wanted step read"."""
     wanted = set()
-    frontier = [s for s in cert.steps if s.target == id]
+    frontier = [s for s in cert if s.target == id]
     by_key = {}
-    for s in cert.steps:
+    for s in cert:
         by_key.setdefault((s.target, s.quantity), []).append(s)
     while frontier:
         step = frontier.pop()
         if step.index in wanted:
             continue
         wanted.add(step.index)
-        for kind, *info in step.premises:
-            if kind == "fact":
-                for prior in by_key.get((info[0], info[1]), ()):
-                    if prior.index < step.index:
-                        frontier.append(prior)
-    return Certificate(tuple(s for s in cert.steps if s.index in wanted))
+        for knot, qty, _ in step.reads:
+            for prior in by_key.get((knot, qty), ()):
+                if prior.index < step.index:
+                    frontier.append(prior)
+    return Certificate(s for s in cert if s.index in wanted)
 
 
-def _append_step(cert, rule, target, quantity, value, *premises):
-    """`cert` plus one step claiming that `rule` narrowed target.quantity
-    to `value`."""
-    step = CertStep(len(cert), rule, target, quantity, premises, value, value)
-    return Certificate(cert.steps + (step,))
+def _append_step(cert, rule, target, quantity, value, cite=None):
+    """`cert` plus one step claiming that `rule`, applied to the instance
+    `cite` names and reading nothing, narrowed target.quantity to `value`."""
+    step = CertStep(len(cert), rule, target, quantity, cite, (), value, value)
+    return Certificate(cert + (step,))
 
 
 def _random_consistent_base(rng, size=30):

@@ -1,5 +1,6 @@
 import math
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -67,6 +68,26 @@ class TestPretzel:
         assert pretzel_tau(PretzelParams((3, 5, -7))) is None  # 3 + 5 >= 0
         assert pretzel_tau(PretzelParams((3, -5, -7, -9))) is None  # even k
         assert pretzel_tau(PretzelParams((2, -5, -7))) is None  # even twist
+
+    def test_matches_pairwise_oracle(self):
+        def oracle(twists):
+            if len(twists) % 2 == 0 or any(t % 2 == 0 for t in twists):
+                return None
+            if any(a + b >= 0 for a, b in combinations(twists, 2)):
+                return None
+            return (len(twists) - 1) // 2
+
+        rng = random.Random(0)
+        values = [range(-9, 10), range(-9, 10, 2)]  # any, or all odd
+        for _ in range(2000):
+            pool = rng.choice(values)
+            twists = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+            assert pretzel_tau(PretzelParams(twists)) == oracle(twists), twists
+        for t in (-3, 1, 5):  # k = 1 has no pair
+            assert pretzel_tau(PretzelParams((t,))) == oracle((t,)) == 0
+
+    def test_many_twists(self):
+        assert pretzel_tau(PretzelParams((-3,) * 20001)) == 10000
 
     def test_permutation_invariant(self):
         for twists in permutations((3, -5, -7)):

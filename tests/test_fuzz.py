@@ -1,13 +1,17 @@
 """Property-based fuzzing of the fact-file boundary: whatever the document,
-`tau deduce` exits 0, 2 or 3 and never raises."""
+`tau deduce` exits 0, 2 or 3 and never raises.  And of certificates: a
+step with one field taken from another step replays, or `replay` names
+that step."""
 
 import contextlib
 import copy
 import io
 import json
 import os
+import random
 import tempfile
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,7 +19,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.cli import main
+from taucalc.deduce import Certificate, CertStep, propagate, replay
+from taucalc.errors import BrokenStepError
+
+from .test_deduce import _random_consistent_base
 
 CATALOG = json.loads(
     resources.files("taucalc").joinpath("data/catalog.json").read_text())
@@ -101,3 +110,31 @@ def test_mutated_catalog_exits_cleanly(doc):
 @given(json_values | fact_files)
 def test_arbitrary_json_exits_cleanly(doc):
     assert _deduce_exit_code(doc) in (0, 2, 3)
+
+
+CERTIFIED = [(base, propagate(base)[1]) for base in (
+    load_bundled_catalog(),
+    load_factbase(Path(__file__).parent / "data/all_rules.json"),
+    _random_consistent_base(random.Random(0))[0])]
+
+
+@FUZZ_SETTINGS
+@given(st.data())
+def test_mutated_certificate_step_is_named(data):
+    base, cert = data.draw(st.sampled_from(CERTIFIED))
+    i = data.draw(st.integers(0, len(cert) - 1))
+    field = data.draw(st.sampled_from(CertStep._fields))
+    donor = data.draw(st.sampled_from(cert))
+    step = cert[i]._replace(**{field: getattr(donor, field)})
+    try:
+        replay(Certificate(step if k == i else s
+                           for k, s in enumerate(cert)), base)
+    except BrokenStepError as e:
+        # A rule instance may conclude one interval for two quantities
+        # (a seed pinning tau and g4 to 0): a step moved to the other
+        # quantity is then a valid step, and the step it displaced fails.
+        assert e.step_index == i or (field == "quantity"
+                                     and e.step_index > i)
+    else:
+        assert field not in ("reads", "conclusion", "result") \
+            or step == cert[i]

@@ -9,6 +9,7 @@ import pytest
 import taucalc
 from taucalc.braid import BraidWord
 from taucalc.deduce import (
+    CertStep,
     Cobordism,
     CrossingChange,
     Double,
@@ -46,6 +47,9 @@ MAKERS = [
     lambda: Cobordism("a", "b", 2),
     lambda: Unknotting("k", 1, 0),
     lambda: Double("c", "w", 2),
+    lambda: CertStep(0, "R1", "b", "tau", ("relation", Mirror("a", "b")),
+                     (("a", "tau", Interval(1, 1)),), Interval(-1, -1),
+                     Interval(-1, -1)),
     lambda: BraidWord(3, [1, -2]),
     lambda: GridDiagram(2, [0, 1], [1, 0]),
     lambda: TorusParams(2, 3),
@@ -85,14 +89,13 @@ def test_relation_kind_cannot_change(rel):
 
 
 def test_remaining_dataclasses():
-    # FactBase and CertStep: callers derive new ones with
-    # dataclasses.replace.  Presentation: its derived `parsed` and `seeds`
-    # stay out of its equality, hash and repr.  Certificate: its __len__
-    # (the step count) would shadow a tuple's.
+    # FactBase: callers derive new ones with dataclasses.replace.
+    # Presentation: its derived `parsed` and `seeds` stay out of its
+    # equality, hash and repr.
     found = set()
     for info in pkgutil.iter_modules(taucalc.__path__):
         mod = importlib.import_module(f"taucalc.{info.name}")
         found |= {name for name, obj in vars(mod).items()
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                   and obj.__module__ == mod.__name__}
-    assert found == {"FactBase", "CertStep", "Presentation", "Certificate"}
+    assert found == {"FactBase", "Presentation"}
