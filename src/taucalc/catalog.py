@@ -123,8 +123,8 @@ def save_factbase(base: FactBase, path: str) -> None:
 
 def load_bundled_catalog() -> FactBase:
     """The shipped catalog, revalidated against its braid-word summaries."""
-    text = resources.files("taucalc").joinpath("data/catalog.json").read_text()
-    doc = json.loads(text)
+    path = resources.files("taucalc").joinpath("data/catalog.json")
+    doc = json.loads(path.read_text(encoding="utf-8"))
     base = factbase_from_dict(doc)
     for id, (n, kp, km) in _BRAID_SUMMARIES.items():
         b = next((p.parsed for p in base.knot(id).presentations

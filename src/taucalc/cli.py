@@ -66,14 +66,19 @@ def _cmd_pretzel(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    Double(args.companion, f"wh{args.iterations}_{args.companion}",
-           args.iterations)  # validates the iteration count
+    least = Double.counts["iterations"]
+    if args.iterations < least:
+        raise TaucalcError(f"--iterations must be >= {least}, "
+                           f"got {args.iterations}")
     v = families.whitehead_double_tau(args.tb_lower)
     print("inapplicable" if v is None else v)
     return 0
 
 
-def _run_deduction(base, args) -> int:
+def _run_deduction(args) -> int:
+    """`tau deduce FACTS` and `tau catalog`: the same run on another base."""
+    base = (catalog_mod.load_factbase(args.facts) if args.command == "deduce"
+            else catalog_mod.load_bundled_catalog())
     fixed, cert = propagate(base)
     replay(cert, base)  # raises BrokenStepError on a step that does not follow
     if args.query:
@@ -98,14 +103,6 @@ def _run_deduction(base, args) -> int:
             for step in cert:
                 print(step.describe())
     return 0
-
-
-def _cmd_deduce(args) -> int:
-    return _run_deduction(catalog_mod.load_factbase(args.facts), args)
-
-
-def _cmd_catalog(args) -> int:
-    return _run_deduction(catalog_mod.load_bundled_catalog(), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--query", metavar="ID",
                        help="print one knot with its supporting derivation")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=_cmd_deduce if name == "deduce" else _cmd_catalog)
+        p.set_defaults(fn=_run_deduction)
 
     return ap
 

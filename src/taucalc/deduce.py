@@ -75,28 +75,29 @@ FACT_KINDS = {
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
     """Tagged presentation string in one of the `PRESENTATION_KINDS`
-    grammars: braid / grid / torus / pretzel.  Construction parses the
-    value into `parsed` and keeps the R7 seed bounds it proves in `seeds`;
-    computing them checks that the value presents a knot."""
+    grammars: braid / grid / torus / pretzel.  It is built from `kind` and
+    `value` alone: construction parses the value into `parsed` and keeps
+    the R7 seed bounds it proves in `seeds`; computing them checks that the
+    value presents a knot.  Both follow from `kind` and `value`, so two
+    presentations are equal, and hash alike, when those two fields are."""
 
-    kind: str
-    value: str
-    parsed: object = field(init=False, repr=False, compare=False)
-    seeds: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in PRESENTATION_KINDS:
-            raise CatalogError(f"unknown presentation kind {self.kind!r} "
-                               f"for value {self.value!r}")
-        if type(self.value) is not str:
-            raise CatalogError(f"{self.kind} presentation value must be a "
-                               f"string, got {self.value!r}")
-        _, parse, seeds = PRESENTATION_KINDS[self.kind]
-        object.__setattr__(self, "parsed", parse(self.value))
-        object.__setattr__(self, "seeds", tuple(seeds(self.parsed)))
+    def __new__(cls, kind, value):
+        if kind not in PRESENTATION_KINDS:
+            raise CatalogError(f"unknown presentation kind {kind!r} "
+                               f"for value {value!r}")
+        if type(value) is not str:
+            raise CatalogError(f"{kind} presentation value must be a "
+                               f"string, got {value!r}")
+        _, parse, seeds = PRESENTATION_KINDS[kind]
+        parsed = parse(value)
+        return super().__new__(cls, kind, value, parsed, tuple(seeds(parsed)))
+
+    def __getnewargs__(self):  # copy and pickle rebuild it from two fields
+        return self[:2]
 
     def __str__(self):
         return f"{self.kind}: {self.value}"
@@ -169,12 +170,12 @@ class _Relation:
     quantity) keys the constraint was computed from.  It lists every
     conclusion whatever the state, the top interval if it cannot narrow,
     since only its `reads` re-queue it.  A relation also lists the `knots`
-    it reads or narrows, which `FactBase.extend` checks.  A relation is a
-    named tuple whose last field is its fact-file `kind`, fixed by default
-    so that relations of different types never compare equal."""
+    it reads or narrows, which `FactBase.extend` checks: its fields other
+    than the `counts` and `kind`.  A relation is a named tuple whose last
+    field is its fact-file `kind`, fixed by default so that relations of
+    different types never compare equal."""
 
     __slots__ = ()
-    operands: tuple[str, ...] = ()  # names of the fields holding knot ids
     counts: dict[str, int] = {}  # integer fields -> their least valid value
 
     def __new__(cls, *args, **kwargs):
@@ -193,7 +194,8 @@ class _Relation:
 
     @property
     def knots(self) -> tuple[str, ...]:
-        return tuple(getattr(self, f) for f in self.operands)
+        return tuple(v for f, v in zip(self._fields[:-1], self)
+                     if f not in self.counts)
 
     @property
     def cite(self) -> tuple:
@@ -203,7 +205,6 @@ class _Relation:
 class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
     __slots__ = ()
     rule = "R1"
-    operands = ("a", "b")
 
     def implications(self, state: dict) -> list:
         out = []
@@ -218,7 +219,6 @@ class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
 
     __slots__ = ()
     rule = "R4"
-    operands = ("a", "b", "c")
 
     def implications(self, state: dict) -> list:
         a, b, c = self.a, self.b, self.c
@@ -236,7 +236,6 @@ class CrossingChange(_Relation, namedtuple(
 
     __slots__ = ()
     rule = "R3"
-    operands = ("plus", "minus")
     _up, _down = Interval(0, 1), Interval(-1, 0)
 
     def implications(self, state: dict) -> list:
@@ -251,7 +250,6 @@ class Cobordism(_Relation, namedtuple(
         "Cobordism", "a b genus kind", defaults=["cobordism"])):
     __slots__ = ()
     rule = "R5"
-    operands = ("a", "b")
     counts = {"genus": 0}
 
     def implications(self, state: dict) -> list:
@@ -266,7 +264,6 @@ class Unknotting(_Relation, namedtuple(
 
     __slots__ = ()
     rule = "R6"
-    operands = ("knot",)
     counts = {"positive": 0, "negative": 0}
 
     def implications(self, state: dict) -> list:
@@ -281,7 +278,6 @@ class Double(_Relation, namedtuple(
 
     __slots__ = ()
     rule = "R7-double"
-    operands = ("companion", "result")
     counts = {"iterations": 1}
 
     def implications(self, state: dict) -> list:

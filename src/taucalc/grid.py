@@ -172,33 +172,15 @@ def stabilize_ne(g: GridDiagram, row: int) -> GridDiagram:
     n = g.size
     if not 0 <= row < n:
         raise InvalidRowError(f"row {row} out of range for size {n}")
-    r, c, co = row, g.xs[row], g.os[row]
-
-    if co < c:
-        # Horizontal extends west: new column west of c, new row south of r.
-        shiftc = lambda x: x + 1 if x >= c else x
-        shiftr = lambda y: y + 1 if y >= r else y
-        new_row, x_in_block, o_in_block = r, c + 1, c
-        old_row_x = c
-    else:
-        # Horizontal extends east: new column east of c, new row north of r.
-        shiftc = lambda x: x + 1 if x > c else x
-        shiftr = lambda y: y + 1 if y > r else y
-        new_row, x_in_block, o_in_block = r + 1, c, c + 1
-        old_row_x = c + 1
-
-    xs = [0] * (n + 1)
-    os = [0] * (n + 1)
-    for old_r in range(n):
-        rr = shiftr(old_r)
-        if old_r == r:
-            xs[rr] = old_row_x
-            os[rr] = shiftc(g.os[old_r])
-        else:
-            xs[rr] = shiftc(g.xs[old_r])
-            os[rr] = shiftc(g.os[old_r])
-    xs[new_row] = x_in_block
-    os[new_row] = o_in_block
+    c = g.xs[row]
+    # d = 0: the horizontal extends west, so the new column goes west of c
+    # and the new row south of `row`; d = 1: east of c and north of `row`.
+    d = 1 if g.os[row] > c else 0
+    xs = [x + (x >= c + d) for x in g.xs]
+    os = [o + (o >= c + d) for o in g.os]
+    xs[row] = c + d
+    xs.insert(row + d, c + 1 - d)
+    os.insert(row + d, c + d)
     out = GridDiagram(n + 1, tuple(xs), tuple(os))
 
     # The move is an isotopy adding one NE corner; anything else is a bug.

@@ -248,7 +248,9 @@ class TestCli:
     def test_zero_iterations_exit_2(self, tmp_path, capsys):
         assert main(["double", "--companion", "k", "--tb-lower", "0",
                      "--iterations", "0"]) == 2
-        assert "iterations" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "iterations" in err
+        assert "wh0_" not in err  # names no knot the user did not type
         path = tmp_path / "facts.json"
         path.write_text(json.dumps({
             "knots": [{"id": "k"}, {"id": "wh"}],
@@ -425,6 +427,22 @@ class TestCli:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog"], ["deduce", ALL_RULES], ["grid", "GRID"]])
+    def test_reads_name_their_encoding(self, tmp_path, argv):
+        # Every file read names utf-8, so no read warns that it falls back
+        # to the locale's encoding.
+        grid = tmp_path / "tref.grid"
+        grid.write_text("5\nX: 4 0 1 2 3\nO: 1 2 3 4 0\n", encoding="utf-8")
+        argv = [str(grid) if a == "GRID" else a for a in argv]
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "taucalc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("argv,name", [
         (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),

@@ -128,6 +128,21 @@ class TestStabilize:
         assert components(g) == 1
         assert tb(g) == -2
 
+    # Each row's exact result, so that the construction is pinned and not
+    # only its properties.  Both grids have rows whose O lies west of the X
+    # (UNKNOT 1; TREFOIL 0, 4) and rows whose O lies east of it.
+    @pytest.mark.parametrize("g,row,xs,os", [
+        (UNKNOT, 0, (1, 0, 2), (2, 1, 0)),
+        (UNKNOT, 1, (0, 2, 1), (2, 1, 0)),
+        (TREFOIL, 0, (5, 4, 0, 1, 2, 3), (4, 1, 2, 3, 5, 0)),
+        (TREFOIL, 1, (5, 1, 0, 2, 3, 4), (2, 3, 1, 4, 5, 0)),
+        (TREFOIL, 2, (5, 0, 2, 1, 3, 4), (1, 3, 4, 2, 5, 0)),
+        (TREFOIL, 3, (5, 0, 1, 3, 2, 4), (1, 2, 4, 5, 3, 0)),
+        (TREFOIL, 4, (5, 0, 1, 2, 4, 3), (1, 2, 4, 5, 3, 0)),
+    ])
+    def test_exact_diagram(self, g, row, xs, os):
+        assert stabilize_ne(g, row) == GridDiagram(g.size + 1, xs, os)
+
     def test_iterated(self):
         g = UNKNOT
         for i in range(4):
