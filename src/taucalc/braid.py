@@ -17,9 +17,10 @@ from .errors import (
     NotAKnotError,
     NotPositiveError,
 )
+from .validated import Validated
 
 
-class BraidWord(namedtuple("BraidWord", "strands letters")):
+class BraidWord(Validated, namedtuple("BraidWord", "strands letters")):
     """Word in the braid group B_n as signed generator indices."""
 
     __slots__ = ()

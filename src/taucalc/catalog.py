@@ -17,7 +17,6 @@ entry is a hard error, not a wrong answer.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .deduce import FactBase, Relation
 from .errors import CatalogError
@@ -123,6 +122,7 @@ def save_factbase(base: FactBase, path: str) -> None:
 
 def load_bundled_catalog() -> FactBase:
     """The shipped catalog, revalidated against its braid-word summaries."""
+    from importlib import resources  # only this path needs it
     path = resources.files("taucalc").joinpath("data/catalog.json")
     doc = json.loads(path.read_text(encoding="utf-8"))
     base = factbase_from_dict(doc)

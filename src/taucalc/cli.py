@@ -7,7 +7,6 @@ written (a broken pipe), 2 usage or input errors, 3 inconsistent fact base.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,7 +16,7 @@ from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
 from .interval import Interval
-from .report import build_report, knot_to_dict, render_report
+from .report import build_report, knot_to_dict, render_report, to_json
 
 
 def _cmd_braid(args) -> int:
@@ -86,7 +85,7 @@ def _run_deduction(args) -> int:
         if args.json:
             out = build_report(fixed, sub, certify=args.certify)
             out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
-            print(json.dumps(out, indent=2))
+            print(to_json(out))
         else:
             k = knot_to_dict(rec)
             print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
@@ -96,7 +95,7 @@ def _run_deduction(args) -> int:
         return 0
     report = build_report(fixed, cert, certify=args.certify)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(to_json(report))
     else:
         print(render_report(report))
         if args.certify:

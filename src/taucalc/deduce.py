@@ -42,7 +42,6 @@ of application order.
 from __future__ import annotations
 
 import os
-import random
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -59,6 +58,7 @@ from .errors import (
     UnknownIdError,
 )
 from .interval import POS_INF, Interval
+from .validated import Validated
 
 DEFAULT_STEP_BUDGET = 10**6
 # fact kind -> (quantity, the bound on that quantity the fact's value gives)
@@ -98,6 +98,22 @@ class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
 
     def __getnewargs__(self):  # copy and pickle rebuild it from two fields
         return self[:2]
+
+    @classmethod
+    def _make(cls, fields):
+        """Built from `kind` and `value`; the `parsed` and `seeds` given
+        must be what those two give."""
+        kind, value, *derived = fields
+        new = cls(kind, value)
+        if derived != list(new[2:]):
+            raise TypeError(f"presentation {new}: parsed and seeds must "
+                            f"follow from kind and value")
+        return new
+
+    def _replace(self, **changes):
+        new = type(self)(changes.pop("kind", self.kind),
+                         changes.pop("value", self.value))
+        return new._make({**new._asdict(), **changes}.values())
 
     def __str__(self):
         return f"{self.kind}: {self.value}"
@@ -161,7 +177,7 @@ PRESENTATION_KINDS = {
 # rule instances
 
 
-class _Relation:
+class _Relation(Validated):
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cite` that names it in its steps (None for R2),
@@ -328,7 +344,7 @@ class _Seed:
 # fact base
 
 
-class Fact(namedtuple("Fact", "knot kind value source")):
+class Fact(Validated, namedtuple("Fact", "knot kind value source")):
     __slots__ = ()
 
     def __new__(cls, knot, kind, value, source=""):
@@ -520,6 +536,7 @@ def propagate(
     state = dict(base.records)
     queue = deque(_instances(base))
     if shuffle_seed is not None:
+        import random  # only tests shuffle; most runs never import it
         random.Random(shuffle_seed).shuffle(queue)
     queued = {id(inst) for inst in queue}
     readers: dict[tuple, dict] = {}  # key -> {id: instance} of its readers

@@ -16,13 +16,14 @@ from collections import namedtuple
 
 from .braid import BraidWord
 from .errors import TaucalcError
+from .validated import Validated
 
 
 class FamilyParamError(TaucalcError):
     """Family parameters violate the family's invariants."""
 
 
-class TorusParams(namedtuple("TorusParams", "p q")):
+class TorusParams(Validated, namedtuple("TorusParams", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
@@ -35,7 +36,7 @@ class TorusParams(namedtuple("TorusParams", "p q")):
         return super().__new__(cls, p, q)
 
 
-class PretzelParams(namedtuple("PretzelParams", "twists")):
+class PretzelParams(Validated, namedtuple("PretzelParams", "twists")):
     __slots__ = ()
 
     def __new__(cls, twists):

@@ -24,11 +24,12 @@ from .errors import (
     NotAKnotError,
     NotPermutationError,
 )
+from .validated import Validated
 
 CORNER_KINDS = ("NE", "NW", "SE", "SW")
 
 
-class GridDiagram(namedtuple("GridDiagram", "size xs os")):
+class GridDiagram(Validated, namedtuple("GridDiagram", "size xs os")):
     """xs[r] / os[r] give the column of the X / O marker in row r."""
 
     __slots__ = ()

@@ -7,6 +7,13 @@ one without converting it, because Python's int + float raises
 OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
 arise in one slot because lo = +inf and hi = -inf are rejected at
 construction.
+
+Negation, addition, subtraction and `meet` build their result with
+`tuple.__new__`, skipping the endpoint checks, which is sound by closure:
+from valid operands (int or -inf below, int or +inf above, lo <= hi) each
+yields valid endpoints, and `meet` still rejects lo > hi.  Every operand
+passed the checks, because `Interval(...)` and `_make`, and so `_replace`,
+run them.  `widen_by` takes an outside int and stays checked.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import sys
 from collections import namedtuple
 
 from .errors import EmptyIntervalError
+from .validated import Validated
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -28,7 +36,7 @@ def _check_endpoint(v):
     raise TypeError(f"interval endpoint must be int or +/-inf, got {v!r}")
 
 
-class Interval(namedtuple("Interval", "lo hi")):
+class Interval(Validated, namedtuple("Interval", "lo hi")):
     """Closed integer interval [lo, hi], possibly unbounded on either side."""
 
     __slots__ = ()
@@ -70,14 +78,18 @@ class Interval(namedtuple("Interval", "lo hi")):
 
     def meet(self, other: "Interval") -> "Interval":
         """Intersection; raises EmptyIntervalError if disjoint."""
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
+            raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(Interval, (lo, hi))
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return tuple.__new__(Interval, (-self.hi, -self.lo))
 
     def __add__(self, other: "Interval") -> "Interval":
         # lo slots only ever add {-inf, finite}; hi slots {finite, +inf}.
-        return Interval(_add(self.lo, other.lo), _add(self.hi, other.hi))
+        return tuple.__new__(Interval, (_add(self.lo, other.lo),
+                                        _add(self.hi, other.hi)))
 
     def __sub__(self, other: "Interval") -> "Interval":
         return self + (-other)

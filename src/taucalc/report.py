@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .deduce import Certificate, CertStep, FactBase, KnotRecord
 from .interval import NEG_INF
@@ -53,6 +54,32 @@ def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) ->
     if certify:
         out["certificate"] = [step_to_dict(s) for s in cert]
     return out
+
+
+def to_json(v, pad: str = "\n") -> str:
+    """`json.dumps(v, indent=2)` for a tree of str, int, None, list and dict
+    with str keys; any other type raises TypeError.  json.dumps renders
+    indented output with its pure-Python encoder, since the C one cannot
+    indent; this writer joins each level with its `pad` and leaves strings
+    to the C string encoder json.dumps itself uses."""
+    t = type(v)
+    if t is str:
+        return _json_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    inner = pad + "  "
+    if t is list:
+        items, ends = [to_json(x, inner) for x in v], "[]"
+    elif t is dict:
+        items = [_json_str(k) + ": " + to_json(x, inner) for k, x in v.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"to_json: {t.__name__} is not a report value")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 def render_report(report: dict) -> str:

@@ -409,6 +409,23 @@ class TestCli:
         assert run.returncode == 2, run.stderr
         assert "step 0" in run.stderr
 
+    def test_import_leaves_out_modules_a_run_does_not_use(self):
+        # `random` serves only propagate's shuffle_seed, and
+        # importlib.resources only the bundled catalog.  -S keeps `site`
+        # start-up hooks from importing them first.  `dataclasses` is still
+        # imported: FactBase stays a dataclass while bench/tracing.py
+        # derives a base from it with dataclasses.replace.
+        code = ("import sys, taucalc.cli\n"
+                "print(sorted({'random', 'importlib.resources'}"
+                " & set(sys.modules)))\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
+
     def test_closed_stdout_exits_1_silently(self, tmp_path):
         # A report of about 500 KiB: more than a pipe buffer holds, so the
         # writer is still writing when the reader closes its end.
@@ -456,6 +473,9 @@ class TestCli:
          "catalog_query_m10_145_json_certify.txt"),
         (["deduce", ALL_RULES, "--query", "s2", "--json", "--certify"],
          "all_rules_query_s2_json_certify.txt"),
+        (["catalog", "--json"], "catalog_json.txt"),
+        (["deduce", ALL_RULES, "--query", "s2", "--json"],
+         "all_rules_query_s2_json.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files

@@ -16,13 +16,22 @@ from taucalc.deduce import (
     CrossingChange,
     Double,
     Fact,
+    FactBase,
     KnotRecord,
     Mirror,
     Presentation,
     Sum,
     Unknotting,
+    propagate,
+    replay,
 )
-from taucalc.families import PretzelParams, TorusParams
+from taucalc.errors import (
+    CatalogError,
+    EmptyIntervalError,
+    LetterRangeError,
+    NotPermutationError,
+)
+from taucalc.families import FamilyParamError, PretzelParams, TorusParams
 from taucalc.grid import GridDiagram
 from taucalc.interval import Interval
 
@@ -90,6 +99,80 @@ def test_copy_and_pickle_round_trip(make):
     v = make()
     assert copy.deepcopy(v) == v
     assert pickle.loads(pickle.dumps(v)) == v
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=IDS)
+def test_replace_with_no_change_is_equal(make):
+    v = make()
+    assert v._replace() == v and type(v)._make(v) == v
+
+
+# A field change that each validated type refuses, with the error its
+# constructor raises for it.  KnotRecord and CertStep are left out: they
+# keep namedtuple's unchecked _replace, which _narrow and the forged-step
+# tests use.
+BAD_CHANGES = [
+    (Interval(0, 1), {"lo": 5}, EmptyIntervalError),
+    (Interval(0, 1), {"hi": 1.5}, TypeError),
+    (Fact("k", "g3", 1), {"kind": "g5"}, CatalogError),
+    (Fact("k", "g3", 1), {"value": "1"}, CatalogError),
+    *((r, {"kind": "sum" if r.kind == "mirror" else "mirror"}, TypeError)
+      for r, _, _ in RELATIONS),
+    (Cobordism("a", "b", 2), {"genus": -1}, FamilyParamError),
+    (Unknotting("k", 1, 0), {"negative": True}, FamilyParamError),
+    (Double("c", "w"), {"iterations": 0}, FamilyParamError),
+    (BraidWord(3, [1, -2]), {"letters": (3,)}, LetterRangeError),
+    (GridDiagram(2, [0, 1], [1, 0]), {"os": (0, 0)}, NotPermutationError),
+    (TorusParams(2, 3), {"q": 4}, FamilyParamError),
+    (PretzelParams([-3, -3, -3]), {"twists": ()}, FamilyParamError),
+    (Presentation("torus", "2 3"), {"value": "2 4"}, FamilyParamError),
+    (Presentation("torus", "2 3"), {"kind": "knot"}, CatalogError),
+]
+
+
+@pytest.mark.parametrize("v,change,error", BAD_CHANGES,
+                         ids=[type(v).__name__ for v, _, _ in BAD_CHANGES])
+def test_replace_checks_like_construction(v, change, error):
+    fields = {**v._asdict(), **change}
+    if isinstance(v, Presentation):  # built from kind and value alone
+        fields = {f: fields[f] for f in ("kind", "value")}
+    with pytest.raises(error):
+        type(v)(**fields)
+    with pytest.raises(error):
+        v._replace(**change)
+    with pytest.raises(error):
+        type(v)._make({**v._asdict(), **change}.values())
+
+
+def test_presentation_replace_rebuilds_its_seeds():
+    p = Presentation("torus", "2 3")._replace(value="2 5")
+    assert p == Presentation("torus", "2 5")
+    assert p.parsed == TorusParams(2, 5)
+    assert p.seeds == Presentation("torus", "2 5").seeds
+    base = FactBase().add_knot("k", [p])
+    fixed, cert = propagate(base)
+    assert fixed.records["k"].tau == Interval.exact(2)
+    assert replay(cert, base)
+
+
+@pytest.mark.parametrize("change", [
+    {"parsed": TorusParams(2, 5)},
+    {"seeds": Presentation("torus", "2 5").seeds},
+    {"parsed": TorusParams(2, 5), "seeds": ()},
+])
+def test_presentation_refuses_derived_fields_that_do_not_follow(change):
+    p = Presentation("torus", "2 3")
+    with pytest.raises(TypeError):
+        p._replace(**change)
+    with pytest.raises(TypeError):
+        Presentation._make({**p._asdict(), **change}.values())
+
+
+def test_presentation_accepts_derived_fields_that_follow():
+    p = Presentation("torus", "2 3")
+    five = Presentation("torus", "2 5")
+    assert p._replace(value="2 5", parsed=five.parsed) == five
+    assert Presentation._make(five) == five
 
 
 @pytest.mark.parametrize("rel,text", [r[:2] for r in RELATIONS], ids=REL_IDS)
