@@ -10,7 +10,6 @@ from .braid import (
     BraidWord,
     bennequin_genus,
     closure_components,
-    closure_permutation,
     mirror_braid,
     parse_braid,
     slice_bennequin_lower,

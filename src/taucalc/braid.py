@@ -88,20 +88,6 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def closure_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Strand permutation of the closure as an image tuple: the strand
-    entering at position p leaves at position images[p].  Each letter swaps
-    the strands at positions i-1 and i; letter sign is irrelevant here."""
-    at = list(range(b.strands))  # at[pos]: the strand now at position pos
-    for l in b.letters:
-        i = abs(l)
-        at[i - 1], at[i] = at[i], at[i - 1]
-    images = [0] * b.strands
-    for pos, strand in enumerate(at):
-        images[strand] = pos
-    return tuple(images)
-
-
 def count_cycles(images) -> int:
     """Number of cycles of the permutation p -> images[p]."""
     seen = [False] * len(images)

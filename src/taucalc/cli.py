@@ -16,7 +16,7 @@ from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
 from .interval import Interval
-from .report import build_report, knot_to_dict, render_report, to_json
+from .report import build_report, render_report, to_json
 
 
 def _cmd_braid(args) -> int:
@@ -80,22 +80,19 @@ def _run_deduction(args) -> int:
             else catalog_mod.load_bundled_catalog())
     fixed, cert = propagate(base)
     replay(cert, base)  # raises BrokenStepError on a step that does not follow
-    if args.query:
-        rec, sub = query(fixed, cert, args.query)
-        if args.json:
-            out = build_report(fixed, sub, certify=args.certify)
-            out["knots"] = [k for k in out["knots"] if k["id"] == args.query]
-            print(to_json(out))
-        else:
-            k = knot_to_dict(rec)
-            print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
-                  f"g3 = {k['g3']}, tb >= {k['tb_lower']}")
-            for step in sub:
-                print("  " + step.describe())
-        return 0
-    report = build_report(fixed, cert, certify=args.certify)
+    records = fixed.records
+    if args.query is not None:
+        rec, cert = query(fixed, cert, args.query)
+        records = {rec.id: rec}
+    report = build_report(records, cert, certify=args.certify)
     if args.json:
         print(to_json(report))
+    elif args.query is not None:
+        row = report["knots"][0]
+        print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
+              f"g3 = {row['g3']}, tb >= {row['tb_lower']}")
+        for step in cert:
+            print("  " + step.describe())
     else:
         print(render_report(report))
         if args.certify:

@@ -505,39 +505,27 @@ def _narrow(state: dict, target: str, qty: str, constraint: Interval):
     return new
 
 
-def step_budget_default() -> int:
-    env = os.environ.get("TAU_STEP_BUDGET")
-    try:
-        return int(env) if env else DEFAULT_STEP_BUDGET
-    except ValueError:
-        raise TaucalcError(
-            f"TAU_STEP_BUDGET must be an integer, got {env!r}") from None
-
-
-def propagate(
-    base: FactBase,
-    *,
-    step_budget: int | None = None,
-    shuffle_seed: int | None = None,
-) -> tuple[FactBase, Certificate]:
+def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     """Run all rules to their least fixpoint.
 
     A FIFO queue holds each rule instance once, first in `_instances`
-    order, or shuffled by `shuffle_seed`.  An evaluation makes the front
-    instance a reader of the keys in its `reads` and stops at its first
-    narrowing: the readers of the narrowed key join the back, and the
-    instance stays in front until it narrows nothing.  The fixpoint does not
-    depend on the order (the rules are monotone meets); certificates do.
-    `step_budget` (default `TAU_STEP_BUDGET` or 10**6) caps evaluations.
-    Raises InconsistentError (empty interval; carries the certificate
-    prefix) or BudgetExceededError.
+    order.  An evaluation makes the front instance a reader of the keys in
+    its `reads` and stops at its first narrowing: the readers of the
+    narrowed key join the back, and the instance stays in front until it
+    narrows nothing.  The fixpoint does not depend on the order (the rules
+    are monotone meets); certificates do.  The environment variable
+    `TAU_STEP_BUDGET` (default 10**6) caps evaluations.  Raises
+    InconsistentError (empty interval; carries the certificate prefix) or
+    BudgetExceededError.
     """
-    budget = step_budget if step_budget is not None else step_budget_default()
+    env = os.environ.get("TAU_STEP_BUDGET")
+    try:
+        budget = int(env) if env else DEFAULT_STEP_BUDGET
+    except ValueError:
+        raise TaucalcError(
+            f"TAU_STEP_BUDGET must be an integer, got {env!r}") from None
     state = dict(base.records)
     queue = deque(_instances(base))
-    if shuffle_seed is not None:
-        import random  # only tests shuffle; most runs never import it
-        random.Random(shuffle_seed).shuffle(queue)
     queued = {id(inst) for inst in queue}
     readers: dict[tuple, dict] = {}  # key -> {id: instance} of its readers
     steps: list[CertStep] = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .deduce import Certificate, CertStep, FactBase, KnotRecord
+from .deduce import Certificate, CertStep, KnotRecord
 from .interval import NEG_INF
 
 
@@ -43,13 +43,15 @@ def knot_to_dict(rec: KnotRecord) -> dict:
     }
 
 
-def build_report(base: FactBase, cert: Certificate, *, certify: bool = False) -> dict:
-    """JSON-ready report of per-knot intervals; byte-for-byte reproducible
-    from the same inputs (ids sorted, no timestamps)."""
+def build_report(records: dict[str, KnotRecord], cert: Certificate, *,
+                 certify: bool = False) -> dict:
+    """JSON-ready report of the knots in `records` (id -> KnotRecord);
+    byte-for-byte reproducible from the same inputs (ids sorted, no
+    timestamps)."""
     steps_per_knot = Counter(s.target for s in cert)
-    knots = [{**knot_to_dict(base.records[id]),
+    knots = [{**knot_to_dict(records[id]),
               "certificate_steps": steps_per_knot[id]}
-             for id in sorted(base.records)]
+             for id in sorted(records)]
     out = {"knots": knots, "total_steps": len(cert)}
     if certify:
         out["certificate"] = [step_to_dict(s) for s in cert]

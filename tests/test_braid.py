@@ -6,7 +6,6 @@ from taucalc.braid import (
     BraidWord,
     bennequin_genus,
     closure_components,
-    closure_permutation,
     mirror_braid,
     parse_braid,
     slice_bennequin_lower,
@@ -48,21 +47,12 @@ class TestParse:
 
 class TestClosure:
     def test_trefoil_single_cycle(self):
-        assert closure_permutation(BraidWord(2, (1, 1, 1))) == (1, 0)
         assert closure_components(BraidWord(2, (1, 1, 1))) == 1
 
     def test_two_letter_three_cycle(self):
-        b = BraidWord(3, (1, 2))
-        assert closure_components(b) == 1
-        images = closure_permutation(b)
-        cycle, j = {0}, images[0]
-        while j != 0:
-            cycle.add(j)
-            j = images[j]
-        assert cycle == {0, 1, 2}
+        assert closure_components(BraidWord(3, (1, 2))) == 1
 
     def test_empty_word_identity(self):
-        assert closure_permutation(BraidWord(3, ())) == (0, 1, 2)
         assert closure_components(BraidWord(3, ())) == 3
 
     def test_multi_component_closures(self):
@@ -70,13 +60,6 @@ class TestClosure:
         # the untouched third strand.
         assert closure_components(BraidWord(3, (1, 1))) == 3
         assert closure_components(BraidWord(2, (1, 1))) == 2
-
-    def test_sign_ignored(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            b = random_braid_word(rng)
-            flipped = BraidWord(b.strands, tuple(-l for l in b.letters))
-            assert closure_permutation(b) == closure_permutation(flipped)
 
     def test_strand_tracing_oracle(self):
         rng = random.Random(2)

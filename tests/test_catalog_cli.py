@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import taucalc
-from taucalc import braid, catalog
+from taucalc import braid, catalog, report as report_mod
 from taucalc.catalog import (
     factbase_to_dict,
     load_bundled_catalog,
@@ -110,8 +110,8 @@ class TestCatalogDeduction:
         base = load_bundled_catalog()
         f1, c1 = propagate(base)
         f2, c2 = propagate(base)
-        r1 = json.dumps(build_report(f1, c1, certify=True))
-        r2 = json.dumps(build_report(f2, c2, certify=True))
+        r1 = json.dumps(build_report(f1.records, c1, certify=True))
+        r2 = json.dumps(build_report(f2.records, c2, certify=True))
         assert r1 == r2
 
 
@@ -199,6 +199,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tau = [2, 2]" in out
         assert "R6" in out  # the unknotting step shows up in the slice
+
+    def test_empty_query_is_a_query(self, tmp_path, capsys):
+        assert main(["catalog", "--query", ""]) == 2
+        assert "unknown knot id ''" in capsys.readouterr().err
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [{"id": ""}, {"id": "k"}]}))
+        assert main(["deduce", str(path), "--query", "", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [k["id"] for k in report["knots"]] == [""]
+
+    def test_query_builds_one_row(self, monkeypatch, capsys):
+        rows = []
+
+        def counted(rec, _fn=report_mod.knot_to_dict):
+            rows.append(rec.id)
+            return _fn(rec)
+        monkeypatch.setattr(report_mod, "knot_to_dict", counted)
+        assert main(["deduce", ALL_RULES, "--query", "s2", "--json"]) == 0
+        assert rows == ["s2"]
 
     def test_deduce_file(self, tmp_path, capsys):
         path = tmp_path / "facts.json"
@@ -410,11 +429,11 @@ class TestCli:
         assert "step 0" in run.stderr
 
     def test_import_leaves_out_modules_a_run_does_not_use(self):
-        # `random` serves only propagate's shuffle_seed, and
-        # importlib.resources only the bundled catalog.  -S keeps `site`
-        # start-up hooks from importing them first.  `dataclasses` is still
-        # imported: FactBase stays a dataclass while bench/tracing.py
-        # derives a base from it with dataclasses.replace.
+        # No code in src/ imports `random`, and importlib.resources serves
+        # only the bundled catalog.  -S keeps `site` start-up hooks from
+        # importing them first.  `dataclasses` is still imported: FactBase
+        # stays a dataclass while bench/tracing.py derives a base from it
+        # with dataclasses.replace.
         code = ("import sys, taucalc.cli\n"
                 "print(sorted({'random', 'importlib.resources'}"
                 " & set(sys.modules)))\n")
@@ -476,6 +495,10 @@ class TestCli:
         (["catalog", "--json"], "catalog_json.txt"),
         (["deduce", ALL_RULES, "--query", "s2", "--json"],
          "all_rules_query_s2_json.txt"),
+        (["deduce", ALL_RULES], "all_rules.txt"),
+        (["deduce", ALL_RULES, "--json"], "all_rules_json.txt"),
+        (["deduce", ALL_RULES, "--query", "s2", "--certify"],
+         "all_rules_query_s2_certify.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files

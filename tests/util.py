@@ -3,9 +3,25 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+from taucalc import deduce
 from taucalc.braid import BraidWord, closure_components
 from taucalc.grid import GridDiagram
+
+
+def propagate_shuffled(base: deduce.FactBase, seed: int):
+    """`propagate(base)` with its initial queue of rule instances shuffled
+    by `random.Random(seed)`: the fixpoint must not depend on the order,
+    and each order gives a certificate that must replay."""
+    instances = deduce._instances
+
+    def shuffled(b):
+        out = instances(b)
+        random.Random(seed).shuffle(out)
+        return out
+    with mock.patch.object(deduce, "_instances", shuffled):
+        return deduce.propagate(base)
 
 
 def random_braid_word(rng: random.Random, max_strands: int = 5,
@@ -38,7 +54,8 @@ def random_grid(rng: random.Random, size: int) -> GridDiagram:
 
 def strand_trace_cycles(b: BraidWord) -> int:
     """Closure component count by tracing each strand individually through
-    the word; independent of the permutation-composition path."""
+    the word; independent of `closure_components`, which follows only the
+    positions the letters touch."""
     ends = {}
     for start in range(b.strands):
         pos = start
