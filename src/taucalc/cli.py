@@ -16,7 +16,7 @@ from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
 from .interval import Interval
-from .report import build_report, render_report, to_json
+from .report import build_report, dash, render_report, to_json
 
 
 def _cmd_braid(args) -> int:
@@ -84,13 +84,13 @@ def _run_deduction(args) -> int:
     if args.query is not None:
         rec, cert = query(fixed, cert, args.query)
         records = {rec.id: rec}
-    report = build_report(records, cert, certify=args.certify)
+    report = build_report(records, cert, certify=args.certify and args.json)
     if args.json:
         print(to_json(report))
     elif args.query is not None:
         row = report["knots"][0]
         print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
-              f"g3 = {row['g3']}, tb >= {row['tb_lower']}")
+              f"g3 = {dash(row['g3'])}, tb >= {dash(row['tb_lower'])}")
         for step in cert:
             print("  " + step.describe())
     else:
@@ -141,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "deduce":
             p.add_argument("facts")
         p.add_argument("--certify", action="store_true",
-                       help="include the full certificate")
+                       help="include the certificate: every step, or with "
+                            "--query the steps supporting the knot (the text "
+                            "--query form always prints them)")
         p.add_argument("--query", metavar="ID",
                        help="print one knot with its supporting derivation")
         p.add_argument("--json", action="store_true")

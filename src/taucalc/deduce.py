@@ -11,10 +11,12 @@ every narrowing in a replayable certificate.
 Rule catalog.  Each rule instance is one object, shared by
 `FactBase.extend`, `propagate` and `replay`: a relation, the R2 instance
 of a knot, or the R7 seed of a stored presentation.  A rule only reads:
-`implications(state)` returns every conclusion whatever the state (the top
+`implications(state)` yields every conclusion whatever the state (the top
 interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key
-narrows.  The state is the records themselves (knot id -> KnotRecord);
+narrows.  It computes each conclusion from the state as it is when it
+yields it, so `propagate` can narrow between two conclusions.  The state
+is the records themselves (knot id -> KnotRecord);
 `_narrow`, the one function that meets a bound into a record, writes it,
 for input facts too.  Every conclusion is an Interval, so a conflict is
 always an empty meet there.  A certificate is the tuple of its steps: each
@@ -181,11 +183,12 @@ class _Relation(Validated):
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cite` that names it in its steps (None for R2),
-    and `implications(state)` listing the narrowings the records in `state`
+    and `implications(state)` yielding the narrowings the records in `state`
     imply as (target, quantity, constraint, reads): `reads` are the (knot,
-    quantity) keys the constraint was computed from.  It lists every
+    quantity) keys the constraint was computed from.  It yields every
     conclusion whatever the state, the top interval if it cannot narrow,
-    since only its `reads` re-queue it.  A relation also lists the `knots`
+    since only its `reads` re-queue it, and computes each one from `state`
+    as it is when it yields it.  A relation also lists the `knots`
     it reads or narrows, which `FactBase.extend` checks: its fields other
     than the `counts` and `kind`.  A relation is a named tuple whose last
     field is its fact-file `kind`, fixed by default so that relations of
@@ -222,12 +225,10 @@ class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
     __slots__ = ()
     rule = "R1"
 
-    def implications(self, state: dict) -> list:
-        out = []
+    def implications(self, state: dict):
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            out.append((y, "tau", -state[x].tau, ((x, "tau"),)))
-            out.append((y, "g4", state[x].g4, ((x, "g4"),)))
-        return out
+            yield y, "tau", -state[x].tau, ((x, "tau"),)
+            yield y, "g4", state[x].g4, ((x, "g4"),)
 
 
 class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
@@ -236,14 +237,11 @@ class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
     __slots__ = ()
     rule = "R4"
 
-    def implications(self, state: dict) -> list:
+    def implications(self, state: dict):
         a, b, c = self.a, self.b, self.c
-        ta, tb, tc = state[a].tau, state[b].tau, state[c].tau
-        return [
-            (c, "tau", ta + tb, ((a, "tau"), (b, "tau"))),
-            (a, "tau", tc - tb, ((c, "tau"), (b, "tau"))),
-            (b, "tau", tc - ta, ((c, "tau"), (a, "tau"))),
-        ]
+        yield c, "tau", state[a].tau + state[b].tau, ((a, "tau"), (b, "tau"))
+        yield a, "tau", state[c].tau - state[b].tau, ((c, "tau"), (b, "tau"))
+        yield b, "tau", state[c].tau - state[a].tau, ((c, "tau"), (a, "tau"))
 
 
 class CrossingChange(_Relation, namedtuple(
@@ -254,12 +252,10 @@ class CrossingChange(_Relation, namedtuple(
     rule = "R3"
     _up, _down = Interval(0, 1), Interval(-1, 0)
 
-    def implications(self, state: dict) -> list:
-        tp, tm = state[self.plus].tau, state[self.minus].tau
-        return [
-            (self.plus, "tau", tm + self._up, ((self.minus, "tau"),)),
-            (self.minus, "tau", tp + self._down, ((self.plus, "tau"),)),
-        ]
+    def implications(self, state: dict):
+        plus, minus = self.plus, self.minus
+        yield plus, "tau", state[minus].tau + self._up, ((minus, "tau"),)
+        yield minus, "tau", state[plus].tau + self._down, ((plus, "tau"),)
 
 
 class Cobordism(_Relation, namedtuple(
@@ -268,9 +264,9 @@ class Cobordism(_Relation, namedtuple(
     rule = "R5"
     counts = {"genus": 0}
 
-    def implications(self, state: dict) -> list:
-        return [(y, "tau", state[x].tau.widen_by(self.genus), ((x, "tau"),))
-                for x, y in ((self.a, self.b), (self.b, self.a))]
+    def implications(self, state: dict):
+        for x, y in ((self.a, self.b), (self.b, self.a)):
+            yield y, "tau", state[x].tau.widen_by(self.genus), ((x, "tau"),)
 
 
 class Unknotting(_Relation, namedtuple(
@@ -282,9 +278,10 @@ class Unknotting(_Relation, namedtuple(
     rule = "R6"
     counts = {"positive": 0, "negative": 0}
 
-    def implications(self, state: dict) -> list:
+    def implications(self, state: dict):
         p, m = Interval(0, self.positive), Interval(0, self.negative)
-        return [(self.knot, "tau", p - m, ()), (self.knot, "g4", p + m, ())]
+        yield self.knot, "tau", p - m, ()
+        yield self.knot, "g4", p + m, ()
 
 
 class Double(_Relation, namedtuple(
@@ -296,12 +293,12 @@ class Double(_Relation, namedtuple(
     rule = "R7-double"
     counts = {"iterations": 1}
 
-    def implications(self, state: dict) -> list:
+    def implications(self, state: dict):
         v = families.whitehead_double_tau(state[self.companion].tb.lo)
         bound = Interval.top() if v is None else Interval.exact(v)
         reads = ((self.companion, "tb"),)
-        return [(self.result, "tau", bound, reads),
-                (self.result, "g4", bound, reads)]
+        yield self.result, "tau", bound, reads
+        yield self.result, "g4", bound, reads
 
 
 Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
@@ -317,12 +314,14 @@ class _GenusChain:
     def __init__(self, knot: str):
         self.knot = knot
 
-    def implications(self, state: dict) -> list:
-        id, rec = self.knot, state[self.knot]
-        lo = max(0, rec.tau.lo, -rec.tau.hi)
-        return [(id, "tau", Interval(-rec.g4.hi, rec.g4.hi), ((id, "g4"),)),
-                (id, "g4", Interval.at_least(lo), ((id, "tau"),)),
-                (id, "g4", Interval.at_most(rec.g3.hi), ((id, "g3"),))]
+    def implications(self, state: dict):
+        id = self.knot
+        g4 = state[id].g4
+        yield id, "tau", Interval(-g4.hi, g4.hi), ((id, "g4"),)
+        tau = state[id].tau
+        lo = max(0, tau.lo, -tau.hi)
+        yield id, "g4", Interval.at_least(lo), ((id, "tau"),)
+        yield id, "g4", Interval.at_most(state[id].g3.hi), ((id, "g3"),)
 
 
 class _Seed:
@@ -335,9 +334,9 @@ class _Seed:
         self.rule = PRESENTATION_KINDS[presentation.kind][0]
         self.cite = ("presentation", knot, presentation)
 
-    def implications(self, state: dict) -> list:
-        return [(self.knot, qty, constraint, ())
-                for qty, constraint in self.presentation.seeds]
+    def implications(self, state: dict):
+        for qty, constraint in self.presentation.seeds:
+            yield self.knot, qty, constraint, ()
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +365,9 @@ class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
     and `tb` by a grid.  `presentations` is a tuple of Presentations."""
 
     __slots__ = ()
+
+
+_SLOT = {q: i for i, q in enumerate(KnotRecord._fields)}  # quantity -> index
 
 
 @dataclass(frozen=True)
@@ -494,14 +496,16 @@ def _narrow(state: dict, target: str, qty: str, constraint: Interval):
     raises EmptyIntervalError; a constraint that narrows or conflicts must
     be printable, since the certificate and the error message print it."""
     rec = state[target]
-    cur = getattr(rec, qty)
+    i = _SLOT[qty]
+    cur = rec[i]
     if constraint.contains_interval(cur):
         return None
     if not constraint.is_printable:
         raise TaucalcError(f"{target}.{qty}: a bound has more digits than "
                            f"str() prints")
-    new = cur.meet(constraint)
-    state[target] = rec._replace(**{qty: new})
+    fields = list(rec)
+    fields[i] = new = cur.meet(constraint)
+    state[target] = rec._make(fields)
     return new
 
 
@@ -509,12 +513,18 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     """Run all rules to their least fixpoint.
 
     A FIFO queue holds each rule instance once, first in `_instances`
-    order.  An evaluation makes the front instance a reader of the keys in
-    its `reads` and stops at its first narrowing: the readers of the
-    narrowed key join the back, and the instance stays in front until it
-    narrows nothing.  The fixpoint does not depend on the order (the rules
-    are monotone meets); certificates do.  The environment variable
-    `TAU_STEP_BUDGET` (default 10**6) caps evaluations.  Raises
+    order.  An evaluation of the front instance runs through its
+    conclusions; each narrowing sends the readers of the narrowed key to
+    the back.  It goes on past a narrowing unless a conclusion it has
+    already produced read that key: then it starts again, the instance
+    still in front.  An earlier conclusion whose reads did not change gives
+    the same constraint, which its target already lies in, so starting
+    again after every narrowing would add no step.  An evaluation that
+    reaches the last conclusion takes the instance off the queue; the first
+    time, the instance becomes a reader of the keys in its `reads`.  The
+    fixpoint does not depend on the order (the rules are monotone meets);
+    certificates do.  The environment variable `TAU_STEP_BUDGET` (default
+    10**6) caps evaluations.  Raises
     InconsistentError (empty interval; carries the certificate prefix) or
     BudgetExceededError.
     """
@@ -527,21 +537,21 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     state = dict(base.records)
     queue = deque(_instances(base))
     queued = {id(inst) for inst in queue}
+    popped = set()  # ids of the instances registered in `readers`
     readers: dict[tuple, dict] = {}  # key -> {id: instance} of its readers
     steps: list[CertStep] = []
     spent = 0
 
     while queue:
-        inst = queue[0]  # it stays in front while its evaluations narrow
+        inst = queue[0]  # it stays in front while its evaluations restart
         spent += 1
         if spent > budget:
             raise BudgetExceededError(
                 f"propagation exceeded step budget {budget}")
+        read = set()  # keys read by this evaluation's conclusions so far
         for target, qty, constraint, reads in inst.implications(state):
-            for key in reads:
-                readers.setdefault(key, {})[id(inst)] = inst
-            # Sum(a, a, c) reads its own target: the premise is the prior.
-            prior = getattr(state[target], qty)
+            read.update(reads)
+            rec = state[target]
             try:
                 result = _narrow(state, target, qty, constraint)
             except EmptyIntervalError as e:
@@ -549,18 +559,24 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     f"{inst.rule} on {target}.{qty}: {e}",
                     certificate=Certificate(steps)) from e
             if result is not None:
+                # Sum(a, a, c) reads its own target: the premise is the prior.
                 steps.append(CertStep(
                     len(steps), inst.rule, target, qty, inst.cite,
-                    tuple((k, q, prior if (k, q) == (target, qty)
-                           else getattr(state[k], q)) for k, q in reads),
+                    tuple((k, q, getattr(rec if k == target else state[k], q))
+                          for k, q in reads),
                     constraint, result))
                 for i, reader in readers.get((target, qty), {}).items():
                     if i not in queued:
                         queue.append(reader)
                         queued.add(i)
-                break  # re-derive from the state replay will see
+                if (target, qty) in read:
+                    break  # re-derive what read it from the new state
         else:
             queued.discard(id(queue.popleft()))
+            if id(inst) not in popped:
+                popped.add(id(inst))
+                for key in read:
+                    readers.setdefault(key, {})[id(inst)] = inst
 
     return replace(base, records=state), Certificate(steps)
 

@@ -26,6 +26,8 @@ from .validated import Validated
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+# The digit limit of str(int), 0 where it is off or (before 3.11) absent.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _check_endpoint(v):
@@ -103,10 +105,13 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
         """False if an endpoint has more digits than str() prints, on a
         Python with that limit.  A digit is over 3 bits, so short ends skip
         the power of 10."""
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        return not limit or all(
-            v.bit_length() <= 3 * limit or abs(v) < 10**limit
-            for v in (self.lo, self.hi) if isinstance(v, int))
+        limit = _max_str_digits()
+        if limit:
+            for v in self:
+                if (isinstance(v, int) and v.bit_length() > 3 * limit
+                        and abs(v) >= 10**limit):
+                    return False
+        return True
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

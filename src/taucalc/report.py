@@ -84,6 +84,11 @@ def to_json(v, pad: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
+def dash(v) -> str:
+    """A report value as the text forms print it: `-` for None."""
+    return "-" if v is None else str(v)
+
+
 def render_report(report: dict) -> str:
     lines = []
     header = f"{'knot':<14} {'tau':<12} {'g4':<12} {'g3':<4} {'tb>=':<5} {'cert':<5} seeds"
@@ -92,12 +97,10 @@ def render_report(report: dict) -> str:
     for k in report["knots"]:
         tau = f"[{k['tau'][0]}, {k['tau'][1]}]"
         g4 = f"[{k['g4'][0]}, {k['g4'][1]}]"
-        g3 = "-" if k["g3"] is None else str(k["g3"])
-        tbl = "-" if k["tb_lower"] is None else str(k["tb_lower"])
         seeds = ",".join(k["seeds"]) or "-"
         lines.append(
-            f"{k['id']:<14} {tau:<12} {g4:<12} {g3:<4} {tbl:<5} "
-            f"{k['certificate_steps']:<5} {seeds}"
+            f"{k['id']:<14} {tau:<12} {g4:<12} {dash(k['g3']):<4} "
+            f"{dash(k['tb_lower']):<5} {k['certificate_steps']:<5} {seeds}"
         )
     lines.append(f"total certificate steps: {report['total_steps']}")
     return "\n".join(lines)

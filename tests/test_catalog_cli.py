@@ -23,6 +23,9 @@ from taucalc.report import build_report
 DATA = Path(__file__).parent / "data"
 # A fact file on which each of the eleven rules makes a narrowing.
 ALL_RULES = str(DATA / "all_rules.json")
+# A random base of 100 knots made by bench/workloads.random_base: wide
+# enough that a change in the order of narrowings changes its certificate.
+RANDOM_WIDE = str(DATA / "random_wide_100.json")
 
 
 class TestCatalogFiles:
@@ -218,6 +221,18 @@ class TestCli:
         monkeypatch.setattr(report_mod, "knot_to_dict", counted)
         assert main(["deduce", ALL_RULES, "--query", "s2", "--json"]) == 0
         assert rows == ["s2"]
+
+    def test_text_certify_builds_no_step_dicts(self, monkeypatch, capsys):
+        # The text form prints `describe()` of each step, not the dicts.
+        calls = []
+
+        def counted(step, _fn=report_mod.step_to_dict):
+            calls.append(step.index)
+            return _fn(step)
+        monkeypatch.setattr(report_mod, "step_to_dict", counted)
+        assert main(["deduce", ALL_RULES, "--certify"]) == 0
+        assert calls == []
+        assert "[0] R7-braid" in capsys.readouterr().out
 
     def test_deduce_file(self, tmp_path, capsys):
         path = tmp_path / "facts.json"
@@ -499,6 +514,8 @@ class TestCli:
         (["deduce", ALL_RULES, "--json"], "all_rules_json.txt"),
         (["deduce", ALL_RULES, "--query", "s2", "--certify"],
          "all_rules_query_s2_certify.txt"),
+        (["deduce", RANDOM_WIDE, "--json", "--certify"],
+         "random_wide_100_json_certify.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files

@@ -305,6 +305,24 @@ class TestErrors:
         with pytest.raises(BudgetExceededError):
             propagate(base)
 
+    @pytest.mark.parametrize("mirror,budget", [(False, 3), (True, 6)])
+    def test_evaluation_goes_on_past_its_narrowings(self, monkeypatch,
+                                                    mirror, budget):
+        # One evaluation of the seed narrows tau, g4 and g3, and one of the
+        # mirror both of m's values: no conclusion reads what an earlier
+        # conclusion of the same evaluation narrowed.  Each R2 instance
+        # runs once more after the narrowings of its knot.
+        base = FactBase().add_knot("k", [Presentation("torus", "2 3")])
+        if mirror:
+            base = base.add_knot("m").add_relation(Mirror("k", "m"))
+        monkeypatch.setenv("TAU_STEP_BUDGET", str(budget))
+        fixed, cert = propagate(base)
+        assert fixed.knot("k").tau == Interval.exact(1)
+        assert len(cert) == 3 + 2 * mirror
+        if mirror:
+            assert fixed.knot("m").tau == Interval.exact(-1)
+        assert replay(cert, base)
+
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("TAU_STEP_BUDGET", "1")
         base = base_with("a", "b").add_relation(Mirror("a", "b"))
