@@ -17,6 +17,7 @@ entry is a hard error, not a wrong answer.
 from __future__ import annotations
 
 import json
+import os
 
 from .deduce import FactBase, Relation
 from .errors import CatalogError
@@ -122,10 +123,9 @@ def save_factbase(base: FactBase, path: str) -> None:
 
 def load_bundled_catalog() -> FactBase:
     """The shipped catalog, revalidated against its braid-word summaries."""
-    from importlib import resources  # only this path needs it
-    path = resources.files("taucalc").joinpath("data/catalog.json")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    base = factbase_from_dict(doc)
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    with open(path, encoding="utf-8") as fh:
+        base = factbase_from_dict(json.load(fh))
     for id, (n, kp, km) in _BRAID_SUMMARIES.items():
         b = next((p.parsed for p in base.knot(id).presentations
                   if p.kind == "braid"), None)

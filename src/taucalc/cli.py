@@ -154,6 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # a StringIO has no encoding
+        # A knot id is any JSON string; escape what stdout cannot encode.
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

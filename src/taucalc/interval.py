@@ -31,7 +31,7 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _check_endpoint(v):
-    if isinstance(v, int):
+    if type(v) is int:  # not a bool
         return v
     if v == NEG_INF or v == POS_INF:
         return v

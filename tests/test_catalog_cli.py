@@ -443,22 +443,59 @@ class TestCli:
         assert run.returncode == 2, run.stderr
         assert "step 0" in run.stderr
 
-    def test_import_leaves_out_modules_a_run_does_not_use(self):
-        # No code in src/ imports `random`, and importlib.resources serves
-        # only the bundled catalog.  -S keeps `site` start-up hooks from
-        # importing them first.  `dataclasses` is still imported: FactBase
-        # stays a dataclass while bench/tracing.py derives a base from it
-        # with dataclasses.replace.
-        code = ("import sys, taucalc.cli\n"
-                "print(sorted({'random', 'importlib.resources'}"
-                " & set(sys.modules)))\n")
+    @staticmethod
+    def _modules_after(code: str) -> str:
+        """What `code` prints under -S, which keeps `site` start-up hooks
+        from importing modules first."""
         env = {**os.environ,
                "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-S", "-c", code],
                              capture_output=True, text=True, env=env,
                              timeout=60)
         assert run.returncode == 0, run.stderr
-        assert run.stdout == "[]\n"
+        return run.stdout
+
+    def test_import_leaves_out_modules_a_run_does_not_use(self):
+        # No code in src/ imports `random`, and the bundled catalog is a
+        # plain file next to catalog.py, read without importlib.resources
+        # (which brings in zipfile and tempfile).  `dataclasses` is still
+        # imported: FactBase stays a dataclass while bench/tracing.py
+        # derives a base from it with dataclasses.replace.
+        code = ("import sys, taucalc.cli\n"
+                "taucalc.catalog.load_bundled_catalog()\n"
+                "print(sorted({'random', 'importlib.resources', 'zipfile',"
+                " 'tempfile'} & set(sys.modules)))\n")
+        assert self._modules_after(code) == "[]\n"
+
+    def test_package_import_loads_no_module(self):
+        # The package exports only __version__; names come from modules.
+        code = ("import sys, taucalc\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('taucalc.')))\n")
+        assert self._modules_after(code) == "[]\n"
+
+    # A knot id is any JSON string.  The lone surrogate is one that argv
+    # can carry too: the byte 0xff decodes to it.
+    @pytest.mark.parametrize("id,encoding,escaped", [
+        ("k\udcff", "utf-8", b"k\\udcff"), ("k\u00fc", "ascii", b"k\\xfc")],
+        ids=["lone-surrogate", "non-ascii"])
+    @pytest.mark.parametrize("flags", [[], ["--certify"], ["--query", "ID"]],
+                             ids=["table", "certify", "query"])
+    def test_text_report_escapes_what_stdout_cannot_encode(
+            self, tmp_path, id, encoding, escaped, flags):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [{"id": id, "presentations": [
+            {"kind": "torus", "value": "2 3"}]}]}))
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        flags = [id if f == "ID" else f for f in flags]
+        run = subprocess.run(
+            [sys.executable, "-m", "taucalc.cli", "deduce", str(path),
+             *flags], capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert escaped in run.stdout
+        if flags:  # each step names the knot
+            assert run.stdout.count(escaped) > 1
 
     def test_closed_stdout_exits_1_silently(self, tmp_path):
         # A report of about 500 KiB: more than a pipe buffer holds, so the

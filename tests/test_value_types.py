@@ -114,6 +114,7 @@ def test_replace_with_no_change_is_equal(make):
 BAD_CHANGES = [
     (Interval(0, 1), {"lo": 5}, EmptyIntervalError),
     (Interval(0, 1), {"hi": 1.5}, TypeError),
+    (Interval(0, 1), {"lo": True}, TypeError),
     (Fact("k", "g3", 1), {"kind": "g5"}, CatalogError),
     (Fact("k", "g3", 1), {"value": "1"}, CatalogError),
     *((r, {"kind": "sum" if r.kind == "mirror" else "mirror"}, TypeError)
