@@ -1,4 +1,4 @@
-"""Fact-file loading/saving and the bundled knot catalog.
+"""Reading fact files (taucalc writes none) and the bundled knot catalog.
 
 Fact files are JSON documents with three arrays:
 
@@ -7,6 +7,9 @@ Fact files are JSON documents with three arrays:
                "tau_upper", "value": int, "source": str}]
   relations: [{"kind": "mirror"|"sum"|"crossing_change"|"cobordism"|
                "unknotting"|"double", ...operand fields}]
+
+A fact's `source` is a free-text note, quoted only in the error that a
+contradicting fact raises.
 
 The bundled catalog's braid words come from standard braid-word tables;
 each is re-validated at load time against its expected strand and signed
@@ -84,24 +87,6 @@ def factbase_from_dict(doc: dict) -> FactBase:
         raise CatalogError(f"bad {rel['kind']} relation {rel}: {e}") from None
 
 
-def factbase_to_dict(base: FactBase) -> dict:
-    knots = [
-        {
-            "id": id,
-            "presentations": [
-                {"kind": p.kind, "value": p.value} for p in rec.presentations
-            ],
-        }
-        for id, rec in sorted(base.records.items())
-    ]
-    facts = [
-        {"id": f.knot, "kind": f.kind, "value": f.value, "source": f.source}
-        for f in base.facts
-    ]
-    relations = [r._asdict() for r in base.relations]
-    return {"knots": knots, "facts": facts, "relations": relations}
-
-
 def load_factbase(path: str) -> FactBase:
     """Load a fact file; errors carry the offending entry."""
     with open(path, encoding="utf-8") as fh:
@@ -113,12 +98,6 @@ def load_factbase(path: str) -> FactBase:
             # invalid UTF-8, an int past the digit limit, or deep nesting
             raise CatalogError(f"{path}: {e}") from None
     return factbase_from_dict(doc)
-
-
-def save_factbase(base: FactBase, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(factbase_to_dict(base), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_bundled_catalog() -> FactBase:

@@ -76,7 +76,7 @@ def _cmd_double(args) -> int:
 
 def _run_deduction(args) -> int:
     """`tau deduce FACTS` and `tau catalog`: the same run on another base."""
-    base = (catalog_mod.load_factbase(args.facts) if args.command == "deduce"
+    base = (catalog_mod.load_factbase(args.file) if args.command == "deduce"
             else catalog_mod.load_bundled_catalog())
     fixed, cert = propagate(base)
     replay(cert, base)  # raises BrokenStepError on a step that does not follow
@@ -94,6 +94,11 @@ def _run_deduction(args) -> int:
         for step in cert:
             print("  " + step.describe())
     else:
+        # Pad each id as stdout will write it, escaped where it cannot
+        # encode it, so the columns line up.
+        enc = sys.stdout.encoding or "utf-8"
+        for row in report["knots"]:
+            row["id"] = row["id"].encode(enc, "backslashreplace").decode(enc)
         print(render_report(report))
         if args.certify:
             for step in cert:
@@ -139,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                         ("catalog", "run the bundled catalog")):
         p = sub.add_parser(name, help=help_)
         if name == "deduce":
-            p.add_argument("facts")
+            p.add_argument("file", metavar="facts")
         p.add_argument("--certify", action="store_true",
                        help="include the certificate: every step, or with "
                             "--query the steps supporting the knot (the text "

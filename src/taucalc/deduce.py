@@ -343,18 +343,6 @@ class _Seed:
 # fact base
 
 
-class Fact(Validated, namedtuple("Fact", "knot kind value source")):
-    __slots__ = ()
-
-    def __new__(cls, knot, kind, value, source=""):
-        if type(kind) is not str or kind not in FACT_KINDS:
-            raise CatalogError(f"fact on {knot!r}: unknown kind {kind!r}")
-        if type(value) is not int:
-            raise CatalogError(f"fact {kind} on {knot!r}: value "
-                               f"must be an integer, got {value!r}")
-        return super().__new__(cls, knot, kind, value, source)
-
-
 class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
                             defaults=(Interval.top(), Interval(0, POS_INF),
                                       Interval(0, POS_INF), Interval.top(),
@@ -372,13 +360,13 @@ _SLOT = {q: i for i, q in enumerate(KnotRecord._fields)}  # quantity -> index
 
 @dataclass(frozen=True)
 class FactBase:
-    """Immutable snapshot: knot records, input facts, relations.  On a
-    freshly built base the records hold what the input facts alone imply;
+    """Immutable snapshot: knot records and relations.  `extend` meets each
+    input fact into its knot's record and keeps no copy, so on a freshly
+    built base the records hold what the input facts alone imply;
     `propagate` returns a new base whose records are at the rule fixpoint.
     """
 
     records: dict[str, KnotRecord] = field(default_factory=dict)
-    facts: tuple[Fact, ...] = ()
     relations: tuple[Relation, ...] = ()
 
     def knot(self, id: str) -> KnotRecord:
@@ -389,7 +377,8 @@ class FactBase:
     def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
         """The base plus `knots` ((id, presentations) pairs), `facts` ((knot,
         kind, value, source)) and `relations`, in one pass: knots, then facts,
-        then relations, each checked and applied in order."""
+        then relations, each checked and applied in order.  Only a fact
+        that contradicts its record has its `source` quoted."""
         records = dict(self.records)
         base = replace(self, records=records)  # `records` fills in below
         for id, presentations in knots:
@@ -407,24 +396,26 @@ class FactBase:
                     raise CatalogError(f"knot {id!r}: {e}") from e
                 pres.append(p)
             records[id] = KnotRecord(id, presentations=tuple(pres))
-        added = []
         for knot, kind, value, source in facts:
             base.knot(knot)
-            fact = Fact(knot, kind, value, source)
+            if type(kind) is not str or kind not in FACT_KINDS:
+                raise CatalogError(f"fact on {knot!r}: unknown kind {kind!r}")
+            if type(value) is not int:
+                raise CatalogError(f"fact {kind} on {knot!r}: value "
+                                   f"must be an integer, got {value!r}")
             qty, bound = FACT_KINDS[kind]
             try:
                 _narrow(records, knot, qty, bound(value))
             except EmptyIntervalError as e:
                 raise InconsistentError(
-                    f"fact {fact} contradicts {knot}.{qty}: {e}") from e
-            added.append(fact)
+                    f"fact {kind} {value} on {knot!r} (source {source!r}) "
+                    f"contradicts {knot}.{qty}: {e}") from e
         rels = []
         for rel in relations:
             for id in rel.knots:
                 base.knot(id)
             rels.append(rel)
-        return replace(base, facts=self.facts + tuple(added),
-                       relations=self.relations + tuple(rels))
+        return replace(base, relations=self.relations + tuple(rels))
 
     def add_knot(self, id: str, presentations=()) -> "FactBase":
         return self.extend(knots=[(id, presentations)])

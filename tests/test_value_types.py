@@ -15,7 +15,6 @@ from taucalc.deduce import (
     Cobordism,
     CrossingChange,
     Double,
-    Fact,
     FactBase,
     KnotRecord,
     Mirror,
@@ -58,7 +57,6 @@ RELATIONS = [
 MAKERS = [
     lambda: Interval(0, 1),
     lambda: KnotRecord("k"),
-    lambda: Fact("k", "g3", 1),
     lambda: Mirror("a", "b"),
     lambda: Sum("a", "b", "c"),
     lambda: CrossingChange("p", "m"),
@@ -115,8 +113,6 @@ BAD_CHANGES = [
     (Interval(0, 1), {"lo": 5}, EmptyIntervalError),
     (Interval(0, 1), {"hi": 1.5}, TypeError),
     (Interval(0, 1), {"lo": True}, TypeError),
-    (Fact("k", "g3", 1), {"kind": "g5"}, CatalogError),
-    (Fact("k", "g3", 1), {"value": "1"}, CatalogError),
     *((r, {"kind": "sum" if r.kind == "mirror" else "mirror"}, TypeError)
       for r, _, _ in RELATIONS),
     (Cobordism("a", "b", 2), {"genus": -1}, FamilyParamError),
@@ -205,3 +201,6 @@ def test_remaining_dataclasses():
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                   and obj.__module__ == mod.__name__}
     assert found == {"FactBase"}
+    # It holds what propagate and replay read, not the input facts.
+    assert [f.name for f in dataclasses.fields(FactBase)] == [
+        "records", "relations"]
