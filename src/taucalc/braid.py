@@ -143,13 +143,3 @@ def slice_bennequin_lower(b: BraidWord) -> int:
     the writhe has the parity of k, so the numerator is even."""
     _require_knot(b)
     return (b.writhe - b.strands + 1) // 2
-
-
-def mirror_braid(b: BraidWord) -> BraidWord:
-    """Letter-wise negation; the closure becomes the mirror knot.
-
-    The mirror's closure stands in for the concordance inverse: the invariant
-    is insensitive to the orientation reversal separating the two, so every
-    deduction using it is unaffected.
-    """
-    return BraidWord(b.strands, tuple(-l for l in b.letters))

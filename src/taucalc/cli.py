@@ -22,15 +22,17 @@ from .report import build_report, dash, render_report, to_json
 def _cmd_braid(args) -> int:
     b = braid_mod.parse_braid(args.word)
     comps = braid_mod.closure_components(b)
-    print(f"strands: {b.strands}  length: {b.length}  "
-          f"k+: {b.k_plus}  k-: {b.k_minus}  writhe: {b.writhe}")
-    print(f"closure components: {comps}")
+    # Every value first, so that an error prints no half report.
+    lines = [f"strands: {b.strands}  length: {b.length}  "
+             f"k+: {b.k_plus}  k-: {b.k_minus}  writhe: {b.writhe}",
+             f"closure components: {comps}"]
     if comps == 1:
-        print(f"bennequin genus: {braid_mod.bennequin_genus(b)}")
-        print(f"tau lower bound: {braid_mod.slice_bennequin_lower(b)}")
+        lines += [f"bennequin genus: {braid_mod.bennequin_genus(b)}",
+                  f"tau lower bound: {braid_mod.slice_bennequin_lower(b)}"]
     if args.positive:
         v = braid_mod.tau_positive_braid(b)
-        print(f"tau = {v}, g4 = {v}, g3 = {v}")
+        lines.append(f"tau = {v}, g4 = {v}, g3 = {v}")
+    print("\n".join(lines))
     return 0
 
 
@@ -40,12 +42,13 @@ def _cmd_grid(args) -> int:
             g = grid_mod.parse_grid(fh.read())
         except UnicodeDecodeError as e:
             raise TaucalcError(f"{args.file}: {e}") from None
+    comps = grid_mod.components(g)
     census = grid_mod.corner_census(g)
     print(f"size: {g.size}")
-    print(f"components: {grid_mod.components(g)}")
+    print(f"components: {comps}")
     print(f"writhe: {grid_mod.writhe_grid(g)}")
-    print("corners: " + "  ".join(f"{k}: {census[k]}" for k in ("NE", "NW", "SE", "SW")))
-    if grid_mod.components(g) == 1:
+    print("corners: " + "  ".join(f"{k}: {n}" for k, n in census.items()))
+    if comps == 1:
         print(f"tb: {grid_mod.tb(g)}")
     return 0
 

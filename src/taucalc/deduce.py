@@ -417,15 +417,6 @@ class FactBase:
             rels.append(rel)
         return replace(base, relations=self.relations + tuple(rels))
 
-    def add_knot(self, id: str, presentations=()) -> "FactBase":
-        return self.extend(knots=[(id, presentations)])
-
-    def add_fact(self, knot: str, kind: str, value: int, source: str = "") -> "FactBase":
-        return self.extend(facts=[(knot, kind, value, source)])
-
-    def add_relation(self, rel: Relation) -> "FactBase":
-        return self.extend(relations=[rel])
-
 
 # ---------------------------------------------------------------------------
 # certificates

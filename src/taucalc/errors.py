@@ -33,10 +33,6 @@ class MarkerCollisionError(TaucalcError):
     """X and O markers share a cell."""
 
 
-class InvalidRowError(TaucalcError):
-    """Row index out of range for a grid operation."""
-
-
 class EmptyIntervalError(TaucalcError):
     """Interval meet produced an empty set (lo > hi)."""
 

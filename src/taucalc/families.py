@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .braid import BraidWord
 from .errors import TaucalcError
 from .validated import Validated
 
@@ -44,12 +43,6 @@ class PretzelParams(Validated, namedtuple("PretzelParams", "twists")):
         if not twists:
             raise FamilyParamError("pretzel needs at least one twist region")
         return super().__new__(cls, twists)
-
-
-def torus_braid(t: TorusParams) -> BraidWord:
-    """The standard p-strand positive word (sigma_1 ... sigma_{p-1})^q."""
-    block = tuple(range(1, t.p))
-    return BraidWord(t.p, block * t.q)
 
 
 def tau_torus(t: TorusParams) -> int:

@@ -19,7 +19,6 @@ from collections import namedtuple
 from .braid import count_cycles
 from .errors import (
     GridSyntaxError,
-    InvalidRowError,
     MarkerCollisionError,
     NotAKnotError,
     NotPermutationError,
@@ -49,13 +48,6 @@ class GridDiagram(Validated, namedtuple("GridDiagram", "size xs os")):
                     f"X and O share cell (row {r}, column {xs[r]})"
                 )
         return super().__new__(cls, size, xs, os)
-
-    def __str__(self) -> str:
-        return "{}\nX: {}\nO: {}".format(
-            self.size,
-            " ".join(str(c) for c in self.xs),
-            " ".join(str(c) for c in self.os),
-        )
 
 
 def parse_grid(text: str) -> GridDiagram:
@@ -140,56 +132,9 @@ def corner_census(g: GridDiagram) -> dict[str, int]:
     return census
 
 
-def ne_corners(g: GridDiagram) -> int:
-    return corner_census(g)["NE"]
-
-
 def tb(g: GridDiagram) -> int:
     """Writhe minus the number of northeast corners."""
-    if components(g) != 1:
-        raise NotAKnotError(f"diagram has {components(g)} components, need 1")
-    return writhe_grid(g) - ne_corners(g)
-
-
-def reflect_columns(g: GridDiagram) -> GridDiagram:
-    """Mirror the diagram across a vertical axis; negates every crossing sign."""
-    n = g.size
-    return GridDiagram(
-        n,
-        tuple(n - 1 - c for c in g.xs),
-        tuple(n - 1 - c for c in g.os),
-    )
-
-
-def stabilize_ne(g: GridDiagram, row: int) -> GridDiagram:
-    """Split the X of `row` into an elbow, adding exactly one northeast
-    corner and no crossings; the diagram's Thurston-Bennequin number drops
-    by 1.
-
-    The new row/column are inserted on the side of the X facing its
-    horizontal segment, so no old segment ever lengthens across an old
-    grid line; the postcondition is checked before returning.
-    """
-    n = g.size
-    if not 0 <= row < n:
-        raise InvalidRowError(f"row {row} out of range for size {n}")
-    c = g.xs[row]
-    # d = 0: the horizontal extends west, so the new column goes west of c
-    # and the new row south of `row`; d = 1: east of c and north of `row`.
-    d = 1 if g.os[row] > c else 0
-    xs = [x + (x >= c + d) for x in g.xs]
-    os = [o + (o >= c + d) for o in g.os]
-    xs[row] = c + d
-    xs.insert(row + d, c + 1 - d)
-    os.insert(row + d, c + d)
-    out = GridDiagram(n + 1, tuple(xs), tuple(os))
-
-    # The move is an isotopy adding one NE corner; anything else is a bug.
-    if (
-        components(out) != components(g)
-        or sorted(s for _, _, s in crossings(out))
-        != sorted(s for _, _, s in crossings(g))
-        or ne_corners(out) != ne_corners(g) + 1
-    ):
-        raise AssertionError("stabilization postcondition violated")
-    return out
+    c = components(g)
+    if c != 1:
+        raise NotAKnotError(f"diagram has {c} components, need 1")
+    return writhe_grid(g) - corner_census(g)["NE"]

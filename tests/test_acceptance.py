@@ -22,9 +22,9 @@ from taucalc.deduce import (
     propagate,
     replay,
 )
-from taucalc.families import TorusParams, pretzel_tau, tau_torus, torus_braid
+from taucalc.families import TorusParams, pretzel_tau, tau_torus
 from taucalc.families import PretzelParams
-from taucalc.grid import components, corner_census, stabilize_ne, tb, writhe_grid
+from taucalc.grid import components, corner_census, tb, writhe_grid
 from taucalc.interval import Interval
 
 from .test_deduce import _random_consistent_base
@@ -33,6 +33,8 @@ from .util import (
     propagate_shuffled,
     random_grid,
     random_knot_word,
+    stabilize_ne,
+    torus_braid,
 )
 
 
@@ -56,7 +58,7 @@ def test_criterion_1_torus_sweep():
 def test_criterion_2_positive_braid_length_ten():
     b = BraidWord(3, (1, 1, 1, 2, 1, 1, 1, 2, 2, 2))
     assert closure_components(b) == 1 and b.is_positive and b.length == 10
-    base = FactBase().add_knot("k", [Presentation("braid", str(b))])
+    base = FactBase().extend(knots=[("k", [Presentation("braid", str(b))])])
     fixed, _ = propagate(base)
     assert fixed.knot("k").tau == Interval.exact(4)
     assert fixed.knot("k").g4 == Interval.exact(4)
@@ -67,8 +69,8 @@ def test_criterion_3_nine_one_braid_with_genus_fact():
     b = BraidWord(3, (1, 1, 1, -2, 1, 1, 1, 2, 2, 2))
     assert (b.strands, b.k_plus, b.k_minus) == (3, 9, 1)
     assert slice_bennequin_lower(b) == 3
-    base = FactBase().add_knot("k", [Presentation("braid", str(b))])
-    base = base.add_fact("k", "g3", 3)
+    base = FactBase().extend(knots=[("k", [Presentation("braid", str(b))])])
+    base = base.extend(facts=[("k", "g3", 3, "")])
     fixed, cert = propagate(base)
     assert fixed.knot("k").tau == Interval.exact(3)
     assert fixed.knot("k").g4 == Interval.exact(3)
@@ -81,8 +83,8 @@ def test_criterion_4_nine_two_braid_with_unknotting():
     b = BraidWord(4, (1, 1, 2, 1, 1, 2, 3, 2, -1, 3, -3))
     assert (b.strands, b.k_plus, b.k_minus) == (4, 9, 2)
     assert slice_bennequin_lower(b) == 2
-    base = FactBase().add_knot("k", [Presentation("braid", str(b))])
-    base = base.add_relation(Unknotting("k", 2, 0))
+    base = FactBase().extend(knots=[("k", [Presentation("braid", str(b))])])
+    base = base.extend(relations=[Unknotting("k", 2, 0)])
     fixed, _ = propagate(base)
     assert fixed.knot("k").tau == Interval.exact(2)
     assert fixed.knot("k").g4 == Interval.exact(2)
@@ -98,10 +100,11 @@ def test_criterion_5_pretzel():
 
 def test_criterion_6_whitehead_doubles():
     grid_text = "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0"
-    base = FactBase().add_knot("trefoil", [Presentation("grid", grid_text)])
+    base = FactBase().extend(knots=[
+        ("trefoil", [Presentation("grid", grid_text)])])
     for n in range(1, 6):
-        base = base.add_knot(f"wh{n}")
-        base = base.add_relation(Double("trefoil", f"wh{n}", n))
+        base = base.extend(knots=[(f"wh{n}", ())])
+        base = base.extend(relations=[Double("trefoil", f"wh{n}", n)])
     fixed, _ = propagate(base)
     assert fixed.knot("trefoil").tb == Interval.at_least(0)
     for n in range(1, 6):
@@ -148,10 +151,11 @@ def test_criterion_9_engine_confluence():
 def test_criterion_10_crossing_change_chain():
     base = FactBase()
     for i in range(6):
-        base = base.add_knot(f"k{i}")
+        base = base.extend(knots=[(f"k{i}", ())])
     for i in range(5):
-        base = base.add_relation(CrossingChange(f"k{i}", f"k{i + 1}"))
-    base = base.add_fact("k5", "tau_lower", 0).add_fact("k5", "tau_upper", 0)
+        base = base.extend(relations=[CrossingChange(f"k{i}", f"k{i + 1}")])
+    base = base.extend(facts=[("k5", "tau_lower", 0, ""),
+                              ("k5", "tau_upper", 0, "")])
     fixed, _ = propagate(base)
     assert fixed.knot("k0").tau == Interval(0, 5)
     _ok(10, "chain of 5 positive-to-negative changes to the unknot "

@@ -6,7 +6,6 @@ from taucalc.braid import (
     BraidWord,
     bennequin_genus,
     closure_components,
-    mirror_braid,
     parse_braid,
     slice_bennequin_lower,
     tau_positive_braid,
@@ -18,7 +17,12 @@ from taucalc.errors import (
     NotPositiveError,
 )
 
-from .util import random_braid_word, random_knot_word, strand_trace_cycles
+from .util import (
+    mirror_braid,
+    random_braid_word,
+    random_knot_word,
+    strand_trace_cycles,
+)
 
 
 class TestParse:

@@ -22,6 +22,8 @@ ALL_RULES = str(DATA / "all_rules.json")
 # A random base of 100 knots made by bench/workloads.random_base: wide
 # enough that a change in the order of narrowings changes its certificate.
 RANDOM_WIDE = str(DATA / "random_wide_100.json")
+# The positive trefoil as a size-5 grid diagram.
+TREFOIL_GRID = str(DATA / "trefoil.grid")
 
 
 class TestCatalogFiles:
@@ -143,6 +145,15 @@ class TestCli:
 
     def test_braid_negative_letters_rejected(self, capsys):
         assert main(["braid", "2: 1 -1 1", "--positive"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_braid_positive_link_prints_nothing(self, capsys):
+        # Like every other subcommand, an exit 2 leaves stdout empty: no
+        # half report before the error.
+        assert main(["braid", "2: 1 1", "--positive"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "2 components" in err
 
     def test_double(self, capsys):
         assert main(["double", "--companion", "trefoil",
@@ -476,6 +487,15 @@ class TestCli:
                 " if m.startswith('taucalc.')))\n")
         assert self._modules_after(code) == "[]\n"
 
+    def test_families_loads_no_braid_module(self):
+        # The closed-form values are formulas in the family parameters;
+        # torus braid words are a test generator (tests/util.py).
+        code = ("import sys, taucalc.families\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('taucalc.')))\n")
+        assert self._modules_after(code) == (
+            "['taucalc.errors', 'taucalc.families', 'taucalc.validated']\n")
+
     # A knot id is any JSON string.  The lone surrogate is one that argv
     # can carry too: the byte 0xff decodes to it.
     @pytest.mark.parametrize("id,encoding,escaped", [
@@ -573,6 +593,13 @@ class TestCli:
          "all_rules_query_s2_certify.txt"),
         (["deduce", RANDOM_WIDE, "--json", "--certify"],
          "random_wide_100_json_certify.txt"),
+        (["braid", "3: 1 -2 1 -2"], "braid_figure_eight.txt"),
+        (["braid", "2: 1 1 1", "--positive"], "braid_trefoil_positive.txt"),
+        (["grid", TREFOIL_GRID], "grid_trefoil.txt"),
+        (["torus", "3", "5"], "torus_3_5.txt"),
+        (["pretzel", "3", "-5", "-7"], "pretzel_3_m5_m7.txt"),
+        (["double", "--companion", "trefoil", "--tb-lower", "0",
+          "--iterations", "3"], "double_trefoil_3.txt"),
     ])
     def test_output_matches_golden_file(self, capsys, argv, name):
         # A change that alters reports on purpose regenerates these files

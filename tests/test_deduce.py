@@ -39,7 +39,7 @@ from .util import propagate_shuffled
 def base_with(*ids):
     base = FactBase()
     for id in ids:
-        base = base.add_knot(id)
+        base = base.extend(knots=[(id, ())])
     return base
 
 
@@ -47,25 +47,26 @@ class TestFactBase:
     def test_add_knot_duplicate(self):
         base = base_with("a")
         with pytest.raises(DuplicateIdError):
-            base.add_knot("a")
+            base.extend(knots=[("a", ())])
 
     def test_add_fact_unknown_id(self):
         with pytest.raises(UnknownIdError):
-            FactBase().add_fact("a", "g3", 3)
+            FactBase().extend(facts=[("a", "g3", 3, "")])
 
     def test_add_relation_unknown_operand(self):
         with pytest.raises(UnknownIdError):
-            base_with("a").add_relation(Mirror("a", "b"))
+            base_with("a").extend(relations=[Mirror("a", "b")])
 
     def test_fact_narrows_axioms(self):
-        base = base_with("a").add_fact("a", "tau_lower", 3)
+        base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
         assert base.knot("a").tau == Interval.at_least(3)
-        base = base.add_fact("a", "g3", 3)
+        base = base.extend(facts=[("a", "g3", 3, "")])
         assert base.knot("a").g3 == Interval.exact(3)
 
     def test_self_sum_accepted(self):
-        base = base_with("a", "c").add_relation(Sum("a", "a", "c"))
-        base = base.add_fact("a", "tau_lower", 2).add_fact("a", "tau_upper", 2)
+        base = base_with("a", "c").extend(relations=[Sum("a", "a", "c")])
+        base = base.extend(facts=[("a", "tau_lower", 2, ""),
+                                  ("a", "tau_upper", 2, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("c").tau == Interval.exact(4)
 
@@ -82,7 +83,7 @@ class TestFactBase:
 
     def test_immutability(self):
         base = base_with("a")
-        base.add_fact("a", "tau_lower", 1)
+        base.extend(facts=[("a", "tau_lower", 1, "")])
         assert base.knot("a").tau == Interval.top()
 
     def test_query_vacuous(self):
@@ -96,90 +97,99 @@ class TestFactBase:
 
 class TestRules:
     def test_r1_mirror(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("b").tau == Interval.exact(-1)
 
     def test_r1_shares_g4(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "g4_upper", 2)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "g4_upper", 2, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("b").g4 == Interval(0, 2)
 
     def test_r2_genus_chain(self):
-        base = base_with("a").add_fact("a", "g3", 2)
+        base = base_with("a").extend(facts=[("a", "g3", 2, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("a").g4 == Interval(0, 2)
         assert fixed.knot("a").tau == Interval(-2, 2)
 
     def test_r2_tau_raises_g4(self):
-        base = base_with("a").add_fact("a", "tau_lower", 3)
+        base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("a").g4 == Interval(3, POS_INF)
 
     def test_r3_both_directions(self):
-        base = base_with("p", "m").add_relation(CrossingChange("p", "m"))
-        b1 = base.add_fact("m", "tau_lower", 2).add_fact("m", "tau_upper", 2)
+        base = base_with("p", "m").extend(relations=[CrossingChange("p", "m")])
+        b1 = base.extend(facts=[("m", "tau_lower", 2, ""),
+                                ("m", "tau_upper", 2, "")])
         fixed, _ = propagate(b1)
         assert fixed.knot("p").tau == Interval(2, 3)
-        b2 = base.add_fact("p", "tau_lower", 2).add_fact("p", "tau_upper", 2)
+        b2 = base.extend(facts=[("p", "tau_lower", 2, ""),
+                                ("p", "tau_upper", 2, "")])
         fixed, _ = propagate(b2)
         assert fixed.knot("m").tau == Interval(1, 2)
 
     def test_r4_additivity_reversals(self):
-        base = base_with("a", "b", "c").add_relation(Sum("a", "b", "c"))
-        base = base.add_fact("c", "tau_lower", 5).add_fact("c", "tau_upper", 5)
-        base = base.add_fact("a", "tau_lower", 2).add_fact("a", "tau_upper", 2)
+        base = base_with("a", "b", "c").extend(relations=[Sum("a", "b", "c")])
+        base = base.extend(facts=[("c", "tau_lower", 5, ""),
+                                  ("c", "tau_upper", 5, "")])
+        base = base.extend(facts=[("a", "tau_lower", 2, ""),
+                                  ("a", "tau_upper", 2, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("b").tau == Interval.exact(3)
 
     def test_r5_cobordism(self):
-        base = base_with("a", "b").add_relation(Cobordism("a", "b", 1))
-        base = base.add_fact("a", "tau_lower", 4).add_fact("a", "tau_upper", 4)
+        base = base_with("a", "b").extend(relations=[Cobordism("a", "b", 1)])
+        base = base.extend(facts=[("a", "tau_lower", 4, ""),
+                                  ("a", "tau_upper", 4, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("b").tau == Interval(3, 5)
 
     def test_r6_unknotting(self):
-        base = base_with("a").add_relation(Unknotting("a", 2, 1))
+        base = base_with("a").extend(relations=[Unknotting("a", 2, 1)])
         fixed, _ = propagate(base)
         assert fixed.knot("a").tau == Interval(-1, 2)
         assert fixed.knot("a").g4 == Interval(0, 3)
 
     def test_r7_positive_braid(self):
-        base = FactBase().add_knot(
-            "t", [Presentation("braid", "2: 1 1 1")])
+        base = FactBase().extend(knots=[
+            ("t", [Presentation("braid", "2: 1 1 1")])])
         fixed, _ = propagate(base)
         assert fixed.knot("t").tau == Interval.exact(1)
         assert fixed.knot("t").g4 == Interval.exact(1)
 
     def test_r7_mixed_braid_bounds(self):
-        base = FactBase().add_knot(
-            "k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
+        base = FactBase().extend(knots=[
+            ("k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])])
         fixed, _ = propagate(base)
         # slice-Bennequin lower 3; Seifert surface genus 4 caps g4.
         assert fixed.knot("k").tau == Interval(3, 4)
         assert fixed.knot("k").g4 == Interval(3, 4)
 
     def test_r7_torus(self):
-        base = FactBase().add_knot("t35", [Presentation("torus", "3 5")])
+        base = FactBase().extend(knots=[
+            ("t35", [Presentation("torus", "3 5")])])
         fixed, _ = propagate(base)
         assert fixed.knot("t35").tau == Interval.exact(4)
 
     def test_r7_pretzel(self):
-        base = FactBase().add_knot("p", [Presentation("pretzel", "3 -5 -7")])
+        base = FactBase().extend(knots=[
+            ("p", [Presentation("pretzel", "3 -5 -7")])])
         fixed, _ = propagate(base)
         assert fixed.knot("p").tau == Interval.exact(1)
-        base = FactBase().add_knot("p", [Presentation("pretzel", "3 5 -7")])
+        base = FactBase().extend(knots=[
+            ("p", [Presentation("pretzel", "3 5 -7")])])
         fixed, _ = propagate(base)
         assert fixed.knot("p").tau == Interval.top()
 
     def test_r7_grid_and_double(self):
-        base = FactBase().add_knot(
-            "tref", [Presentation("grid", "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0")])
+        base = FactBase().extend(knots=[("tref", [Presentation(
+            "grid", "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0")])])
         for n in range(1, 6):
-            base = base.add_knot(f"wh{n}")
-            base = base.add_relation(Double("tref", f"wh{n}", n))
+            base = base.extend(knots=[(f"wh{n}", ())])
+            base = base.extend(relations=[Double("tref", f"wh{n}", n)])
         fixed, _ = propagate(base)
         assert fixed.knot("tref").tb == Interval.at_least(0)
         for n in range(1, 6):
@@ -187,23 +197,25 @@ class TestRules:
             assert fixed.knot(f"wh{n}").g4 == Interval.exact(1)
 
     def test_double_with_negative_tb_does_not_fire(self):
-        base = base_with("k", "wh").add_fact("k", "tb_lower", -2)
-        base = base.add_relation(Double("k", "wh", 1))
+        base = base_with("k", "wh").extend(facts=[("k", "tb_lower", -2, "")])
+        base = base.extend(relations=[Double("k", "wh", 1)])
         fixed, _ = propagate(base)
         assert fixed.knot("wh").tau == Interval.top()
 
     def test_r2_rereads_g3_narrowed_by_a_seed(self):
         # The braid's seed narrows only g3 (its Seifert surface has genus
         # 1); R2 must carry that on to g4.
-        base = FactBase().add_knot("k", [Presentation("braid", "3: 1 -2 1 -2")])
-        base = base.add_fact("k", "tau_lower", 0).add_fact("k", "tau_upper", 0)
+        base = FactBase().extend(knots=[
+            ("k", [Presentation("braid", "3: 1 -2 1 -2")])])
+        base = base.extend(facts=[("k", "tau_lower", 0, ""),
+                                  ("k", "tau_upper", 0, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("k").g4 == Interval(0, 1)
 
     def test_double_rereads_tb_in_any_order(self):
-        base = FactBase().add_knot(
-            "c", [Presentation("grid", "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0")])
-        base = base.add_knot("w").add_relation(Double("c", "w"))
+        base = FactBase().extend(knots=[
+            ("c", [Presentation("grid", "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0")])])
+        base = base.extend(knots=[("w", ())], relations=[Double("c", "w")])
         for seed in range(20):
             fixed, _ = propagate_shuffled(base, seed)
             assert fixed.knot("c").tb == Interval.at_least(1)
@@ -211,13 +223,13 @@ class TestRules:
 
     def test_presentation_must_be_knot(self):
         with pytest.raises(Exception):
-            FactBase().add_knot("l", [Presentation("braid", "3: 1 1")])
+            FactBase().extend(knots=[("l", [Presentation("braid", "3: 1 1")])])
 
     def test_propagate_and_replay_do_not_reparse(self, monkeypatch):
         tref = "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0"
-        base = FactBase().add_knot(
-            "k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
-        base = base.add_knot("tref", [Presentation("grid", tref)])
+        base = FactBase().extend(knots=[
+            ("k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])])
+        base = base.extend(knots=[("tref", [Presentation("grid", tref)])])
         calls = Counter()
         for mod, name in ((braid, "parse_braid"), (braid, "closure_components"),
                           (grid, "parse_grid"), (grid, "tb")):
@@ -234,8 +246,8 @@ class TestRules:
 
 class TestWorkedScenarios:
     def test_positive_braid_length_ten(self):
-        base = FactBase().add_knot(
-            "k139", [Presentation("braid", "3: 1 1 1 2 1 1 1 2 2 2")])
+        base = FactBase().extend(knots=[
+            ("k139", [Presentation("braid", "3: 1 1 1 2 1 1 1 2 2 2")])])
         fixed, cert = propagate(base)
         assert fixed.knot("k139").tau == Interval.exact(4)
         assert fixed.knot("k139").g4 == Interval.exact(4)
@@ -243,18 +255,18 @@ class TestWorkedScenarios:
         assert len(sub) >= 1 and replay(sub, base)
 
     def test_nine_one_with_seifert_genus(self):
-        base = FactBase().add_knot(
-            "k161", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
-        base = base.add_fact("k161", "g3", 3, source="genus table")
+        base = FactBase().extend(knots=[
+            ("k161", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])])
+        base = base.extend(facts=[("k161", "g3", 3, "genus table")])
         fixed, cert = propagate(base)
         assert fixed.knot("k161").tau == Interval.exact(3)
         assert fixed.knot("k161").g4 == Interval.exact(3)
         assert replay(cert, base)
 
     def test_nine_two_with_unknotting(self):
-        base = FactBase().add_knot(
-            "k145", [Presentation("braid", "4: 1 1 2 1 1 2 3 2 -1 3 -3")])
-        base = base.add_relation(Unknotting("k145", 2, 0))
+        base = FactBase().extend(knots=[
+            ("k145", [Presentation("braid", "4: 1 1 2 1 1 2 3 2 -1 3 -3")])])
+        base = base.extend(relations=[Unknotting("k145", 2, 0)])
         fixed, _ = propagate(base)
         assert fixed.knot("k145").tau == Interval.exact(2)
         assert fixed.knot("k145").g4 == Interval.exact(2)
@@ -262,45 +274,48 @@ class TestWorkedScenarios:
     def test_crossing_change_chain(self):
         base = base_with(*[f"k{i}" for i in range(6)])
         for i in range(5):
-            base = base.add_relation(CrossingChange(f"k{i}", f"k{i + 1}"))
-        base = base.add_fact("k5", "g3", 0)  # the unknot
+            base = base.extend(relations=[
+                CrossingChange(f"k{i}", f"k{i + 1}")])
+        base = base.extend(facts=[("k5", "g3", 0, "")])  # the unknot
         fixed, _ = propagate(base)
         assert fixed.knot("k5").tau == Interval.exact(0)
         assert fixed.knot("k0").tau == Interval(0, 5)
         # matches the unknotting rule with no negative-to-positive changes
-        alt = base_with("a").add_relation(Unknotting("a", 5, 0))
+        alt = base_with("a").extend(relations=[Unknotting("a", 5, 0)])
         alt_fixed, _ = propagate(alt)
         assert alt_fixed.knot("a").tau == fixed.knot("k0").tau
 
 
 class TestErrors:
     def test_inconsistent_carries_certificate(self):
-        base = base_with("a").add_fact("a", "tau_lower", 2).add_fact("a", "g3", 1)
+        base = base_with("a").extend(facts=[("a", "tau_lower", 2, ""),
+                                            ("a", "g3", 1, "")])
         with pytest.raises(InconsistentError) as ei:
             propagate(base)
         assert ei.value.certificate is not None
 
     def test_inconsistent_at_fact_time(self):
-        base = base_with("a").add_fact("a", "tau_lower", 3)
+        base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
         with pytest.raises(InconsistentError):
-            base.add_fact("a", "tau_upper", 2)
-        base = base_with("a").add_fact("a", "g3", 2)
+            base.extend(facts=[("a", "tau_upper", 2, "")])
+        base = base_with("a").extend(facts=[("a", "g3", 2, "")])
         with pytest.raises(InconsistentError):
-            base.add_fact("a", "g3", 3)
+            base.extend(facts=[("a", "g3", 3, "")])
 
     def test_seifert_bound_below_exact_g3(self):
         # The braid's Seifert surface has genus 4.
-        base = FactBase().add_knot(
-            "k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])
+        base = FactBase().extend(knots=[
+            ("k", [Presentation("braid", "3: 1 1 1 -2 1 1 1 2 2 2")])])
         with pytest.raises(InconsistentError, match=r"k\.g3"):
-            propagate(base.add_fact("k", "g3", 5))
+            propagate(base.extend(facts=[("k", "g3", 5, "")]))
 
     def test_budget_bounds_rederivation(self, monkeypatch):
         # tau(a) = tau(a) + tau(b) with tau(b) = 1 climbs by one each time
         # the same instance is re-derived.
-        base = base_with("a", "b").add_relation(Sum("a", "b", "a"))
-        base = base.add_fact("b", "tau_lower", 1).add_fact("b", "tau_upper", 1)
-        base = base.add_fact("a", "tau_lower", 0)
+        base = base_with("a", "b").extend(relations=[Sum("a", "b", "a")])
+        base = base.extend(facts=[("b", "tau_lower", 1, ""),
+                                  ("b", "tau_upper", 1, "")])
+        base = base.extend(facts=[("a", "tau_lower", 0, "")])
         monkeypatch.setenv("TAU_STEP_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
             propagate(base)
@@ -312,9 +327,10 @@ class TestErrors:
         # mirror both of m's values: no conclusion reads what an earlier
         # conclusion of the same evaluation narrowed.  Each R2 instance
         # runs once more after the narrowings of its knot.
-        base = FactBase().add_knot("k", [Presentation("torus", "2 3")])
+        base = FactBase().extend(knots=[("k", [Presentation("torus", "2 3")])])
         if mirror:
-            base = base.add_knot("m").add_relation(Mirror("k", "m"))
+            base = base.extend(knots=[("m", ())],
+                               relations=[Mirror("k", "m")])
         monkeypatch.setenv("TAU_STEP_BUDGET", str(budget))
         fixed, cert = propagate(base)
         assert fixed.knot("k").tau == Interval.exact(1)
@@ -325,8 +341,8 @@ class TestErrors:
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("TAU_STEP_BUDGET", "1")
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "g3", 2)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "g3", 2, "")])
         with pytest.raises(BudgetExceededError):
             propagate(base)
 
@@ -341,8 +357,9 @@ class TestCertificates:
         assert replay(cert, base)
 
     def test_tampered_conclusion_rejected(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         _, cert = propagate(base)
         victim = next(s for s in cert if s.rule == "R1")
         forged = victim._replace(conclusion=Interval.exact(7),
@@ -353,7 +370,7 @@ class TestCertificates:
         assert ei.value.step_index == victim.index
 
     def test_forged_relation_rejected(self):
-        base = base_with("a").add_relation(Unknotting("a", 2, 1))
+        base = base_with("a").extend(relations=[Unknotting("a", 2, 1)])
         _, cert = propagate(base)
         forged = _append_step(cert, "R6", "a", "tau", Interval.exact(0),
                               ("relation", Unknotting("a", 0, 0)))
@@ -371,8 +388,9 @@ class TestCertificates:
         assert ei.value.step_index == 0
 
     def test_rule_must_match_cited_relation(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         _, cert = propagate(base)
         victim = next(s for s in cert if s.rule == "R1")
         bad = Certificate(
@@ -383,8 +401,9 @@ class TestCertificates:
 
     def test_empty_meet_rejected(self):
         rel = Unknotting("a", 0, 0)
-        base = base_with("a").add_relation(rel)
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a").extend(relations=[rel])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         forged = _append_step(Certificate(), "R6", "a", "tau",
                               Interval.exact(0), ("relation", rel))
         with pytest.raises(BrokenStepError, match="meet is empty") as ei:
@@ -392,8 +411,9 @@ class TestCertificates:
         assert ei.value.step_index == 0
 
     def test_wrong_result_rejected(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         _, cert = propagate(base)
         victim = next(s for s in cert if s.rule == "R1")
         bad = Certificate(
@@ -404,8 +424,9 @@ class TestCertificates:
         assert ei.value.step_index == victim.index
 
     def test_altered_read_value_rejected(self):
-        base = base_with("a", "b").add_relation(Mirror("a", "b"))
-        base = base.add_fact("a", "tau_lower", 1).add_fact("a", "tau_upper", 1)
+        base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
+        base = base.extend(facts=[("a", "tau_lower", 1, ""),
+                                  ("a", "tau_upper", 1, "")])
         _, cert = propagate(base)
         victim = next(s for s in cert if s.rule == "R1")
         (knot, qty, _), = victim.reads
@@ -424,9 +445,10 @@ class TestCertificates:
 
     def test_self_read_premise_is_prior_value(self):
         rel = Sum("a", "a", "c")
-        base = base_with("a", "c").add_relation(rel)
-        base = base.add_fact("c", "tau_lower", 4).add_fact("c", "tau_upper", 4)
-        base = base.add_fact("a", "tau_lower", 0)
+        base = base_with("a", "c").extend(relations=[rel])
+        base = base.extend(facts=[("c", "tau_lower", 4, ""),
+                                  ("c", "tau_upper", 4, "")])
+        base = base.extend(facts=[("a", "tau_lower", 0, "")])
         _, cert = propagate(base)
         step = next(s for s in cert if s.target == "a")
         assert step_to_dict(step)["premises"] == [
@@ -506,23 +528,26 @@ def _random_consistent_base(rng, size=30):
         kind = rng.random()
         if kind < 0.3 or not ids:
             p, q = rng.choice(coprime)
-            base = base.add_knot(id, [Presentation("torus", f"{p} {q}")])
+            base = base.extend(knots=[
+                (id, [Presentation("torus", f"{p} {q}")])])
             truth[id] = (p - 1) * (q - 1) // 2
         elif kind < 0.5:
             other = rng.choice(ids)
-            base = base.add_knot(id)
-            base = base.add_relation(Mirror(other, id))
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(relations=[Mirror(other, id)])
             truth[id] = -truth[other]
         elif kind < 0.7:
             a, b = rng.choice(ids), rng.choice(ids)
-            base = base.add_knot(id)
-            base = base.add_relation(Sum(a, b, id))
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(relations=[Sum(a, b, id)])
             truth[id] = truth[a] + truth[b]
         else:
             t = rng.randint(-4, 4)
-            base = base.add_knot(id)
-            base = base.add_fact(id, "tau_lower", t - rng.randint(0, 2))
-            base = base.add_fact(id, "tau_upper", t + rng.randint(0, 2))
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(facts=[
+                (id, "tau_lower", t - rng.randint(0, 2), "")])
+            base = base.extend(facts=[
+                (id, "tau_upper", t + rng.randint(0, 2), "")])
             truth[id] = t
         ids.append(id)
     for _ in range(size // 2):
@@ -530,14 +555,14 @@ def _random_consistent_base(rng, size=30):
         kind = rng.random()
         if kind < 0.4:
             if truth[a] >= truth[b] and truth[a] - truth[b] <= 1:
-                base = base.add_relation(CrossingChange(a, b))
+                base = base.extend(relations=[CrossingChange(a, b)])
         elif kind < 0.8:
             g = abs(truth[a] - truth[b]) + rng.randint(0, 2)
-            base = base.add_relation(Cobordism(a, b, g))
+            base = base.extend(relations=[Cobordism(a, b, g)])
         else:
             p = max(truth[a], 0) + rng.randint(0, 2)
             m = max(-truth[a], 0) + rng.randint(0, 2)
-            base = base.add_relation(Unknotting(a, p, m))
+            base = base.extend(relations=[Unknotting(a, p, m)])
     return base, truth
 
 

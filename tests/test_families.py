@@ -17,10 +17,11 @@ from taucalc.families import (
     TorusParams,
     pretzel_tau,
     tau_torus,
-    torus_braid,
     whitehead_double_tau,
 )
 from taucalc.interval import Interval
+
+from .util import torus_braid
 
 
 class TestTorus:
@@ -104,18 +105,21 @@ class TestPretzel:
         assert tau_positive_braid(word) == (k - 1) // 2
 
     def test_mirror_agrees_with_negative_braid(self):
-        base = FactBase().add_knot("p", [Presentation("pretzel", "-1 -1 -1")])
-        base = base.add_knot("m", [Presentation("braid", "2: -1 -1 -1")])
-        fixed, _ = propagate(base.add_relation(Mirror("p", "m")))
+        base = FactBase().extend(knots=[
+            ("p", [Presentation("pretzel", "-1 -1 -1")])])
+        base = base.extend(knots=[
+            ("m", [Presentation("braid", "2: -1 -1 -1")])])
+        fixed, _ = propagate(base.extend(relations=[Mirror("p", "m")]))
         assert fixed.knot("m").tau == Interval.exact(-1)
 
 
 def double_tau(iterations: int, tb_lower: int) -> int | None:
     """tau of the `iterations`-fold double of a companion with the given
     tb lower bound, as R7-double derives it; None when it does not fire."""
-    base = FactBase().add_knot("k").add_knot("wh")
-    base = base.add_fact("k", "tb_lower", tb_lower)
-    fixed, _ = propagate(base.add_relation(Double("k", "wh", iterations)))
+    base = FactBase().extend(knots=[("k", ()), ("wh", ())])
+    base = base.extend(facts=[("k", "tb_lower", tb_lower, "")])
+    base = base.extend(relations=[Double("k", "wh", iterations)])
+    fixed, _ = propagate(base)
     tau = fixed.knot("wh").tau
     return tau.lo if tau.is_exact else None
 

@@ -1,0 +1,83 @@
+"""Every public function, class and method in `src/taucalc` has a caller
+in `src/`: code that only tests use belongs under `tests/`.
+
+A definition counts as used when its name is read (as a bare name or as
+an attribute) somewhere in `src/` outside its own body, or when it is a
+console-script entry point in `pyproject.toml`.  The check goes by name
+alone, so a use of another definition with the same name counts too.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import taucalc
+
+SRC = Path(taucalc.__file__).parent
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
+
+
+def _names(node) -> Counter:
+    """The names read in `node`: bare names and attribute names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions(tree):
+    """(qualified name, node) of each public top-level function or class
+    and each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs) or not _public(node.name):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and _public(item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _entry_points() -> set[str]:
+    """Function names of the `[project.scripts]` entry points."""
+    return set(re.findall(r'^\s*[\w-]+\s*=\s*"taucalc[\w.]*:(\w+)"\s*$',
+                          PYPROJECT.read_text(encoding="utf-8"), re.M))
+
+
+def unused_definitions() -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    used.update(_entry_points())
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if used[node.name] - _names(node)[node.name] <= 0:
+                unused.append(f"{module}: {qualname}")
+    return unused
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    unused = unused_definitions()
+    assert not unused, "no caller in src/: " + ", ".join(unused)
+
+
+def test_a_name_used_only_in_its_own_body_is_unused():
+    # A recursive helper names itself; that is not a caller.
+    tree = ast.parse("def helper(n):\n    return helper(n - 1)\n")
+    (qualname, node), = _definitions(tree)
+    assert qualname == "helper"
+    assert _names(tree)[node.name] - _names(node)[node.name] == 0
+
+
+def test_the_entry_point_counts_as_a_use():
+    assert "main" in _entry_points()

@@ -146,7 +146,7 @@ def test_presentation_replace_rebuilds_its_seeds():
     assert p == Presentation("torus", "2 5")
     assert p.parsed == TorusParams(2, 5)
     assert p.seeds == Presentation("torus", "2 5").seeds
-    base = FactBase().add_knot("k", [p])
+    base = FactBase().extend(knots=[("k", [p])])
     fixed, cert = propagate(base)
     assert fixed.records["k"].tau == Interval.exact(2)
     assert replay(cert, base)

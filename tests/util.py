@@ -1,4 +1,5 @@
-"""Shared random generators and independent oracles for the test suite."""
+"""Shared random generators, diagram and word generators, and independent
+oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from unittest import mock
 
 from taucalc import deduce
 from taucalc.braid import BraidWord, closure_components
-from taucalc.grid import GridDiagram
+from taucalc.families import TorusParams
+from taucalc.grid import GridDiagram, components, corner_census, crossings
 
 
 def propagate_shuffled(base: deduce.FactBase, seed: int):
@@ -50,6 +52,66 @@ def random_grid(rng: random.Random, size: int) -> GridDiagram:
         rng.shuffle(os)
         if all(x != o for x, o in zip(xs, os)):
             return GridDiagram(size, tuple(xs), tuple(os))
+
+
+def mirror_braid(b: BraidWord) -> BraidWord:
+    """Letter-wise negation; the closure becomes the mirror knot.
+
+    The mirror's closure stands in for the concordance inverse: the invariant
+    is insensitive to the orientation reversal separating the two, so every
+    deduction using it is unaffected.
+    """
+    return BraidWord(b.strands, tuple(-l for l in b.letters))
+
+
+def torus_braid(t: TorusParams) -> BraidWord:
+    """The standard p-strand positive word (sigma_1 ... sigma_{p-1})^q."""
+    block = tuple(range(1, t.p))
+    return BraidWord(t.p, block * t.q)
+
+
+def reflect_columns(g: GridDiagram) -> GridDiagram:
+    """Mirror the diagram across a vertical axis; negates every crossing sign."""
+    n = g.size
+    return GridDiagram(
+        n,
+        tuple(n - 1 - c for c in g.xs),
+        tuple(n - 1 - c for c in g.os),
+    )
+
+
+def stabilize_ne(g: GridDiagram, row: int) -> GridDiagram:
+    """Split the X of `row` into an elbow, adding exactly one northeast
+    corner and no crossings; the diagram's Thurston-Bennequin number drops
+    by 1.
+
+    The new row/column are inserted on the side of the X facing its
+    horizontal segment, so no old segment ever lengthens across an old
+    grid line; the postcondition is checked before returning.
+    """
+    n = g.size
+    if not 0 <= row < n:
+        raise ValueError(f"row {row} out of range for size {n}")
+    c = g.xs[row]
+    # d = 0: the horizontal extends west, so the new column goes west of c
+    # and the new row south of `row`; d = 1: east of c and north of `row`.
+    d = 1 if g.os[row] > c else 0
+    xs = [x + (x >= c + d) for x in g.xs]
+    os = [o + (o >= c + d) for o in g.os]
+    xs[row] = c + d
+    xs.insert(row + d, c + 1 - d)
+    os.insert(row + d, c + d)
+    out = GridDiagram(n + 1, tuple(xs), tuple(os))
+
+    # The move is an isotopy adding one NE corner; anything else is a bug.
+    if (
+        components(out) != components(g)
+        or sorted(s for _, _, s in crossings(out))
+        != sorted(s for _, _, s in crossings(g))
+        or corner_census(out)["NE"] != corner_census(g)["NE"] + 1
+    ):
+        raise AssertionError("stabilization postcondition violated")
+    return out
 
 
 def strand_trace_cycles(b: BraidWord) -> int:
