@@ -7,6 +7,7 @@ written (a broken pipe), 2 usage or input errors, 3 inconsistent fact base.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -165,13 +166,21 @@ def main(argv=None) -> int:
     if hasattr(sys.stdout, "reconfigure"):  # a StringIO has no encoding
         # A knot id is any JSON string; escape what stdout cannot encode.
         sys.stdout.reconfigure(errors="backslashreplace")
+    # A run's heap is acyclic named tuples, so the cyclic collector would
+    # only scan it; the caller's setting comes back on every exit.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
         # The reader is gone; as the `signal` docs advise, flush to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     except InconsistentError as e:
         print(f"inconsistent: {e}", file=sys.stderr)
@@ -179,6 +188,9 @@ def main(argv=None) -> int:
     except (TaucalcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

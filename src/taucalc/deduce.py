@@ -59,7 +59,7 @@ from .errors import (
     TaucalcError,
     UnknownIdError,
 )
-from .interval import POS_INF, Interval
+from .interval import NEG_INF, POS_INF, Interval, _unchecked
 from .validated import Validated
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -315,13 +315,14 @@ class _GenusChain:
         self.knot = knot
 
     def implications(self, state: dict):
+        # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
         g4 = state[id].g4
-        yield id, "tau", Interval(-g4.hi, g4.hi), ((id, "g4"),)
+        yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4"),)
         tau = state[id].tau
         lo = max(0, tau.lo, -tau.hi)
-        yield id, "g4", Interval.at_least(lo), ((id, "tau"),)
-        yield id, "g4", Interval.at_most(state[id].g3.hi), ((id, "g3"),)
+        yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau"),)
+        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), ((id, "g3"),)
 
 
 class _Seed:

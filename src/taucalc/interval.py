@@ -8,18 +8,23 @@ OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
 arise in one slot because lo = +inf and hi = -inf are rejected at
 construction.
 
-Negation, addition, subtraction and `meet` build their result with
-`tuple.__new__`, skipping the endpoint checks, which is sound by closure:
+Negation, addition, subtraction, `meet` and R2's three conclusions in
+`deduce` skip the endpoint checks: each builds its result with
+`_unchecked`, the one constructor that does.  That is sound by closure:
 from valid operands (int or -inf below, int or +inf above, lo <= hi) each
-yields valid endpoints, and `meet` still rejects lo > hi.  Every operand
-passed the checks, because `Interval(...)` and `_make`, and so `_replace`,
-run them.  `widen_by` takes an outside int and stays checked.
+yields valid endpoints, and `meet` still rejects lo > hi.  R2 builds
+[-g4.hi, g4.hi], [max(0, tau.lo, -tau.hi), inf] and [-inf, g3.hi] from a
+knot's records, whose g4 and g3 start at [0, inf] and only narrow, so
+g4.hi and g3.hi are ints >= 0 or +inf.  Every operand passed the checks,
+because `Interval(...)` and `_make`, and so `_replace`, run them.
+`widen_by` takes an outside int and stays checked.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from functools import partial
 
 from .errors import EmptyIntervalError
 from .validated import Validated
@@ -83,15 +88,14 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo > hi:
             raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
-        return tuple.__new__(Interval, (lo, hi))
+        return _unchecked((lo, hi))
 
     def __neg__(self) -> "Interval":
-        return tuple.__new__(Interval, (-self.hi, -self.lo))
+        return _unchecked((-self.hi, -self.lo))
 
     def __add__(self, other: "Interval") -> "Interval":
         # lo slots only ever add {-inf, finite}; hi slots {finite, +inf}.
-        return tuple.__new__(Interval, (_add(self.lo, other.lo),
-                                        _add(self.hi, other.hi)))
+        return _unchecked((_add(self.lo, other.lo), _add(self.hi, other.hi)))
 
     def __sub__(self, other: "Interval") -> "Interval":
         return self + (-other)
@@ -114,7 +118,12 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
         return True
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return "[%s, %s]" % self
+
+
+# Builds an Interval from (lo, hi) without the checks; see the module
+# docstring for why each caller's ends are valid.
+_unchecked = partial(tuple.__new__, Interval)
 
 
 def _add(a, b):

@@ -13,22 +13,23 @@ def _fmt_interval(iv) -> list[str]:
     return [str(iv.lo), str(iv.hi)]
 
 
-def _premises(step: CertStep) -> list[str]:
-    """The instance the step cites, then each value it read."""
-    cite = [" ".join(map(str, step.cite))] if step.cite else []
-    return cite + [f"fact {k}.{q} = {v}" for k, q, v in step.reads]
-
-
-def step_to_dict(step: CertStep) -> dict:
-    return {
-        "index": step.index,
-        "rule": step.rule,
-        "target": step.target,
-        "quantity": step.quantity,
-        "premises": _premises(step),
-        "conclusion": str(step.conclusion),
-        "result": str(step.result),
-    }
+def step_to_json(step: CertStep, pad: str = "\n") -> str:
+    """A certificate step as `to_json` writes it at indent `pad`: the one
+    statement of the step schema.  Its premises are the instance the step
+    cites, then each value it read.  An interval prints no character that
+    JSON escapes."""
+    premises = [" ".join(map(str, step.cite))] if step.cite else []
+    premises += [f"fact {k}.{q} = {v}" for k, q, v in step.reads]
+    a, b = pad + "  ", pad + "    "  # the step's keys, its premises
+    listed = ("[" + b + ("," + b).join(map(_json_str, premises)) + a + "]"
+              if premises else "[]")
+    return (f'{{{a}"index": {step.index},'
+            f'{a}"rule": {_json_str(step.rule)},'
+            f'{a}"target": {_json_str(step.target)},'
+            f'{a}"quantity": {_json_str(step.quantity)},'
+            f'{a}"premises": {listed},'
+            f'{a}"conclusion": "{step.conclusion}",'
+            f'{a}"result": "{step.result}"{pad}}}')
 
 
 def knot_to_dict(rec: KnotRecord) -> dict:
@@ -47,40 +48,49 @@ def build_report(records: dict[str, KnotRecord], cert: Certificate, *,
                  certify: bool = False) -> dict:
     """JSON-ready report of the knots in `records` (id -> KnotRecord);
     byte-for-byte reproducible from the same inputs (ids sorted, no
-    timestamps)."""
+    timestamps).  With `certify` it lists the steps themselves, which
+    `to_json` writes with `step_to_json`."""
     steps_per_knot = Counter(s.target for s in cert)
     knots = [{**knot_to_dict(records[id]),
               "certificate_steps": steps_per_knot[id]}
              for id in sorted(records)]
     out = {"knots": knots, "total_steps": len(cert)}
     if certify:
-        out["certificate"] = [step_to_dict(s) for s in cert]
+        out["certificate"] = list(cert)
     return out
 
 
 def to_json(v, pad: str = "\n") -> str:
     """`json.dumps(v, indent=2)` for a tree of str, int, None, list and dict
-    with str keys; any other type raises TypeError.  json.dumps renders
-    indented output with its pure-Python encoder, since the C one cannot
-    indent; this writer joins each level with its `pad` and leaves strings
-    to the C string encoder json.dumps itself uses."""
+    with str keys, with CertStep leaves written by `step_to_json`; any
+    other type raises TypeError.  json.dumps renders indented output with
+    its pure-Python encoder, since the C one cannot indent; this writer
+    joins each level with its `pad`, writes str, int and None items in
+    place and leaves strings to the C string encoder json.dumps itself
+    uses."""
     t = type(v)
-    if t is str:
+    if t is dict:
+        keys, ends = [_json_str(k) + ": " for k in v], "{}"
+        v = v.values()
+    elif t is list:
+        keys, ends = [""] * len(v), "[]"
+    elif t is str:
         return _json_str(v)
-    if t is int:
+    elif t is int:
         return int.__repr__(v)
-    if v is None:
+    elif v is None:
         return "null"
-    inner = pad + "  "
-    if t is list:
-        items, ends = [to_json(x, inner) for x in v], "[]"
-    elif t is dict:
-        items = [_json_str(k) + ": " + to_json(x, inner) for k, x in v.items()]
-        ends = "{}"
+    elif t is CertStep:
+        return step_to_json(v, pad)
     else:
         raise TypeError(f"to_json: {t.__name__} is not a report value")
-    if not items:
+    if not keys:
         return ends
+    inner = pad + "  "
+    items = [k + (_json_str(x) if type(x) is str else
+                  int.__repr__(x) if type(x) is int else
+                  "null" if x is None else to_json(x, inner))
+             for k, x in zip(keys, v)]
     return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 

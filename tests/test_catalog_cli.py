@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from taucalc.cli import main
 from taucalc.deduce import propagate
 from taucalc.errors import CatalogError
 from taucalc.interval import Interval
-from taucalc.report import build_report
+from taucalc.report import build_report, to_json
 
 DATA = Path(__file__).parent / "data"
 # A fact file on which each of the eleven rules makes a narrowing.
@@ -24,6 +25,16 @@ ALL_RULES = str(DATA / "all_rules.json")
 RANDOM_WIDE = str(DATA / "random_wide_100.json")
 # The positive trefoil as a size-5 grid diagram.
 TREFOIL_GRID = str(DATA / "trefoil.grid")
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_enabled(request):
+    """The collector switched on or off, as a caller of `main` may have it;
+    the test's own setting comes back afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 class TestCatalogFiles:
@@ -101,8 +112,8 @@ class TestCatalogDeduction:
         base = load_bundled_catalog()
         f1, c1 = propagate(base)
         f2, c2 = propagate(base)
-        r1 = json.dumps(build_report(f1.records, c1, certify=True))
-        r2 = json.dumps(build_report(f2.records, c2, certify=True))
+        r1 = to_json(build_report(f1.records, c1, certify=True))
+        r2 = to_json(build_report(f2.records, c2, certify=True))
         assert r1 == r2
 
 
@@ -220,13 +231,14 @@ class TestCli:
         assert rows == ["s2"]
 
     def test_text_certify_builds_no_step_dicts(self, monkeypatch, capsys):
-        # The text form prints `describe()` of each step, not the dicts.
+        # The text form prints `describe()` of each step; it writes no step
+        # as JSON.
         calls = []
 
-        def counted(step, _fn=report_mod.step_to_dict):
+        def counted(step, pad="\n", _fn=report_mod.step_to_json):
             calls.append(step.index)
-            return _fn(step)
-        monkeypatch.setattr(report_mod, "step_to_dict", counted)
+            return _fn(step, pad)
+        monkeypatch.setattr(report_mod, "step_to_json", counted)
         assert main(["deduce", ALL_RULES, "--certify"]) == 0
         assert calls == []
         assert "[0] R7-braid" in capsys.readouterr().out
@@ -556,6 +568,35 @@ class TestCli:
         assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    def test_closed_stdout_closes_its_devnull(self, gc_enabled):
+        # The broken-pipe path points stdout at devnull and keeps no other
+        # descriptor open, and it leaves the collector as it found it.  The
+        # pipe's read end is closed before the child starts.
+        code = (
+            "import gc, json, os, sys\n"
+            "from taucalc.cli import main\n"
+            f"(gc.enable if {gc_enabled} else gc.disable)()\n"
+            "def lowest_free_fd():\n"
+            "    fd = os.open(os.devnull, os.O_RDONLY)\n"
+            "    os.close(fd)\n"
+            "    return fd\n"
+            "before = lowest_free_fd()\n"
+            "code = main(['catalog', '--json'])\n"
+            "print(json.dumps([code, gc.isenabled(), before,\n"
+            "                  lowest_free_fd()]), file=sys.stderr)\n")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            run = subprocess.run([sys.executable, "-c", code], stdout=w,
+                                 stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        code, enabled, before, after = json.loads(run.stderr)
+        assert (run.returncode, code, enabled) == (0, 1, gc_enabled)
+        assert after == before
+
     @pytest.mark.parametrize("argv", [
         ["catalog"], ["deduce", ALL_RULES], ["grid", "GRID"]])
     def test_reads_name_their_encoding(self, tmp_path, argv):
@@ -615,6 +656,30 @@ class TestCli:
         assert {s["rule"] for s in report["certificate"]} == {
             "R1", "R2", "R3", "R4", "R5", "R6", "R7-braid", "R7-torus",
             "R7-pretzel", "R7-grid", "R7-double"}
+
+    @pytest.mark.parametrize("argv,code", [
+        (["catalog", "--json", "--certify"], 0),
+        (["deduce", "MISSING"], 2),
+        (["double", "--companion", "k", "--tb-lower", "0",
+          "--iterations", "0"], 2),
+        (["deduce", "INCONSISTENT"], 3),
+    ])
+    def test_main_restores_the_collector(self, tmp_path, capsys, gc_enabled,
+                                         argv, code):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}],
+            "facts": [{"id": "a", "kind": "tau_lower", "value": 2},
+                      {"id": "a", "kind": "g3", "value": 0}]}))
+        names = {"MISSING": str(tmp_path / "missing.json"),
+                 "INCONSISTENT": str(path)}
+        assert main([names.get(a, a) for a in argv]) == code
+        assert gc.isenabled() is gc_enabled
+
+    def test_usage_error_leaves_the_collector(self, capsys, gc_enabled):
+        with pytest.raises(SystemExit):
+            main(["torus", "3"])
+        assert gc.isenabled() is gc_enabled
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as ei:

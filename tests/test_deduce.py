@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -31,7 +32,7 @@ from taucalc.errors import (
 )
 from taucalc.families import FamilyParamError
 from taucalc.interval import POS_INF, Interval
-from taucalc.report import step_to_dict
+from taucalc.report import step_to_json
 
 from .util import propagate_shuffled
 
@@ -451,7 +452,7 @@ class TestCertificates:
         base = base.extend(facts=[("a", "tau_lower", 0, "")])
         _, cert = propagate(base)
         step = next(s for s in cert if s.target == "a")
-        assert step_to_dict(step)["premises"] == [
+        assert json.loads(step_to_json(step))["premises"] == [
             f"relation {rel}", "fact c.tau = [4, 4]", "fact a.tau = [0, inf]"]
         assert step.result == Interval(0, 4)
 
