@@ -11,12 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .errors import (
-    BraidSyntaxError,
-    LetterRangeError,
-    NotAKnotError,
-    NotPositiveError,
-)
+from .errors import TaucalcError
 from .validated import Validated
 
 
@@ -27,15 +22,14 @@ class BraidWord(Validated, namedtuple("BraidWord", "strands letters")):
 
     def __new__(cls, strands, letters=()):
         if strands < 1:
-            raise LetterRangeError(f"need at least one strand, got {strands}")
+            raise TaucalcError(f"need at least one strand, got {strands}")
         letters = tuple(letters)
         for l in letters:
             if l == 0:
-                raise LetterRangeError("letter 0 is not a generator")
+                raise TaucalcError("letter 0 is not a generator")
             if abs(l) >= strands:
-                raise LetterRangeError(
-                    f"letter {l} out of range for {strands} strands"
-                )
+                raise TaucalcError(
+                    f"letter {l} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
 
     @property
@@ -73,18 +67,18 @@ def parse_braid(text: str) -> BraidWord:
     """
     m = _HEAD.match(text)
     if m is None:
-        raise BraidSyntaxError(f"expected 'n: letters', got {text!r}")
+        raise TaucalcError(f"expected 'n: letters', got {text!r}")
     try:
         n = int(m.group(1))
     except ValueError:
-        raise BraidSyntaxError(
+        raise TaucalcError(
             "braid strand count has more digits than int() reads") from None
     letters = []
     for tok in m.group(2).split():
         try:
             letters.append(int(tok))
         except ValueError:
-            raise BraidSyntaxError(f"bad braid letter {tok!r}") from None
+            raise TaucalcError(f"bad braid letter {tok!r}") from None
     return BraidWord(n, tuple(letters))
 
 
@@ -118,7 +112,7 @@ def closure_components(b: BraidWord) -> int:
 def _require_knot(b: BraidWord) -> None:
     c = closure_components(b)
     if c != 1:
-        raise NotAKnotError(f"closure has {c} components, need 1")
+        raise TaucalcError(f"closure has {c} components, need 1")
 
 
 def bennequin_genus(b: BraidWord) -> int:
@@ -134,7 +128,7 @@ def tau_positive_braid(b: BraidWord) -> int:
     """Exact concordance invariant (k - n + 1) / 2 for a positive braid word
     with knot closure; the same value is the slice genus and Seifert genus."""
     if not b.is_positive:
-        raise NotPositiveError(f"word has {b.k_minus} negative letters")
+        raise TaucalcError(f"word has {b.k_minus} negative letters")
     return bennequin_genus(b)
 
 

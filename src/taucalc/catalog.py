@@ -23,7 +23,7 @@ import json
 import os
 
 from .deduce import FactBase, Relation
-from .errors import CatalogError
+from .errors import TaucalcError
 
 _RELATION_TYPES = {cls._field_defaults["kind"]: cls
                    for cls in Relation.__args__}
@@ -43,22 +43,22 @@ _BRAID_SUMMARIES = {
 def _array(doc: dict, key: str, owner: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
-        raise CatalogError(f"{owner}: {key!r} must be an array, got {value!r}")
+        raise TaucalcError(f"{owner}: {key!r} must be an array, got {value!r}")
     return value
 
 
 def _entry(entry, what: str, keyed: bool = True) -> dict:
     """`entry` if it is an object; a `keyed` one needs a string "id"."""
     if not isinstance(entry, dict):
-        raise CatalogError(f"{what} entry must be an object, got {entry!r}")
+        raise TaucalcError(f"{what} entry must be an object, got {entry!r}")
     if keyed and type(entry.get("id")) is not str:
-        raise CatalogError(f"{what} entry {entry}: 'id' must be a string")
+        raise TaucalcError(f"{what} entry {entry}: 'id' must be a string")
     return entry
 
 
 def factbase_from_dict(doc: dict) -> FactBase:
     if not isinstance(doc, dict):
-        raise CatalogError(
+        raise TaucalcError(
             f"fact file must be a JSON object, got {type(doc).__name__}")
     rel = None  # the relation entry being read
 
@@ -77,42 +77,44 @@ def factbase_from_dict(doc: dict) -> FactBase:
         for rel in _array(doc, "relations", "fact file"):
             kind = _entry(rel, "relation", keyed=False).get("kind")
             if type(kind) is not str or kind not in _RELATION_TYPES:
-                raise CatalogError(f"unknown relation kind {kind!r}")
+                raise TaucalcError(f"unknown relation kind {kind!r}")
             fields = {k: v for k, v in rel.items() if k != "kind"}
             yield _RELATION_TYPES[kind](**fields)
 
     try:
         return FactBase().extend(knots(), facts(), relations())
     except TypeError as e:  # wrong fields, or an unhashable knot operand
-        raise CatalogError(f"bad {rel['kind']} relation {rel}: {e}") from None
+        raise TaucalcError(f"bad {rel['kind']} relation {rel}: {e}") from None
+
+
+def _read_json(path: str):
+    """The JSON document in the file at `path`; errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise TaucalcError(f"{path}:{e.lineno}: {e.msg}") from None
+        except (ValueError, RecursionError) as e:
+            # invalid UTF-8, an int past the digit limit, or deep nesting
+            raise TaucalcError(f"{path}: {e}") from None
 
 
 def load_factbase(path: str) -> FactBase:
     """Load a fact file; errors carry the offending entry."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CatalogError(f"{path}:{e.lineno}: {e.msg}") from None
-        except (ValueError, RecursionError) as e:
-            # invalid UTF-8, an int past the digit limit, or deep nesting
-            raise CatalogError(f"{path}: {e}") from None
-    return factbase_from_dict(doc)
+    return factbase_from_dict(_read_json(path))
 
 
 def load_bundled_catalog() -> FactBase:
     """The shipped catalog, revalidated against its braid-word summaries."""
     path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
-    with open(path, encoding="utf-8") as fh:
-        base = factbase_from_dict(json.load(fh))
+    base = factbase_from_dict(_read_json(path))
     for id, (n, kp, km) in _BRAID_SUMMARIES.items():
         b = next((p.parsed for p in base.knot(id).presentations
                   if p.kind == "braid"), None)
         if b is None:
-            raise CatalogError(f"catalog entry {id} lost its braid word")
+            raise TaucalcError(f"catalog entry {id} lost its braid word")
         if (b.strands, b.k_plus, b.k_minus) != (n, kp, km):
-            raise CatalogError(
+            raise TaucalcError(
                 f"catalog braid word for {id} has summary "
-                f"{(b.strands, b.k_plus, b.k_minus)}, expected {(n, kp, km)}"
-            )
+                f"{(b.strands, b.k_plus, b.k_minus)}, expected {(n, kp, km)}")
     return base

@@ -78,6 +78,16 @@ def _cmd_double(args) -> int:
     return 0
 
 
+def _escaped(text: str) -> str:
+    """`text` with each character that is not printable (a newline, an
+    escape, a lone surrogate) written as its escape, so that a knot id
+    cannot break a line of the text report."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else
+                   c.encode("unicode_escape").decode("ascii") for c in text)
+
+
 def _run_deduction(args) -> int:
     """`tau deduce FACTS` and `tau catalog`: the same run on another base."""
     base = (catalog_mod.load_factbase(args.file) if args.command == "deduce"
@@ -93,20 +103,21 @@ def _run_deduction(args) -> int:
         print(to_json(report))
     elif args.query is not None:
         row = report["knots"][0]
-        print(f"{rec.id}: tau = {rec.tau}, g4 = {rec.g4}, "
+        print(f"{_escaped(rec.id)}: tau = {rec.tau}, g4 = {rec.g4}, "
               f"g3 = {dash(row['g3'])}, tb >= {dash(row['tb_lower'])}")
         for step in cert:
-            print("  " + step.describe())
+            print("  " + _escaped(step.describe()))
     else:
-        # Pad each id as stdout will write it, escaped where it cannot
-        # encode it, so the columns line up.
+        # Pad each id as stdout will write it, escaped where it is not
+        # printable or stdout cannot encode it, so the columns line up.
         enc = sys.stdout.encoding or "utf-8"
         for row in report["knots"]:
-            row["id"] = row["id"].encode(enc, "backslashreplace").decode(enc)
+            row["id"] = _escaped(row["id"]).encode(
+                enc, "backslashreplace").decode(enc)
         print(render_report(report))
         if args.certify:
             for step in cert:
-                print(step.describe())
+                print(_escaped(step.describe()))
     return 0
 
 

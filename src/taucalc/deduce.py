@@ -49,16 +49,8 @@ from dataclasses import dataclass, field, replace
 
 from . import braid as braid_mod
 from . import families, grid as grid_mod
-from .errors import (
-    BudgetExceededError,
-    BrokenStepError,
-    CatalogError,
-    DuplicateIdError,
-    EmptyIntervalError,
-    InconsistentError,
-    TaucalcError,
-    UnknownIdError,
-)
+from .errors import (BrokenStepError, EmptyIntervalError, InconsistentError,
+                     TaucalcError)
 from .interval import NEG_INF, POS_INF, Interval, _unchecked
 from .validated import Validated
 
@@ -89,10 +81,10 @@ class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
 
     def __new__(cls, kind, value):
         if kind not in PRESENTATION_KINDS:
-            raise CatalogError(f"unknown presentation kind {kind!r} "
+            raise TaucalcError(f"unknown presentation kind {kind!r} "
                                f"for value {value!r}")
         if type(value) is not str:
-            raise CatalogError(f"{kind} presentation value must be a "
+            raise TaucalcError(f"{kind} presentation value must be a "
                                f"string, got {value!r}")
         _, parse, seeds = PRESENTATION_KINDS[kind]
         parsed = parse(value)
@@ -125,15 +117,14 @@ def _ints(kind: str, value: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in value.split())
     except ValueError:
-        raise families.FamilyParamError(
-            f"{kind} presentation {value!r}: parameters must be integers"
-        ) from None
+        raise TaucalcError(f"{kind} presentation {value!r}: parameters "
+                           f"must be integers") from None
 
 
 def _parse_torus(value: str) -> families.TorusParams:
     pq = _ints("torus", value)
     if len(pq) != 2:
-        raise families.FamilyParamError(
+        raise TaucalcError(
             f"torus presentation {value!r}: expected two parameters 'p q'")
     return families.TorusParams(*pq)
 
@@ -206,7 +197,7 @@ class _Relation(Validated):
         for f, least in self.counts.items():
             v = getattr(self, f)
             if type(v) is not int or v < least:
-                raise families.FamilyParamError(
+                raise TaucalcError(
                     f"{self.kind} relation on {self.knots}: {f} must be an "
                     f"integer >= {least}, got {v!r}")
         return self
@@ -372,7 +363,7 @@ class FactBase:
 
     def knot(self, id: str) -> KnotRecord:
         if id not in self.records:
-            raise UnknownIdError(f"unknown knot id {id!r}")
+            raise TaucalcError(f"unknown knot id {id!r}")
         return self.records[id]
 
     def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
@@ -384,25 +375,25 @@ class FactBase:
         base = replace(self, records=records)  # `records` fills in below
         for id, presentations in knots:
             if id in records:
-                raise DuplicateIdError(f"knot id {id!r} already present")
+                raise TaucalcError(f"knot id {id!r} already present")
             pres = []
             for p in presentations:
                 try:
                     if not isinstance(p, Presentation):
                         p = Presentation(**p)
                 except TypeError:  # not an object of exactly kind and value
-                    raise CatalogError(
+                    raise TaucalcError(
                         f"knot {id!r}: bad presentation entry {p!r}") from None
                 except TaucalcError as e:
-                    raise CatalogError(f"knot {id!r}: {e}") from e
+                    raise TaucalcError(f"knot {id!r}: {e}") from e
                 pres.append(p)
             records[id] = KnotRecord(id, presentations=tuple(pres))
         for knot, kind, value, source in facts:
             base.knot(knot)
             if type(kind) is not str or kind not in FACT_KINDS:
-                raise CatalogError(f"fact on {knot!r}: unknown kind {kind!r}")
+                raise TaucalcError(f"fact on {knot!r}: unknown kind {kind!r}")
             if type(value) is not int:
-                raise CatalogError(f"fact {kind} on {knot!r}: value "
+                raise TaucalcError(f"fact {kind} on {knot!r}: value "
                                    f"must be an integer, got {value!r}")
             qty, bound = FACT_KINDS[kind]
             try:
@@ -508,15 +499,17 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     fixpoint does not depend on the order (the rules are monotone meets);
     certificates do.  The environment variable `TAU_STEP_BUDGET` (default
     10**6) caps evaluations.  Raises
-    InconsistentError (empty interval; carries the certificate prefix) or
-    BudgetExceededError.
+    InconsistentError (empty interval; carries the certificate prefix), or
+    TaucalcError when the budget runs out.
     """
     env = os.environ.get("TAU_STEP_BUDGET")
     try:
         budget = int(env) if env else DEFAULT_STEP_BUDGET
     except ValueError:
-        raise TaucalcError(
-            f"TAU_STEP_BUDGET must be an integer, got {env!r}") from None
+        budget = -1
+    if budget < 0:
+        raise TaucalcError(f"TAU_STEP_BUDGET must be a non-negative integer, "
+                           f"got {env!r}")
     state = dict(base.records)
     queue = deque(_instances(base))
     queued = {id(inst) for inst in queue}
@@ -529,8 +522,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
         inst = queue[0]  # it stays in front while its evaluations restart
         spent += 1
         if spent > budget:
-            raise BudgetExceededError(
-                f"propagation exceeded step budget {budget}")
+            raise TaucalcError(f"propagation exceeded step budget {budget}")
         read = set()  # keys read by this evaluation's conclusions so far
         for target, qty, constraint, reads in inst.implications(state):
             read.update(reads)

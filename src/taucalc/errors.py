@@ -1,69 +1,35 @@
-"""Exception hierarchy shared by all taucalc modules."""
+"""The exceptions taucalc raises: one class per outcome that code tells
+apart.
+
+Every error is a `TaucalcError`, and `tau` reports each one as `error:
+<message>` with exit 2.  A check raises `TaucalcError` itself unless some
+code catches its outcome by type or reads a field it carries; only then
+does it get a subclass.  There are three.
+"""
 
 
 class TaucalcError(Exception):
-    """Base class for all errors raised by taucalc."""
-
-
-class BraidSyntaxError(TaucalcError):
-    """Malformed braid word text."""
-
-
-class LetterRangeError(TaucalcError):
-    """Braid letter refers to a generator index outside 1..n-1."""
-
-
-class NotAKnotError(TaucalcError):
-    """Operation requires a single-component closure."""
-
-
-class NotPositiveError(TaucalcError):
-    """Operation requires a positive braid word (no negative letters)."""
-
-
-class GridSyntaxError(TaucalcError):
-    """Malformed grid diagram text."""
-
-
-class NotPermutationError(TaucalcError):
-    """Grid marker columns do not form a permutation."""
-
-
-class MarkerCollisionError(TaucalcError):
-    """X and O markers share a cell."""
+    """Bad input, or a run that cannot finish (exit 2)."""
 
 
 class EmptyIntervalError(TaucalcError):
-    """Interval meet produced an empty set (lo > hi)."""
-
-
-class DuplicateIdError(TaucalcError):
-    """Knot id already present in the fact base."""
-
-
-class UnknownIdError(TaucalcError):
-    """Knot id does not resolve in the fact base."""
+    """Interval meet produced an empty set (lo > hi); `deduce` turns it
+    into an InconsistentError or a BrokenStepError."""
 
 
 class InconsistentError(TaucalcError):
-    """Propagation derived an empty interval; carries the certificate prefix."""
+    """Propagation derived an empty interval (exit 3); carries the
+    certificate prefix."""
 
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
 
 
-class BudgetExceededError(TaucalcError):
-    """Propagation exceeded the configured step budget."""
-
-
 class BrokenStepError(TaucalcError):
-    """Certificate replay found a step whose conclusion does not follow."""
+    """Certificate replay found a step whose conclusion does not follow;
+    carries the step's index."""
 
     def __init__(self, message, step_index=None):
         super().__init__(message)
         self.step_index = step_index
-
-
-class CatalogError(TaucalcError):
-    """Fact file or catalog entry failed validation."""

@@ -18,20 +18,14 @@ from .errors import TaucalcError
 from .validated import Validated
 
 
-class FamilyParamError(TaucalcError):
-    """Family parameters violate the family's invariants."""
-
-
 class TorusParams(Validated, namedtuple("TorusParams", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
         if p < 2 or q < 2:
-            raise FamilyParamError(f"need p, q >= 2, got ({p}, {q})")
+            raise TaucalcError(f"need p, q >= 2, got ({p}, {q})")
         if math.gcd(p, q) != 1:
-            raise FamilyParamError(
-                f"T({p},{q}) is a link, not a knot (gcd > 1)"
-            )
+            raise TaucalcError(f"T({p},{q}) is a link, not a knot (gcd > 1)")
         return super().__new__(cls, p, q)
 
 
@@ -41,7 +35,7 @@ class PretzelParams(Validated, namedtuple("PretzelParams", "twists")):
     def __new__(cls, twists):
         twists = tuple(twists)
         if not twists:
-            raise FamilyParamError("pretzel needs at least one twist region")
+            raise TaucalcError("pretzel needs at least one twist region")
         return super().__new__(cls, twists)
 
 

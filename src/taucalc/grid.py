@@ -17,12 +17,7 @@ import re
 from collections import namedtuple
 
 from .braid import count_cycles
-from .errors import (
-    GridSyntaxError,
-    MarkerCollisionError,
-    NotAKnotError,
-    NotPermutationError,
-)
+from .errors import TaucalcError
 from .validated import Validated
 
 CORNER_KINDS = ("NE", "NW", "SE", "SW")
@@ -35,18 +30,16 @@ class GridDiagram(Validated, namedtuple("GridDiagram", "size xs os")):
 
     def __new__(cls, size, xs, os):
         if size < 2:
-            raise GridSyntaxError(f"grid size must be >= 2, got {size}")
+            raise TaucalcError(f"grid size must be >= 2, got {size}")
         xs, os = tuple(xs), tuple(os)
         for name, perm in (("X", xs), ("O", os)):
             if sorted(perm) != list(range(size)):
-                raise NotPermutationError(
-                    f"{name} columns are not a permutation of 0..{size - 1}: {perm}"
-                )
+                raise TaucalcError(f"{name} columns are not a permutation "
+                                   f"of 0..{size - 1}: {perm}")
         for r in range(size):
             if xs[r] == os[r]:
-                raise MarkerCollisionError(
-                    f"X and O share cell (row {r}, column {xs[r]})"
-                )
+                raise TaucalcError(
+                    f"X and O share cell (row {r}, column {xs[r]})")
         return super().__new__(cls, size, xs, os)
 
 
@@ -57,24 +50,24 @@ def parse_grid(text: str) -> GridDiagram:
     """
     lines = [s.strip() for s in re.split(r"[/\n]", text) if s.strip()]
     if len(lines) != 3:
-        raise GridSyntaxError(f"expected 3 lines (n, X:, O:), got {len(lines)}")
+        raise TaucalcError(f"expected 3 lines (n, X:, O:), got {len(lines)}")
     try:
         n = int(lines[0])
     except ValueError:
-        raise GridSyntaxError(f"bad grid size {lines[0]!r}") from None
+        raise TaucalcError(f"bad grid size {lines[0]!r}") from None
     cols = {}
     for line in lines[1:]:
         m = re.match(r"^([XO])\s*:\s*(.*)$", line)
         if m is None:
-            raise GridSyntaxError(f"expected 'X: ...' or 'O: ...', got {line!r}")
+            raise TaucalcError(f"expected 'X: ...' or 'O: ...', got {line!r}")
         try:
             cols[m.group(1)] = tuple(int(t) for t in m.group(2).split())
         except ValueError:
-            raise GridSyntaxError(f"bad column index in {line!r}") from None
+            raise TaucalcError(f"bad column index in {line!r}") from None
     if set(cols) != {"X", "O"}:
-        raise GridSyntaxError("need exactly one X: line and one O: line")
+        raise TaucalcError("need exactly one X: line and one O: line")
     if len(cols["X"]) != n or len(cols["O"]) != n:
-        raise GridSyntaxError("marker row count does not match grid size")
+        raise TaucalcError("marker row count does not match grid size")
     return GridDiagram(n, cols["X"], cols["O"])
 
 
@@ -136,5 +129,5 @@ def tb(g: GridDiagram) -> int:
     """Writhe minus the number of northeast corners."""
     c = components(g)
     if c != 1:
-        raise NotAKnotError(f"diagram has {c} components, need 1")
+        raise TaucalcError(f"diagram has {c} components, need 1")
     return writhe_grid(g) - corner_census(g)["NE"]

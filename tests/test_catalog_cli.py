@@ -13,7 +13,7 @@ from taucalc import braid, catalog, report as report_mod
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.cli import main
 from taucalc.deduce import propagate
-from taucalc.errors import CatalogError
+from taucalc.errors import TaucalcError
 from taucalc.interval import Interval
 from taucalc.report import build_report, to_json
 
@@ -52,7 +52,7 @@ class TestCatalogFiles:
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "knots": [oops]\n}')
-        with pytest.raises(CatalogError, match=":2:"):
+        with pytest.raises(TaucalcError, match=":2:"):
             load_factbase(str(path))
 
     def test_unknown_relation_kind_named(self, tmp_path):
@@ -61,7 +61,7 @@ class TestCatalogFiles:
             "knots": [{"id": "a"}, {"id": "b"}],
             "relations": [{"kind": "satellite", "a": "a", "b": "b"}],
         }))
-        with pytest.raises(CatalogError, match="satellite"):
+        with pytest.raises(TaucalcError, match="satellite"):
             load_factbase(str(path))
 
     def test_braid_words_parsed_once(self, monkeypatch):
@@ -76,7 +76,18 @@ class TestCatalogFiles:
 
     def test_braid_summary_checked(self, monkeypatch):
         monkeypatch.setitem(catalog._BRAID_SUMMARIES, "trefoil", (2, 4, 0))
-        with pytest.raises(CatalogError, match="trefoil"):
+        with pytest.raises(TaucalcError, match="trefoil"):
+            load_bundled_catalog()
+
+    def test_corrupt_bundled_catalog_names_the_file(self, tmp_path,
+                                                    monkeypatch):
+        # The bundled catalog is read like any fact file: a corrupt one
+        # is an input error, not a traceback.
+        (tmp_path / "data").mkdir()
+        path = tmp_path / "data" / "catalog.json"
+        path.write_text('{"knots": [')
+        monkeypatch.setattr(catalog, "__file__", str(tmp_path / "catalog.py"))
+        with pytest.raises(TaucalcError, match=re.escape(f"{path}:1:")):
             load_bundled_catalog()
 
 
@@ -436,6 +447,14 @@ class TestCli:
         assert main(["catalog"]) == 2
         assert "TAU_STEP_BUDGET" in capsys.readouterr().err
 
+    def test_negative_step_budget_exits_2(self, monkeypatch, capsys):
+        # Refused like a non-integer, not taken as a budget the run exceeds.
+        monkeypatch.setenv("TAU_STEP_BUDGET", "-1")
+        assert main(["catalog"]) == 2
+        assert capsys.readouterr().err == (
+            "error: TAU_STEP_BUDGET must be a non-negative integer, "
+            "got '-1'\n")
+
     def test_climbing_base_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TAU_STEP_BUDGET", "100")
         path = tmp_path / "facts.json"
@@ -530,6 +549,37 @@ class TestCli:
         assert escaped in run.stdout
         if flags:  # each step names the knot
             assert run.stdout.count(escaped) > 1
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--certify"], ["--query", "a\nb"], ["--json", "--certify"]],
+        ids=["table", "certify", "query", "json"])
+    def test_control_characters_in_an_id_stay_on_their_line(
+            self, tmp_path, capsys, flags):
+        # Escaped in the text forms, a newline in an id cannot forge a
+        # table row or a step line; --json keeps the id as it is.
+        ids = ["a\nb", "x\x1b[31m", "y\u2028z"]
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [
+            {"id": id, "presentations": [{"kind": "torus", "value": "2 3"}]}
+            for id in ids]}))
+        assert main(["deduce", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        if "--json" in flags:
+            assert [k["id"] for k in json.loads(out)["knots"]] == ids
+            return
+        lines = out.split("\n")
+        assert all(line.isprintable() for line in lines)
+        if "--query" in flags:
+            assert lines[0].startswith("a\\nb: tau = [1, 1]")
+            assert all(line.startswith("  [") for line in lines[1:-1])
+            return
+        end = next(i for i, line in enumerate(lines)
+                   if line.startswith("total"))
+        assert [row.split()[0] for row in lines[2:end]] == [
+            "a\\nb", "x\\x1b[31m", "y\\u2028z"]
+        steps = lines[end + 1:-1]
+        assert len(steps) == (9 if flags else 0)
+        assert all(line.startswith("[") for line in steps)
 
     def test_table_columns_line_up_after_escapes(self, tmp_path):
         # Under an ASCII stdout the id below prints as k\xfc\ud800: the

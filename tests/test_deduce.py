@@ -23,14 +23,7 @@ from taucalc.deduce import (
     query,
     replay,
 )
-from taucalc.errors import (
-    BrokenStepError,
-    BudgetExceededError,
-    DuplicateIdError,
-    InconsistentError,
-    UnknownIdError,
-)
-from taucalc.families import FamilyParamError
+from taucalc.errors import BrokenStepError, InconsistentError, TaucalcError
 from taucalc.interval import POS_INF, Interval
 from taucalc.report import step_to_json
 
@@ -47,15 +40,15 @@ def base_with(*ids):
 class TestFactBase:
     def test_add_knot_duplicate(self):
         base = base_with("a")
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(TaucalcError, match="knot id 'a' already present"):
             base.extend(knots=[("a", ())])
 
     def test_add_fact_unknown_id(self):
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(TaucalcError, match="unknown knot id 'a'"):
             FactBase().extend(facts=[("a", "g3", 3, "")])
 
     def test_add_relation_unknown_operand(self):
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(TaucalcError, match="unknown knot id 'b'"):
             base_with("a").extend(relations=[Mirror("a", "b")])
 
     def test_fact_narrows_axioms(self):
@@ -79,7 +72,7 @@ class TestFactBase:
         lambda: Double("k", "wh", "1"),
     ])
     def test_relation_counts_validated(self, make):
-        with pytest.raises(FamilyParamError):
+        with pytest.raises(TaucalcError, match="must be an integer >= "):
             make()
 
     def test_immutability(self):
@@ -92,7 +85,7 @@ class TestFactBase:
         rec, sub = query(fixed, cert, "a")
         assert rec.tau == Interval.top()
         assert rec.g4 == Interval(0, POS_INF)
-        with pytest.raises(UnknownIdError):
+        with pytest.raises(TaucalcError, match="unknown knot id 'nope'"):
             query(fixed, cert, "nope")
 
 
@@ -318,7 +311,7 @@ class TestErrors:
                                   ("b", "tau_upper", 1, "")])
         base = base.extend(facts=[("a", "tau_lower", 0, "")])
         monkeypatch.setenv("TAU_STEP_BUDGET", "5")
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(TaucalcError, match="exceeded step budget 5"):
             propagate(base)
 
     @pytest.mark.parametrize("mirror,budget", [(False, 3), (True, 6)])
@@ -344,7 +337,7 @@ class TestErrors:
         monkeypatch.setenv("TAU_STEP_BUDGET", "1")
         base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
         base = base.extend(facts=[("a", "g3", 2, "")])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(TaucalcError, match="exceeded step budget 1"):
             propagate(base)
 
 

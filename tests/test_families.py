@@ -11,8 +11,8 @@ from taucalc.braid import (
     tau_positive_braid,
 )
 from taucalc.deduce import Double, FactBase, Mirror, Presentation, propagate
+from taucalc.errors import TaucalcError
 from taucalc.families import (
-    FamilyParamError,
     PretzelParams,
     TorusParams,
     pretzel_tau,
@@ -33,9 +33,9 @@ class TestTorus:
         assert closure_components(b) == 1
 
     def test_invariants_rejected(self):
-        with pytest.raises(FamilyParamError):
+        with pytest.raises(TaucalcError, match=r"T\(2,4\) is a link"):
             TorusParams(2, 4)  # gcd 2: a link
-        with pytest.raises(FamilyParamError):
+        with pytest.raises(TaucalcError, match=r"need p, q >= 2, got \(1"):
             TorusParams(1, 5)
 
     @pytest.mark.parametrize("p,q,expected", [(2, 3, 1), (3, 5, 4), (4, 5, 6)])
@@ -140,5 +140,5 @@ class TestWhiteheadDouble:
         assert values == {1}
 
     def test_iterations_validated(self):
-        with pytest.raises(FamilyParamError):
+        with pytest.raises(TaucalcError, match="iterations must be an"):
             Double("k", "wh", 0)

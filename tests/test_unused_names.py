@@ -1,5 +1,7 @@
 """Every public function, class and method in `src/taucalc` has a caller
-in `src/`: code that only tests use belongs under `tests/`.
+in `src/`: code that only tests use belongs under `tests/`.  And every
+subclass of `TaucalcError` earns its class: code in `src/` catches it by
+type, or it carries a field.
 
 A definition counts as used when its name is read (as a bare name or as
 an attribute) somewhere in `src/` outside its own body, or when it is a
@@ -81,3 +83,48 @@ def test_a_name_used_only_in_its_own_body_is_unused():
 
 def test_the_entry_point_counts_as_a_use():
     assert "main" in _entry_points()
+
+
+def _caught(tree) -> set[str]:
+    """The names in the `except` clauses of `tree`."""
+    return {name for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)
+            and n.type is not None for name in _names(n.type)}
+
+
+def idle_error_classes(trees) -> list[str]:
+    """The subclasses of TaucalcError, direct or not, that no `except`
+    clause names and that define no `__init__` (so carry no field)."""
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    errors = {"TaucalcError"}
+    while True:  # subclasses of subclasses too
+        more = {name for name, node in classes.items()
+                if any(_names(base).keys() & errors for base in node.bases)}
+        if more <= errors:
+            break
+        errors |= more
+    caught = set().union(*map(_caught, trees))
+    return sorted(
+        name for name in errors - {"TaucalcError"} - caught
+        if not any(isinstance(item, ast.FunctionDef)
+                   and item.name == "__init__" for item in classes[name].body))
+
+
+def test_every_error_class_is_caught_or_carries_a_field():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    idle = idle_error_classes(trees)
+    assert not idle, ("raise TaucalcError instead of a class that no code "
+                      "tells apart: " + ", ".join(idle))
+
+
+def test_an_error_class_without_a_catch_or_a_field_is_idle():
+    tree = ast.parse(
+        "class TaucalcError(Exception): pass\n"
+        "class Caught(TaucalcError): pass\n"
+        "class Carries(TaucalcError):\n"
+        "    def __init__(self, message, n): self.n = n\n"
+        "class Idle(Caught): pass\n"
+        "try: pass\n"
+        "except (Caught, OSError): pass\n")
+    assert idle_error_classes([tree]) == ["Idle"]

@@ -24,13 +24,8 @@ from taucalc.deduce import (
     propagate,
     replay,
 )
-from taucalc.errors import (
-    CatalogError,
-    EmptyIntervalError,
-    LetterRangeError,
-    NotPermutationError,
-)
-from taucalc.families import FamilyParamError, PretzelParams, TorusParams
+from taucalc.errors import EmptyIntervalError, TaucalcError
+from taucalc.families import PretzelParams, TorusParams
 from taucalc.grid import GridDiagram
 from taucalc.interval import Interval
 
@@ -106,38 +101,46 @@ def test_replace_with_no_change_is_equal(make):
 
 
 # A field change that each validated type refuses, with the error its
-# constructor raises for it.  KnotRecord and CertStep are left out: they
+# constructor raises for it and a pattern its message matches.  KnotRecord and CertStep are left out: they
 # keep namedtuple's unchecked _replace, which _narrow and the forged-step
 # tests use.
 BAD_CHANGES = [
-    (Interval(0, 1), {"lo": 5}, EmptyIntervalError),
-    (Interval(0, 1), {"hi": 1.5}, TypeError),
-    (Interval(0, 1), {"lo": True}, TypeError),
-    *((r, {"kind": "sum" if r.kind == "mirror" else "mirror"}, TypeError)
+    (Interval(0, 1), {"lo": 5}, EmptyIntervalError, None),
+    (Interval(0, 1), {"hi": 1.5}, TypeError, None),
+    (Interval(0, 1), {"lo": True}, TypeError, None),
+    *((r, {"kind": "sum" if r.kind == "mirror" else "mirror"}, TypeError, None)
       for r, _, _ in RELATIONS),
-    (Cobordism("a", "b", 2), {"genus": -1}, FamilyParamError),
-    (Unknotting("k", 1, 0), {"negative": True}, FamilyParamError),
-    (Double("c", "w"), {"iterations": 0}, FamilyParamError),
-    (BraidWord(3, [1, -2]), {"letters": (3,)}, LetterRangeError),
-    (GridDiagram(2, [0, 1], [1, 0]), {"os": (0, 0)}, NotPermutationError),
-    (TorusParams(2, 3), {"q": 4}, FamilyParamError),
-    (PretzelParams([-3, -3, -3]), {"twists": ()}, FamilyParamError),
-    (Presentation("torus", "2 3"), {"value": "2 4"}, FamilyParamError),
-    (Presentation("torus", "2 3"), {"kind": "knot"}, CatalogError),
+    (Cobordism("a", "b", 2), {"genus": -1}, TaucalcError,
+     "genus must be an integer >= 0"),
+    (Unknotting("k", 1, 0), {"negative": True}, TaucalcError,
+     "negative must be an integer >= 0"),
+    (Double("c", "w"), {"iterations": 0}, TaucalcError,
+     "iterations must be an integer >= 1"),
+    (BraidWord(3, [1, -2]), {"letters": (3,)}, TaucalcError,
+     "letter 3 out of range"),
+    (GridDiagram(2, [0, 1], [1, 0]), {"os": (0, 0)}, TaucalcError,
+     "O columns are not a permutation"),
+    (TorusParams(2, 3), {"q": 4}, TaucalcError, r"T\(2,4\) is a link"),
+    (PretzelParams([-3, -3, -3]), {"twists": ()}, TaucalcError,
+     "pretzel needs at least one twist region"),
+    (Presentation("torus", "2 3"), {"value": "2 4"}, TaucalcError,
+     r"T\(2,4\) is a link"),
+    (Presentation("torus", "2 3"), {"kind": "knot"}, TaucalcError,
+     "unknown presentation kind 'knot'"),
 ]
 
 
-@pytest.mark.parametrize("v,change,error", BAD_CHANGES,
-                         ids=[type(v).__name__ for v, _, _ in BAD_CHANGES])
-def test_replace_checks_like_construction(v, change, error):
+@pytest.mark.parametrize("v,change,error,match", BAD_CHANGES,
+                         ids=[type(v).__name__ for v, *_ in BAD_CHANGES])
+def test_replace_checks_like_construction(v, change, error, match):
     fields = {**v._asdict(), **change}
     if isinstance(v, Presentation):  # built from kind and value alone
         fields = {f: fields[f] for f in ("kind", "value")}
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         type(v)(**fields)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         v._replace(**change)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         type(v)._make({**v._asdict(), **change}.values())
 
 
