@@ -81,10 +81,11 @@ def _cmd_double(args) -> int:
 def _escaped(text: str) -> str:
     """`text` with each character that is not printable (a newline, an
     escape, a lone surrogate) written as its escape, so that a knot id
-    cannot break a line of the text report."""
-    if text.isprintable():
+    cannot break a line of the text report.  A backslash is doubled, so
+    that an id cannot print as another id's escape."""
+    if text.isprintable() and "\\" not in text:
         return text
-    return "".join(c if c.isprintable() else
+    return "".join(c if c.isprintable() and c != "\\" else
                    c.encode("unicode_escape").decode("ascii") for c in text)
 
 
@@ -103,17 +104,16 @@ def _run_deduction(args) -> int:
         print(to_json(report))
     elif args.query is not None:
         row = report["knots"][0]
-        print(f"{_escaped(rec.id)}: tau = {rec.tau}, g4 = {rec.g4}, "
-              f"g3 = {dash(row['g3'])}, tb >= {dash(row['tb_lower'])}")
+        print(f"{_escaped(row.id)}: tau = {row.tau}, g4 = {row.g4}, "
+              f"g3 = {dash(row.g3)}, tb >= {dash(row.tb_lower)}")
         for step in cert:
             print("  " + _escaped(step.describe()))
     else:
         # Pad each id as stdout will write it, escaped where it is not
         # printable or stdout cannot encode it, so the columns line up.
         enc = sys.stdout.encoding or "utf-8"
-        for row in report["knots"]:
-            row["id"] = _escaped(row["id"]).encode(
-                enc, "backslashreplace").decode(enc)
+        report["knots"] = [row._replace(id=_escaped(row.id).encode(
+            enc, "backslashreplace").decode(enc)) for row in report["knots"]]
         print(render_report(report))
         if args.certify:
             for step in cert:

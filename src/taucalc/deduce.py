@@ -304,16 +304,18 @@ class _GenusChain:
 
     def __init__(self, knot: str):
         self.knot = knot
+        self.reads = ((knot, "g4"),), ((knot, "tau"),), ((knot, "g3"),)
 
     def implications(self, state: dict):
         # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
+        g4_reads, tau_reads, g3_reads = self.reads
         g4 = state[id].g4
-        yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4"),)
+        yield id, "tau", _unchecked((-g4.hi, g4.hi)), g4_reads
         tau = state[id].tau
         lo = max(0, tau.lo, -tau.hi)
-        yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau"),)
-        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), ((id, "g3"),)
+        yield id, "g4", _unchecked((lo, POS_INF)), tau_reads
+        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), g3_reads
 
 
 class _Seed:
@@ -472,8 +474,8 @@ def _narrow(state: dict, target: str, qty: str, constraint: Interval):
     rec = state[target]
     i = _SLOT[qty]
     cur = rec[i]
-    if constraint.contains_interval(cur):
-        return None
+    if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
+        return None  # `constraint` holds `cur`: nothing narrows
     if not constraint.is_printable:
         raise TaucalcError(f"{target}.{qty}: a bound has more digits than "
                            f"str() prints")
@@ -575,21 +577,21 @@ def replay(cert: Certificate, base: FactBase) -> bool:
             raise BrokenStepError(
                 f"step {step.index}: cites no {step.rule} instance of the "
                 f"base", step_index=step.index)
-        claim = (step.target, step.quantity, step.conclusion)
-        implied = next((c for c in inst.implications(state)
-                        if c[:3] == claim), None)
-        if implied is None:
+        target, qty, conclusion = step.target, step.quantity, step.conclusion
+        for t, q, c, reads in inst.implications(state):
+            if t == target and q == qty and c == conclusion:
+                break
+        else:
             raise BrokenStepError(
                 f"step {step.index}: {step.rule} does not yield "
-                f"{step.conclusion} for {step.target}.{step.quantity}",
-                step_index=step.index)
-        read = tuple((k, q, getattr(state[k], q)) for k, q in implied[3])
+                f"{conclusion} for {target}.{qty}", step_index=step.index)
+        read = tuple((k, q, getattr(state[k], q)) for k, q in reads)
         if step.reads != read:
             raise BrokenStepError(
                 f"step {step.index}: recorded reads {step.reads} but replay "
                 f"read {read}", step_index=step.index)
         try:
-            result = _narrow(state, *implied[:3])
+            result = _narrow(state, t, q, c)  # what the rule implied
         except EmptyIntervalError as e:
             raise BrokenStepError(
                 f"step {step.index}: meet is empty: {e}",

@@ -33,6 +33,9 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 # The digit limit of str(int), 0 where it is off or (before 3.11) absent.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# The least limit other than 0 is the threshold (640), and a digit is over
+# 3 bits, so an int of at most this many bits prints under every limit.
+_SHORT_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
 def _check_endpoint(v):
@@ -80,9 +83,6 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
     def __contains__(self, v) -> bool:
         return self.lo <= v <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def meet(self, other: "Interval") -> "Interval":
         """Intersection; raises EmptyIntervalError if disjoint."""
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
@@ -107,12 +107,13 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
     @property
     def is_printable(self) -> bool:
         """False if an endpoint has more digits than str() prints, on a
-        Python with that limit.  A digit is over 3 bits, so short ends skip
-        the power of 10."""
-        limit = _max_str_digits()
-        if limit:
-            for v in self:
-                if (isinstance(v, int) and v.bit_length() > 3 * limit
+        Python with that limit.  Ends of at most `_SHORT_BITS` bits skip
+        reading the limit, and ends of at most 3 bits a digit skip the power
+        of 10."""
+        for v in self:
+            if type(v) is int and v.bit_length() > _SHORT_BITS:
+                limit = _max_str_digits()
+                if (limit and v.bit_length() > 3 * limit
                         and abs(v) >= 10**limit):
                     return False
         return True

@@ -234,10 +234,10 @@ class TestCli:
     def test_query_builds_one_row(self, monkeypatch, capsys):
         rows = []
 
-        def counted(rec, _fn=report_mod.knot_to_dict):
+        def counted(rec, steps, _fn=report_mod.knot_row):
             rows.append(rec.id)
-            return _fn(rec)
-        monkeypatch.setattr(report_mod, "knot_to_dict", counted)
+            return _fn(rec, steps)
+        monkeypatch.setattr(report_mod, "knot_row", counted)
         assert main(["deduce", ALL_RULES, "--query", "s2", "--json"]) == 0
         assert rows == ["s2"]
 
@@ -246,9 +246,9 @@ class TestCli:
         # as JSON.
         calls = []
 
-        def counted(step, pad="\n", _fn=report_mod.step_to_json):
+        def counted(step, *args, _fn=report_mod.step_to_json):
             calls.append(step.index)
-            return _fn(step, pad)
+            return _fn(step, *args)
         monkeypatch.setattr(report_mod, "step_to_json", counted)
         assert main(["deduce", ALL_RULES, "--certify"]) == 0
         assert calls == []
@@ -581,6 +581,35 @@ class TestCli:
         assert len(steps) == (9 if flags else 0)
         assert all(line.startswith("[") for line in steps)
 
+    @pytest.mark.parametrize("flags", [[], ["--certify"], ["--query"]],
+                             ids=["table", "certify", "query"])
+    def test_an_id_cannot_print_as_another_ids_escape(
+            self, tmp_path, capsys, flags):
+        # A newline prints as backslash-n, so a backslash and an n print
+        # as two backslashes and an n.
+        ids = ["a\nb", "a\\nb"]
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": ids[0], "presentations": [
+                {"kind": "torus", "value": "2 3"}]}, {"id": ids[1]}],
+            "relations": [{"kind": "mirror", "a": ids[0], "b": ids[1]}]}))
+        shown = {"a\\nb": "a\nb", "a\\\\nb": "a\\nb"}
+        for printed, id in shown.items():
+            argv = ["deduce", str(path), *flags]
+            if flags == ["--query"]:
+                argv.append(id)
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            if flags == ["--query"]:
+                assert lines[0].startswith(printed + ": tau = ")
+                steps = lines[1:]
+            else:
+                assert [r.split()[0] for r in lines[2:4]] == list(shown)
+                steps = lines[5:]
+            # Both knots narrow, so the steps name each (certify, query).
+            assert any(f" {printed}.tau <- " in s for s in steps) == bool(
+                flags)
+
     def test_table_columns_line_up_after_escapes(self, tmp_path):
         # Under an ASCII stdout the id below prints as k\xfc\ud800: the
         # table must pad that text, not the id it escapes.
@@ -706,6 +735,30 @@ class TestCli:
         assert {s["rule"] for s in report["certificate"]} == {
             "R1", "R2", "R3", "R4", "R5", "R6", "R7-braid", "R7-torus",
             "R7-pretzel", "R7-grid", "R7-double"}
+
+    def test_steps_citing_one_instance_each_write_its_premise(self):
+        fixed, cert = propagate(load_factbase(RANDOM_WIDE))
+        text = to_json(build_report(fixed.records, cert, certify=True))
+        written = json.loads(text)["certificate"]
+        cited = [s.cite for s in cert if s.cite is not None]
+        assert len(set(cited)) < len(cited)  # some instance is cited again
+        for step, obj in zip(cert, written, strict=True):
+            if step.cite is not None:
+                assert obj["premises"][0] == " ".join(map(str, step.cite))
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    def test_reports_in_one_process_match_fresh_runs(self, capsys):
+        # Each report encodes its cite premises afresh: one written before
+        # it in the same process changes no byte.
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        for argv in ([RANDOM_WIDE], [ALL_RULES], [RANDOM_WIDE]):
+            argv = ["deduce", *argv, "--json", "--certify"]
+            fresh = subprocess.run(
+                [sys.executable, "-m", "taucalc.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == fresh.stdout
 
     @pytest.mark.parametrize("argv,code", [
         (["catalog", "--json", "--certify"], 0),

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -80,8 +81,25 @@ def test_contains():
     assert 3 in Interval(0, 5)
     assert 6 not in Interval(0, 5)
     assert 10**9 in Interval.at_least(0)
-    assert Interval(2, 3).contains_interval(Interval(2, 2))
-    assert not Interval(2, 3).contains_interval(Interval(1, 3))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_printable_under_the_least_digit_limit():
+    # 600 digits take more than the 3 x 640 bits that skip reading the limit.
+    long, short = 10**699, 10**599
+    assert short.bit_length() > 3 * 640
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert not Interval(-long, POS_INF).is_printable
+        assert not Interval(0, long).is_printable
+        assert Interval(-short, short).is_printable
+        sys.set_int_max_str_digits(0)
+        assert Interval(-long, short).is_printable
+        assert Interval(NEG_INF, long).is_printable
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_formatting():

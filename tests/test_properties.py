@@ -1,5 +1,5 @@
 """Property tests of the unchecked fast paths against their checked
-references: the report writer and its step writer against
+references: the report writer and its knot and step writers against
 json.dumps(indent=2), and intervals built without the endpoint checks
 (arithmetic and R2's conclusions) against the constructor."""
 
@@ -11,10 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from taucalc.deduce import (
-    CertStep, Cobordism, KnotRecord, Mirror, Presentation, Sum, _GenusChain)
+    Certificate, CertStep, Cobordism, KnotRecord, Mirror, Presentation, Sum,
+    _GenusChain)
 from taucalc.errors import EmptyIntervalError
 from taucalc.interval import NEG_INF, POS_INF, Interval
-from taucalc.report import to_json
+from taucalc.report import build_report, to_json
 
 # Every code point, lone surrogates and control characters included.
 TEXT = st.text(st.characters(exclude_categories=()))
@@ -139,6 +140,56 @@ def genus_intervals(draw):
     hi = draw(st.one_of(st.just(POS_INF), st.integers(lo, lo + 3),
                         st.integers(lo)))
     return Interval(lo, hi)
+
+
+# One presentation of each kind.
+KINDS = [Presentation("torus", "2 3"), Presentation("braid", "2: 1 1 1"),
+         Presentation("pretzel", "3 -5 -7"),
+         Presentation("grid", "5\nX: 4 0 1 2 3\nO: 1 2 3 4 0\n")]
+
+
+@st.composite
+def knot_records(draw):
+    """A record as a run can leave it: g3 exact or not, tb's lower end
+    -inf or finite, and 0-4 presentations, kinds repeating."""
+    g3 = draw(st.one_of(genus_intervals(),
+                        st.integers(0).map(Interval.exact)))
+    return KnotRecord(draw(IDS), draw(intervals()), draw(genus_intervals()),
+                      g3, draw(intervals()),
+                      tuple(draw(st.lists(st.sampled_from(KINDS),
+                                          max_size=4))))
+
+
+def _old_knot_schema(rec, steps):
+    """A knot's JSON object as it was built before the knot writer, with
+    each field spelled out here."""
+    return {
+        "id": rec.id,
+        "tau": [str(rec.tau.lo), str(rec.tau.hi)],
+        "g4": [str(rec.g4.lo), str(rec.g4.hi)],
+        "g3": rec.g3.lo if rec.g3.lo == rec.g3.hi else None,
+        "tb_lower": None if rec.tb.lo == NEG_INF else rec.tb.lo,
+        "seeds": sorted({p.kind for p in rec.presentations}),
+        "certificate_steps": steps,
+    }
+
+
+@given(st.lists(knot_records(), max_size=3), st.data())
+def test_knot_writer_is_the_old_knot_schema(recs, data):
+    records = {rec.id: rec for rec in recs}
+    targets = data.draw(st.lists(st.sampled_from(sorted(records)),
+                                 max_size=5) if records else st.just([]))
+    cert = Certificate(data.draw(cert_steps())._replace(index=i, target=t)
+                       for i, t in enumerate(targets))
+    report = build_report(records, cert, certify=True)
+    old = {"knots": [_old_knot_schema(records[id], targets.count(id))
+                     for id in sorted(records)],
+           "total_steps": len(cert),
+           "certificate": [_old_step_schema(s) for s in cert]}
+    assert to_json(report) == json.dumps(old, indent=2)
+    if records:
+        assert to_json(report["knots"][0]) == json.dumps(old["knots"][0],
+                                                         indent=2)
 
 
 @given(intervals(), genus_intervals(), genus_intervals())
