@@ -79,14 +79,19 @@ def _cmd_double(args) -> int:
 
 
 def _escaped(text: str) -> str:
-    """`text` with each character that is not printable (a newline, an
-    escape, a lone surrogate) written as its escape, so that a knot id
-    cannot break a line of the text report.  A backslash is doubled, so
-    that an id cannot print as another id's escape."""
-    if text.isprintable() and "\\" not in text:
+    """`text` with each character written as its escape where it is not
+    printable (a newline, an escape, a lone surrogate) or stdout cannot
+    encode it, so that a knot id can neither break a line of the text
+    report nor stop its writing.  A backslash is doubled, so that an id
+    cannot print as another id's escape."""
+    if not text.isprintable() or "\\" in text:
+        text = "".join(c if c.isprintable() and c != "\\" else
+                       c.encode("unicode_escape").decode("ascii")
+                       for c in text)
+    if text.isascii():
         return text
-    return "".join(c if c.isprintable() and c != "\\" else
-                   c.encode("unicode_escape").decode("ascii") for c in text)
+    enc = sys.stdout.encoding or "utf-8"  # a StringIO has no encoding
+    return text.encode(enc, "backslashreplace").decode(enc)
 
 
 def _run_deduction(args) -> int:
@@ -99,22 +104,19 @@ def _run_deduction(args) -> int:
     if args.query is not None:
         rec, cert = query(fixed, cert, args.query)
         records = {rec.id: rec}
-    report = build_report(records, cert, certify=args.certify and args.json)
+    rows = build_report(records, cert)
     if args.json:
-        print(to_json(report))
+        print(to_json(rows, cert, args.certify))
     elif args.query is not None:
-        row = report["knots"][0]
+        row = rows[0]
         print(f"{_escaped(row.id)}: tau = {row.tau}, g4 = {row.g4}, "
               f"g3 = {dash(row.g3)}, tb >= {dash(row.tb_lower)}")
         for step in cert:
             print("  " + _escaped(step.describe()))
     else:
-        # Pad each id as stdout will write it, escaped where it is not
-        # printable or stdout cannot encode it, so the columns line up.
-        enc = sys.stdout.encoding or "utf-8"
-        report["knots"] = [row._replace(id=_escaped(row.id).encode(
-            enc, "backslashreplace").decode(enc)) for row in report["knots"]]
-        print(render_report(report))
+        # Pad each id as stdout will write it, so the columns line up.
+        rows = [row._replace(id=_escaped(row.id)) for row in rows]
+        print(render_report(rows, len(cert)))
         if args.certify:
             for step in cert:
                 print(_escaped(step.describe()))
@@ -174,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys.stdout, "reconfigure"):  # a StringIO has no encoding
-        # A knot id is any JSON string; escape what stdout cannot encode.
-        sys.stdout.reconfigure(errors="backslashreplace")
     # A run's heap is acyclic named tuples, so the cyclic collector would
     # only scan it; the caller's setting comes back on every exit.
     gc_was_enabled = gc.isenabled()

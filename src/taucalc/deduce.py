@@ -516,7 +516,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     queue = deque(_instances(base))
     queued = {id(inst) for inst in queue}
     popped = set()  # ids of the instances registered in `readers`
-    readers: dict[tuple, dict] = {}  # key -> {id: instance} of its readers
+    readers: dict[tuple, list] = {}  # key -> the instances that read it
     steps: list[CertStep] = []
     spent = 0
 
@@ -542,7 +542,8 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     tuple((k, q, getattr(rec if k == target else state[k], q))
                           for k, q in reads),
                     constraint, result))
-                for i, reader in readers.get((target, qty), {}).items():
+                for reader in readers.get((target, qty), ()):
+                    i = id(reader)
                     if i not in queued:
                         queue.append(reader)
                         queued.add(i)
@@ -553,7 +554,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
             if id(inst) not in popped:
                 popped.add(id(inst))
                 for key in read:
-                    readers.setdefault(key, {})[id(inst)] = inst
+                    readers.setdefault(key, []).append(inst)
 
     return replace(base, records=state), Certificate(steps)
 

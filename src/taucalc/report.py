@@ -1,9 +1,11 @@
 """Deterministic human- and machine-readable reports for deduction runs.
 
 `build_report` gives one `KnotRow` per knot, which the text table and
-`to_json` both read.  Two writers are the one statement of their JSON
-objects: `knot_to_json` of a knot and `step_to_json` of a certificate step.
-A step's first premise names the instance it cites; `to_json` encodes that
+`to_json` both read.  `to_json` writes the one shape a report has:
+`"knots"`, `"total_steps"` and, when certifying, `"certificate"`.  Two
+writers are the one statement of the objects in those lists:
+`knot_to_json` of a knot and `step_to_json` of a certificate step.  A
+step's first premise names the instance it cites; `to_json` encodes that
 premise once per distinct cite, in a cache that lives for the one call.
 """
 
@@ -39,10 +41,10 @@ def _listed(items: list[str], a: str, b: str) -> str:
     return "[" + b + ("," + b).join(items) + a + "]" if items else "[]"
 
 
-def knot_to_json(row: KnotRow, pad: str = "\n") -> str:
-    """A knot as `to_json` writes it at indent `pad`: the one statement of
-    the knot schema.  An interval end prints no character JSON escapes."""
-    a, b = pad + "  ", pad + "    "  # the knot's keys, its list items
+def knot_to_json(row: KnotRow) -> str:
+    """A knot as `to_json` writes it in `"knots"`: the one statement of the
+    knot schema.  An interval end prints no character JSON escapes."""
+    a, b = "\n      ", "\n        "  # the knot's keys, its list items
     tau, g4, g3, tb = row.tau, row.g4, row.g3, row.tb_lower
     return (f'{{{a}"id": {_json_str(row.id)},'
             f'{a}"tau": [{b}"{tau.lo}",{b}"{tau.hi}"{a}],'
@@ -50,89 +52,56 @@ def knot_to_json(row: KnotRow, pad: str = "\n") -> str:
             f'{a}"g3": {"null" if g3 is None else g3},'
             f'{a}"tb_lower": {"null" if tb is None else tb},'
             f'{a}"seeds": {_listed(list(map(_json_str, row.seeds)), a, b)},'
-            f'{a}"certificate_steps": {row.certificate_steps}{pad}}}')
+            f'{a}"certificate_steps": {row.certificate_steps}\n    }}')
 
 
-def step_to_json(step: CertStep, pad: str = "\n",
-                 cites: dict | None = None) -> str:
-    """A certificate step as `to_json` writes it at indent `pad`: the one
+def step_to_json(step: CertStep, cites: dict) -> str:
+    """A certificate step as `to_json` writes it in `"certificate"`: the one
     statement of the step schema.  Its premises are the instance the step
     cites, then each value it read.  `cites` maps a cite to its premise,
     encoded, so that a report encodes each cite once.  An interval prints
     no character that JSON escapes."""
+    a, b = "\n      ", "\n        "  # the step's keys, its premises
     premises = [_json_str(f"fact {k}.{q} = {v}") for k, q, v in step.reads]
     cite = step.cite
     if cite is not None:
-        if cites is None:
-            cites = {}
         first = cites.get(cite)
         if first is None:
             first = cites[cite] = _json_str(" ".join(map(str, cite)))
         premises.insert(0, first)
-    a, b = pad + "  ", pad + "    "  # the step's keys, its premises
     return (f'{{{a}"index": {step.index},'
             f'{a}"rule": {_json_str(step.rule)},'
             f'{a}"target": {_json_str(step.target)},'
             f'{a}"quantity": {_json_str(step.quantity)},'
             f'{a}"premises": {_listed(premises, a, b)},'
             f'{a}"conclusion": "{step.conclusion}",'
-            f'{a}"result": "{step.result}"{pad}}}')
+            f'{a}"result": "{step.result}"\n    }}')
 
 
-def build_report(records: dict[str, KnotRecord], cert: Certificate, *,
-                 certify: bool = False) -> dict:
-    """Report of the knots in `records` (id -> KnotRecord), one `KnotRow`
-    each; byte-for-byte reproducible from the same inputs (ids sorted, no
-    timestamps).  With `certify` it lists the steps themselves."""
+def build_report(records: dict[str, KnotRecord],
+                 cert: Certificate) -> list[KnotRow]:
+    """The rows of the knots in `records` (id -> KnotRecord), sorted by id,
+    each counting the steps of `cert` that target it; byte-for-byte
+    reproducible from the same inputs (no timestamps)."""
     steps_per_knot = Counter(s.target for s in cert)
-    out = {"knots": [knot_row(records[id], steps_per_knot[id])
-                     for id in sorted(records)],
-           "total_steps": len(cert)}
-    if certify:
-        out["certificate"] = list(cert)
-    return out
+    return [knot_row(records[id], steps_per_knot[id]) for id in sorted(records)]
 
 
-def to_json(v) -> str:
-    """`json.dumps(v, indent=2)` for a tree of str, int, None, list and dict
-    with str keys, with KnotRow leaves written by `knot_to_json` and
-    CertStep leaves by `step_to_json`; any other type raises TypeError.
-    json.dumps renders indented output with its pure-Python encoder, since
-    the C one cannot indent; this writer joins each level with its indent,
-    writes str, int and None items in place and leaves strings to the C
+def to_json(rows: list[KnotRow], cert: Certificate, certify: bool) -> str:
+    """The `--json` report of `rows`: `json.dumps(indent=2)` of an object
+    with the knots, the number of steps in `cert` and, with `certify`, the
+    steps themselves.  json.dumps writes indented output with its
+    pure-Python encoder, since the C one cannot indent; this writer puts
+    each key and list item at its fixed indent and leaves strings to the C
     string encoder json.dumps itself uses."""
-    return _write(v, "\n", {})
-
-
-def _write(v, pad: str, cites: dict) -> str:
-    """`to_json` of `v` at indent `pad`, with the cite premises encoded so
-    far in `cites`."""
-    t = type(v)
-    if t is KnotRow:
-        return knot_to_json(v, pad)
-    elif t is CertStep:
-        return step_to_json(v, pad, cites)
-    elif t is dict:
-        keys, ends = [_json_str(k) + ": " for k in v], "{}"
-        v = v.values()
-    elif t is list:
-        keys, ends = [""] * len(v), "[]"
-    elif t is str:
-        return _json_str(v)
-    elif t is int:
-        return int.__repr__(v)
-    elif v is None:
-        return "null"
-    else:
-        raise TypeError(f"to_json: {t.__name__} is not a report value")
-    if not keys:
-        return ends
-    inner = pad + "  "
-    items = [k + (_json_str(x) if type(x) is str else
-                  int.__repr__(x) if type(x) is int else
-                  "null" if x is None else _write(x, inner, cites))
-             for k, x in zip(keys, v)]
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+    a, b = "\n  ", "\n    "  # the report's keys, the items of its lists
+    out = (f'{{{a}"knots": {_listed(list(map(knot_to_json, rows)), a, b)},'
+           f'{a}"total_steps": {len(cert)}')
+    if certify:
+        cites = {}
+        steps = [step_to_json(step, cites) for step in cert]
+        out += f',{a}"certificate": {_listed(steps, a, b)}'
+    return out + "\n}"
 
 
 def dash(v) -> str:
@@ -140,16 +109,14 @@ def dash(v) -> str:
     return "-" if v is None else str(v)
 
 
-def render_report(report: dict) -> str:
-    lines = []
+def render_report(rows: list[KnotRow], total_steps: int) -> str:
     header = f"{'knot':<14} {'tau':<12} {'g4':<12} {'g3':<4} {'tb>=':<5} {'cert':<5} seeds"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for k in report["knots"]:
+    lines = [header, "-" * len(header)]
+    for k in rows:
         seeds = ",".join(k.seeds) or "-"
         lines.append(
             f"{k.id:<14} {str(k.tau):<12} {str(k.g4):<12} {dash(k.g3):<4} "
             f"{dash(k.tb_lower):<5} {k.certificate_steps:<5} {seeds}"
         )
-    lines.append(f"total certificate steps: {report['total_steps']}")
+    lines.append(f"total certificate steps: {total_steps}")
     return "\n".join(lines)

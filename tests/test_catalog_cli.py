@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import re
@@ -123,8 +124,8 @@ class TestCatalogDeduction:
         base = load_bundled_catalog()
         f1, c1 = propagate(base)
         f2, c2 = propagate(base)
-        r1 = to_json(build_report(f1.records, c1, certify=True))
-        r2 = to_json(build_report(f2.records, c2, certify=True))
+        r1 = to_json(build_report(f1.records, c1), c1, True)
+        r2 = to_json(build_report(f2.records, c2), c2, True)
         assert r1 == r2
 
 
@@ -610,6 +611,25 @@ class TestCli:
             assert any(f" {printed}.tau <- " in s for s in steps) == bool(
                 flags)
 
+    def test_main_leaves_the_callers_stdout_error_handler(
+            self, tmp_path, monkeypatch):
+        # In-process, a strict ASCII stdout keeps its error handler, and
+        # an id it cannot encode still prints as its escape.
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [{"id": "kü",
+            "presentations": [{"kind": "torus", "value": "2 3"}]}]}))
+        buf = io.BytesIO()
+        out = io.TextIOWrapper(buf, encoding="ascii", errors="strict")
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["torus", "3", "5"]) == 0
+        for flags in [], ["--certify"], ["--query", "kü"]:
+            assert main(["deduce", str(path), *flags]) == 0
+        assert out.errors == "strict"
+        lines = buf.getvalue().decode("ascii").splitlines()
+        assert "k\\xfc: tau = [1, 1], g4 = [1, 1], g3 = -, tb >= -" in lines
+        assert lines.count("[0] R7-torus: k\\xfc.tau <- [1, 1] => [1, 1]") == 1
+        assert sum(line.startswith("k\\xfc ") for line in lines) == 2
+
     def test_table_columns_line_up_after_escapes(self, tmp_path):
         # Under an ASCII stdout the id below prints as k\xfc\ud800: the
         # table must pad that text, not the id it escapes.
@@ -738,7 +758,7 @@ class TestCli:
 
     def test_steps_citing_one_instance_each_write_its_premise(self):
         fixed, cert = propagate(load_factbase(RANDOM_WIDE))
-        text = to_json(build_report(fixed.records, cert, certify=True))
+        text = to_json(build_report(fixed.records, cert), cert, True)
         written = json.loads(text)["certificate"]
         cited = [s.cite for s in cert if s.cite is not None]
         assert len(set(cited)) < len(cited)  # some instance is cited again

@@ -445,7 +445,7 @@ class TestCertificates:
         base = base.extend(facts=[("a", "tau_lower", 0, "")])
         _, cert = propagate(base)
         step = next(s for s in cert if s.target == "a")
-        assert json.loads(step_to_json(step))["premises"] == [
+        assert json.loads(step_to_json(step, {}))["premises"] == [
             f"relation {rel}", "fact c.tau = [4, 4]", "fact a.tau = [0, inf]"]
         assert step.result == Interval(0, 4)
 
