@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 standard output closed before the report was
 written (a broken pipe), 2 usage or input errors, 3 inconsistent fact base.
+
+`tau deduce` and `tau catalog` write each chunk of their report (see
+`report.chunks`) with one `write`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import gc
 import os
 import sys
+from itertools import chain
 
 from . import braid as braid_mod
 from . import catalog as catalog_mod
@@ -17,7 +21,7 @@ from . import families, grid as grid_mod
 from .deduce import Double, propagate, query, replay
 from .errors import InconsistentError, TaucalcError
 from .interval import Interval
-from .report import build_report, dash, render_report, to_json
+from .report import build_report, chunks, dash, render_report, to_json
 
 
 def _cmd_braid(args) -> int:
@@ -106,20 +110,24 @@ def _run_deduction(args) -> int:
         records = {rec.id: rec}
     rows = build_report(records, cert)
     if args.json:
-        print(to_json(rows, cert, args.certify))
+        out = chain(to_json(rows, cert, args.certify), ["\n"])
     elif args.query is not None:
         row = rows[0]
-        print(f"{_escaped(row.id)}: tau = {row.tau}, g4 = {row.g4}, "
-              f"g3 = {dash(row.g3)}, tb >= {dash(row.tb_lower)}")
-        for step in cert:
-            print("  " + _escaped(step.describe()))
+        out = chunks(chain(
+            [f"{_escaped(row.id)}: tau = {row.tau}, g4 = {row.g4}, "
+             f"g3 = {dash(row.g3)}, tb >= {dash(row.tb_lower)}"],
+            ("  " + _escaped(step.describe()) for step in cert)), "\n",
+            tail="\n")
     else:
         # Pad each id as stdout will write it, so the columns line up.
         rows = [row._replace(id=_escaped(row.id)) for row in rows]
-        print(render_report(rows, len(cert)))
+        lines = render_report(rows, len(cert))
         if args.certify:
-            for step in cert:
-                print(_escaped(step.describe()))
+            lines = chain(lines, (_escaped(step.describe()) for step in cert))
+        out = chunks(lines, "\n", tail="\n")
+    write = sys.stdout.write
+    for chunk in out:
+        write(chunk)
     return 0
 
 

@@ -180,10 +180,10 @@ class _Relation(Validated):
     conclusion whatever the state, the top interval if it cannot narrow,
     since only its `reads` re-queue it, and computes each one from `state`
     as it is when it yields it.  A relation also lists the `knots`
-    it reads or narrows, which `FactBase.extend` checks: its fields other
-    than the `counts` and `kind`.  A relation is a named tuple whose last
-    field is its fact-file `kind`, fixed by default so that relations of
-    different types never compare equal."""
+    it reads or narrows, which `FactBase.extend` checks: its leading
+    fields, which the `counts` and then `kind` follow.  A relation is a
+    named tuple whose last field is its fact-file `kind`, fixed by default
+    so that relations of different types never compare equal."""
 
     __slots__ = ()
     counts: dict[str, int] = {}  # integer fields -> their least valid value
@@ -204,8 +204,7 @@ class _Relation(Validated):
 
     @property
     def knots(self) -> tuple[str, ...]:
-        return tuple(v for f, v in zip(self._fields[:-1], self)
-                     if f not in self.counts)
+        return self[:len(self) - 1 - len(self.counts)]
 
     @property
     def cite(self) -> tuple:
@@ -299,6 +298,7 @@ class _GenusChain:
     """R2 on one knot.  Its steps cite no instance, so `replay` finds it by
     the knot."""
 
+    __slots__ = ("knot", "reads")
     rule = "R2"
     cite = None
 
@@ -321,6 +321,8 @@ class _GenusChain:
 class _Seed:
     """The R7 seed of one stored presentation: the bounds it proved for
     its knot when it was constructed, whatever the state."""
+
+    __slots__ = ("knot", "presentation", "rule", "cite")
 
     def __init__(self, knot: str, presentation: Presentation):
         self.knot = knot
@@ -352,6 +354,10 @@ class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
 _SLOT = {q: i for i, q in enumerate(KnotRecord._fields)}  # quantity -> index
 
 
+def _unknown(id) -> TaucalcError:
+    return TaucalcError(f"unknown knot id {id!r}")
+
+
 @dataclass(frozen=True)
 class FactBase:
     """Immutable snapshot: knot records and relations.  `extend` meets each
@@ -365,7 +371,7 @@ class FactBase:
 
     def knot(self, id: str) -> KnotRecord:
         if id not in self.records:
-            raise TaucalcError(f"unknown knot id {id!r}")
+            raise _unknown(id)
         return self.records[id]
 
     def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
@@ -374,7 +380,6 @@ class FactBase:
         then relations, each checked and applied in order.  Only a fact
         that contradicts its record has its `source` quoted."""
         records = dict(self.records)
-        base = replace(self, records=records)  # `records` fills in below
         for id, presentations in knots:
             if id in records:
                 raise TaucalcError(f"knot id {id!r} already present")
@@ -391,25 +396,29 @@ class FactBase:
                 pres.append(p)
             records[id] = KnotRecord(id, presentations=tuple(pres))
         for knot, kind, value, source in facts:
-            base.knot(knot)
+            if knot not in records:
+                raise _unknown(knot)
             if type(kind) is not str or kind not in FACT_KINDS:
                 raise TaucalcError(f"fact on {knot!r}: unknown kind {kind!r}")
             if type(value) is not int:
                 raise TaucalcError(f"fact {kind} on {knot!r}: value "
                                    f"must be an integer, got {value!r}")
             qty, bound = FACT_KINDS[kind]
+            rec = records[knot]
             try:
-                _narrow(records, knot, qty, bound(value))
-            except EmptyIntervalError as e:
+                _narrow(records, rec, _SLOT[qty], bound(value))
+            except EmptyIntervalError:
                 raise InconsistentError(
                     f"fact {kind} {value} on {knot!r} (source {source!r}) "
-                    f"contradicts {knot}.{qty}: {e}") from e
+                    f"contradicts {knot}.{qty} = {rec[_SLOT[qty]]}") from None
         rels = []
         for rel in relations:
             for id in rel.knots:
-                base.knot(id)
+                if id not in records:
+                    raise _unknown(id)
             rels.append(rel)
-        return replace(base, relations=self.relations + tuple(rels))
+        return replace(self, records=records,
+                       relations=self.relations + tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +473,21 @@ def _instances(base: FactBase) -> list:
     return out
 
 
-def _narrow(state: dict, target: str, qty: str, constraint: Interval):
-    """Meet `constraint` into the record of `target` in `state` (knot id ->
-    KnotRecord), replacing the record; returns the new value, or None if
-    nothing changed.  The one place a bound is met into a knot: input
-    facts, `propagate` and `replay` all narrow through it.  An empty meet
-    raises EmptyIntervalError; a constraint that narrows or conflicts must
-    be printable, since the certificate and the error message print it."""
-    rec = state[target]
-    i = _SLOT[qty]
-    cur = rec[i]
-    if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
-        return None  # `constraint` holds `cur`: nothing narrows
+def _narrow(state: dict, rec: KnotRecord, i: int, constraint: Interval):
+    """Meet `constraint` into field `i` of `rec`, its knot's record in
+    `state` (knot id -> KnotRecord), replacing the record; returns the new
+    value.  The one place a bound is met into a knot: input facts,
+    `propagate` and `replay` all narrow through it, and only `propagate`
+    first asks whether the constraint holds the value, since only there do
+    most constraints narrow nothing.  An empty meet raises
+    EmptyIntervalError; the constraint must be printable, since the
+    certificate and the error message print it."""
     if not constraint.is_printable:
-        raise TaucalcError(f"{target}.{qty}: a bound has more digits than "
-                           f"str() prints")
+        raise TaucalcError(f"{rec.id}.{rec._fields[i]}: a bound has more "
+                           f"digits than str() prints")
     fields = list(rec)
-    fields[i] = new = cur.meet(constraint)
-    state[target] = rec._make(fields)
+    fields[i] = new = rec[i].meet(constraint)
+    state[rec.id] = rec._make(fields)
     return new
 
 
@@ -519,41 +525,47 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     readers: dict[tuple, list] = {}  # key -> the instances that read it
     steps: list[CertStep] = []
     spent = 0
+    slot = _SLOT
 
     while queue:
         inst = queue[0]  # it stays in front while its evaluations restart
         spent += 1
         if spent > budget:
             raise TaucalcError(f"propagation exceeded step budget {budget}")
-        read = set()  # keys read by this evaluation's conclusions so far
+        evaluated = []  # the `reads` of this evaluation's conclusions so far
         for target, qty, constraint, reads in inst.implications(state):
-            read.update(reads)
+            evaluated.append(reads)
             rec = state[target]
+            i = slot[qty]
+            cur = rec[i]
+            if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
+                continue  # `constraint` holds `cur`: nothing narrows
             try:
-                result = _narrow(state, target, qty, constraint)
-            except EmptyIntervalError as e:
+                result = _narrow(state, rec, i, constraint)
+            except EmptyIntervalError:
                 raise InconsistentError(
-                    f"{inst.rule} on {target}.{qty}: {e}",
-                    certificate=Certificate(steps)) from e
-            if result is not None:
-                # Sum(a, a, c) reads its own target: the premise is the prior.
-                steps.append(CertStep(
-                    len(steps), inst.rule, target, qty, inst.cite,
-                    tuple((k, q, getattr(rec if k == target else state[k], q))
-                          for k, q in reads),
-                    constraint, result))
-                for reader in readers.get((target, qty), ()):
-                    i = id(reader)
-                    if i not in queued:
-                        queue.append(reader)
-                        queued.add(i)
-                if (target, qty) in read:
-                    break  # re-derive what read it from the new state
+                    f"{inst.rule} on {target}.{qty}: conclusion {constraint} "
+                    f"is disjoint from {target}.{qty} = {cur}",
+                    certificate=Certificate(steps)) from None
+            # Sum(a, a, c) reads its own target: the premise is the prior.
+            steps.append(CertStep(
+                len(steps), inst.rule, target, qty, inst.cite,
+                tuple((k, q, (rec if k == target else state[k])[slot[q]])
+                      for k, q in reads),
+                constraint, result))
+            key = (target, qty)
+            for reader in readers.get(key, ()):
+                j = id(reader)
+                if j not in queued:
+                    queue.append(reader)
+                    queued.add(j)
+            if any(key in r for r in evaluated):
+                break  # re-derive what read it from the new state
         else:
             queued.discard(id(queue.popleft()))
             if id(inst) not in popped:
                 popped.add(id(inst))
-                for key in read:
+                for key in {key for r in evaluated for key in r}:
                     readers.setdefault(key, []).append(inst)
 
     return replace(base, records=state), Certificate(steps)
@@ -568,37 +580,42 @@ def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certi
 def replay(cert: Certificate, base: FactBase) -> bool:
     """Re-derive every step from the base's axioms: the step must cite a
     rule instance of the base, which must yield the step's conclusion from
-    the step's `reads` in the replayed state.  Raises BrokenStepError at
+    the step's `reads` in the replayed state, and the conclusion must
+    narrow its target to the step's `result`.  Raises BrokenStepError at
     the first failure."""
     state = dict(base.records)
     instances = {(i.rule, i.cite or i.knot): i for i in _instances(base)}
-    for step in cert:
-        inst = instances.get((step.rule, step.cite or step.target))
+    slot = _SLOT
+    for index, rule, target, qty, cite, reads, conclusion, result in cert:
+        inst = instances.get((rule, cite or target))
         if inst is None:
             raise BrokenStepError(
-                f"step {step.index}: cites no {step.rule} instance of the "
-                f"base", step_index=step.index)
-        target, qty, conclusion = step.target, step.quantity, step.conclusion
-        for t, q, c, reads in inst.implications(state):
+                f"step {index}: cites no {rule} instance of the base",
+                step_index=index)
+        for t, q, c, keys in inst.implications(state):
             if t == target and q == qty and c == conclusion:
                 break
         else:
             raise BrokenStepError(
-                f"step {step.index}: {step.rule} does not yield "
-                f"{conclusion} for {target}.{qty}", step_index=step.index)
-        read = tuple((k, q, getattr(state[k], q)) for k, q in reads)
-        if step.reads != read:
+                f"step {index}: {rule} does not yield {conclusion} for "
+                f"{target}.{qty}", step_index=index)
+        read = tuple((k, q, state[k][slot[q]]) for k, q in keys)
+        if reads != read:
             raise BrokenStepError(
-                f"step {step.index}: recorded reads {step.reads} but replay "
-                f"read {read}", step_index=step.index)
+                f"step {index}: recorded reads {reads} but replay read "
+                f"{read}", step_index=index)
+        rec = state[t]
+        i = slot[q]
         try:
-            result = _narrow(state, t, q, c)  # what the rule implied
+            new = _narrow(state, rec, i, c)  # what the rule implied
         except EmptyIntervalError as e:
+            raise BrokenStepError(f"step {index}: meet is empty: {e}",
+                                  step_index=index) from e
+        if new == rec[i]:
+            raise BrokenStepError(f"step {index}: narrows nothing",
+                                  step_index=index)
+        if new != result:
             raise BrokenStepError(
-                f"step {step.index}: meet is empty: {e}",
-                step_index=step.index) from e
-        if result != step.result:
-            raise BrokenStepError(
-                f"step {step.index}: recorded result {step.result} but "
-                f"replay produced {result}", step_index=step.index)
+                f"step {index}: recorded result {result} but replay "
+                f"produced {new}", step_index=index)
     return True

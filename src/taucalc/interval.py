@@ -3,10 +3,10 @@
 Endpoints are Python ints or Python's float infinities, used purely as
 order sentinels; str() prints them as "-inf" and "inf".  All finite
 arithmetic stays in int.  `_add` absorbs a finite addend into an infinite
-one without converting it, because Python's int + float raises
-OverflowError for an int past ~1e308.  The indeterminate inf - inf cannot
-arise in one slot because lo = +inf and hi = -inf are rejected at
-construction.
+one, which is an end of type float, without converting it, because
+Python's int + float raises OverflowError for an int past ~1e308.  The
+indeterminate inf - inf cannot arise in one slot because lo = +inf and
+hi = -inf are rejected at construction.
 
 Negation, addition, subtraction, `meet` and R2's three conclusions in
 `deduce` skip the endpoint checks: each builds its result with
@@ -36,6 +36,7 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # The least limit other than 0 is the threshold (640), and a digit is over
 # 3 bits, so an int of at most this many bits prints under every limit.
 _SHORT_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
+_SHORT = 1 << _SHORT_BITS  # an int v has at most _SHORT_BITS bits iff |v| < it
 
 
 def _check_endpoint(v):
@@ -52,13 +53,15 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
     __slots__ = ()
 
     def __new__(cls, lo, hi):
+        if type(lo) is int and type(hi) is int and lo <= hi:
+            return tuple.__new__(cls, (lo, hi))  # the hottest constructor
         lo = _check_endpoint(lo)
         hi = _check_endpoint(hi)
         if lo == POS_INF or hi == NEG_INF:
             raise EmptyIntervalError(f"degenerate endpoints [{lo}, {hi}]")
         if lo > hi:
             raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
-        return tuple.__new__(cls, (lo, hi))  # the hottest constructor
+        return tuple.__new__(cls, (lo, hi))
 
     @staticmethod
     def top() -> "Interval":
@@ -85,7 +88,8 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
 
     def meet(self, other: "Interval") -> "Interval":
         """Intersection; raises EmptyIntervalError if disjoint."""
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        lo = other[0] if other[0] > self[0] else self[0]
+        hi = other[1] if other[1] < self[1] else self[1]
         if lo > hi:
             raise EmptyIntervalError(f"empty interval [{lo}, {hi}]")
         return _unchecked((lo, hi))
@@ -98,7 +102,8 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
         return _unchecked((_add(self.lo, other.lo), _add(self.hi, other.hi)))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
+        return _unchecked((_add(self.lo, -other.hi),
+                           _add(self.hi, -other.lo)))
 
     def widen_by(self, g: int) -> "Interval":
         """[lo - g, hi + g]; used for genus-g cobordism bounds."""
@@ -107,9 +112,12 @@ class Interval(Validated, namedtuple("Interval", "lo hi")):
     @property
     def is_printable(self) -> bool:
         """False if an endpoint has more digits than str() prints, on a
-        Python with that limit.  Ends of at most `_SHORT_BITS` bits skip
-        reading the limit, and ends of at most 3 bits a digit skip the power
-        of 10."""
+        Python with that limit.  Ends of at most `_SHORT_BITS` bits return
+        at once, and ends of at most 3 bits a digit skip the power of 10."""
+        lo, hi = self
+        if ((lo == NEG_INF or abs(lo) < _SHORT)
+                and (hi == POS_INF or abs(hi) < _SHORT)):
+            return True
         for v in self:
             if type(v) is int and v.bit_length() > _SHORT_BITS:
                 limit = _max_str_digits()
@@ -128,8 +136,8 @@ _unchecked = partial(tuple.__new__, Interval)
 
 
 def _add(a, b):
-    if a in (NEG_INF, POS_INF):
+    if type(a) is float:
         return a
-    if b in (NEG_INF, POS_INF):
+    if type(b) is float:
         return b
     return a + b

@@ -27,10 +27,10 @@ from taucalc.families import PretzelParams
 from taucalc.grid import components, corner_census, tb, writhe_grid
 from taucalc.interval import Interval
 
-from .test_deduce import _random_consistent_base
 from .util import (
     brute_force_writhe,
     propagate_shuffled,
+    random_consistent_base,
     random_grid,
     random_knot_word,
     stabilize_ne,
@@ -138,7 +138,7 @@ def test_criterion_8_braid_parity():
 
 
 def test_criterion_9_engine_confluence():
-    base, _ = _random_consistent_base(random.Random(2028), size=30)
+    base, _ = random_consistent_base(random.Random(2028), size=30)
     reference, _ = propagate(base)
     for seed in range(20):
         fixed, cert = propagate_shuffled(base, seed)

@@ -1,7 +1,9 @@
 import gc
 import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +19,8 @@ from taucalc.deduce import propagate
 from taucalc.errors import TaucalcError
 from taucalc.interval import Interval
 from taucalc.report import build_report, to_json
+
+from .util import random_consistent_base
 
 DATA = Path(__file__).parent / "data"
 # A fact file on which each of the eleven rules makes a narrowing.
@@ -124,8 +128,8 @@ class TestCatalogDeduction:
         base = load_bundled_catalog()
         f1, c1 = propagate(base)
         f2, c2 = propagate(base)
-        r1 = to_json(build_report(f1.records, c1), c1, True)
-        r2 = to_json(build_report(f2.records, c2), c2, True)
+        r1 = "".join(to_json(build_report(f1.records, c1), c1, True))
+        r2 = "".join(to_json(build_report(f2.records, c2), c2, True))
         assert r1 == r2
 
 
@@ -758,7 +762,8 @@ class TestCli:
 
     def test_steps_citing_one_instance_each_write_its_premise(self):
         fixed, cert = propagate(load_factbase(RANDOM_WIDE))
-        text = to_json(build_report(fixed.records, cert), cert, True)
+        text = "".join(to_json(build_report(fixed.records, cert), cert,
+                               True))
         written = json.loads(text)["certificate"]
         cited = [s.cite for s in cert if s.cite is not None]
         assert len(set(cited)) < len(cited)  # some instance is cited again
@@ -766,6 +771,69 @@ class TestCli:
             if step.cite is not None:
                 assert obj["premises"][0] == " ".join(map(str, step.cite))
         assert text == json.dumps(json.loads(text), indent=2)
+
+    def test_a_large_report_comes_in_chunks_of_at_most_chunk_items(self):
+        base, _ = random_consistent_base(random.Random(1000), 1000)
+        fixed, cert = propagate(base)
+        chunks = list(to_json(build_report(fixed.records, cert), cert, True))
+        # A knot or a step opens at indent 4, and nothing else does.
+        items = [chunk.count("\n    {") for chunk in chunks]
+        assert sum(items) == 1000 + len(cert)
+        assert max(items) <= report_mod.CHUNK < 1000
+        text = "".join(chunks)
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    @pytest.mark.parametrize("argv,name", [
+        (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
+        (["deduce", ALL_RULES, "--query", "s2", "--certify"],
+         "all_rules_query_s2_certify.txt"),
+        (["catalog", "--certify"], "catalog_certify.txt"),
+        (["deduce", ALL_RULES, "--json", "--certify"],
+         "all_rules_json_certify.txt"),
+        (["deduce", RANDOM_WIDE, "--json", "--certify"],
+         "random_wide_100_json_certify.txt"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_reports_are_written_one_chunk_at_a_time(self, monkeypatch,
+                                                     argv, name, chunk):
+        # One write per chunk of text lines, or of knots and then of steps
+        # (and one for the JSON report's final newline); the default chunk
+        # too, on a base whose report fits in few chunks.
+        if chunk is not None:
+            monkeypatch.setattr(report_mod, "CHUNK", chunk)
+        chunk = report_mod.CHUNK
+
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        text = out.getvalue()
+        assert text == (DATA / name).read_text(encoding="utf-8")
+        if "--json" in argv:
+            report = json.loads(text)
+            writes = (math.ceil(len(report["knots"]) / chunk)
+                      + math.ceil(len(report["certificate"]) / chunk) + 1)
+        else:
+            writes = math.ceil(text.count("\n") / chunk)
+        assert out.writes == writes
+
+    def test_conflict_names_both_bounds_and_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}, {"id": "b"}],
+            "facts": [{"id": k, "kind": "tau_lower", "value": 2}
+                      for k in "ab"],
+            "relations": [{"kind": "mirror", "a": "a", "b": "b"}]}))
+        assert main(["deduce", str(path), "--json", "--certify"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("inconsistent: R1 on b.tau: conclusion [-inf, -2] is "
+                       "disjoint from b.tau = [2, inf]\n")
 
     def test_reports_in_one_process_match_fresh_runs(self, capsys):
         # Each report encodes its cite premises afresh: one written before

@@ -27,7 +27,7 @@ from taucalc.errors import BrokenStepError, InconsistentError, TaucalcError
 from taucalc.interval import POS_INF, Interval
 from taucalc.report import step_to_json
 
-from .util import propagate_shuffled
+from .util import propagate_shuffled, random_consistent_base
 
 
 def base_with(*ids):
@@ -288,9 +288,20 @@ class TestErrors:
             propagate(base)
         assert ei.value.certificate is not None
 
+    def test_conflict_names_the_conclusion_and_the_prior_value(self):
+        # R1 concludes tau(b) <= -2 from tau(a) >= 2; the would-be meet
+        # [2, -2] is neither bound.
+        base = base_with("a", "b").extend(
+            facts=[("a", "tau_lower", 2, ""), ("b", "tau_lower", 2, "")],
+            relations=[Mirror("a", "b")])
+        with pytest.raises(InconsistentError) as ei:
+            propagate(base)
+        assert str(ei.value) == ("R1 on b.tau: conclusion [-inf, -2] is "
+                                 "disjoint from b.tau = [2, inf]")
+
     def test_inconsistent_at_fact_time(self):
         base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
-        with pytest.raises(InconsistentError):
+        with pytest.raises(InconsistentError, match=r"a\.tau = \[3, inf\]"):
             base.extend(facts=[("a", "tau_upper", 2, "")])
         base = base_with("a").extend(facts=[("a", "g3", 2, "")])
         with pytest.raises(InconsistentError):
@@ -346,7 +357,7 @@ class TestCertificates:
         assert replay(Certificate(), FactBase())
 
     def test_replay_of_propagation(self):
-        base = _random_consistent_base(random.Random(20))[0]
+        base = random_consistent_base(random.Random(20))[0]
         fixed, cert = propagate(base)
         assert replay(cert, base)
 
@@ -404,6 +415,18 @@ class TestCertificates:
             replay(forged, base)
         assert ei.value.step_index == 0
 
+    def test_step_that_narrows_nothing_rejected(self):
+        # R6 yields the same conclusion from any state, so a second copy of
+        # its step follows from its instance and records the right result;
+        # it is refused because it narrows nothing.
+        base = base_with("a").extend(relations=[Unknotting("a", 2, 1)])
+        _, cert = propagate(base)
+        r6 = next(s for s in cert if s.rule == "R6")
+        again = Certificate(cert + (r6._replace(index=len(cert)),))
+        with pytest.raises(BrokenStepError, match="narrows nothing") as ei:
+            replay(again, base)
+        assert ei.value.step_index == len(cert)
+
     def test_wrong_result_rejected(self):
         base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
         base = base.extend(facts=[("a", "tau_lower", 1, ""),
@@ -450,7 +473,7 @@ class TestCertificates:
         assert step.result == Interval(0, 4)
 
     def test_monotone_narrowing(self):
-        for base in (_random_consistent_base(random.Random(21))[0],
+        for base in (random_consistent_base(random.Random(21))[0],
                      load_bundled_catalog(),
                      load_factbase(Path(__file__).parent
                                    / "data/all_rules.json")):
@@ -464,7 +487,7 @@ class TestCertificates:
                 last[key] = step.result
 
     def test_query_slice_replays(self):
-        base = _random_consistent_base(random.Random(22))[0]
+        base = random_consistent_base(random.Random(22))[0]
         fixed, cert = propagate(base)
         for id in list(fixed.records)[:10]:
             _, sub = query(fixed, cert, id)
@@ -472,7 +495,7 @@ class TestCertificates:
 
     def test_for_knot_matches_closure_oracle(self):
         for seed in range(10):
-            base = _random_consistent_base(random.Random(seed))[0]
+            base = random_consistent_base(random.Random(seed))[0]
             for fixed, cert in (propagate(base), propagate_shuffled(base, 1)):
                 for id in fixed.records:
                     sub = cert.for_knot(id)
@@ -510,57 +533,6 @@ def _append_step(cert, rule, target, quantity, value, cite=None):
     return Certificate(cert + (step,))
 
 
-def _random_consistent_base(rng, size=30):
-    """Fact base with a hidden ground-truth tau per knot; every fact and
-    relation is consistent with the truth, so propagation cannot go empty
-    and every final interval must contain the truth."""
-    coprime = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)]
-    base = FactBase()
-    truth = {}
-    ids = []
-    for i in range(size):
-        id = f"k{i}"
-        kind = rng.random()
-        if kind < 0.3 or not ids:
-            p, q = rng.choice(coprime)
-            base = base.extend(knots=[
-                (id, [Presentation("torus", f"{p} {q}")])])
-            truth[id] = (p - 1) * (q - 1) // 2
-        elif kind < 0.5:
-            other = rng.choice(ids)
-            base = base.extend(knots=[(id, ())])
-            base = base.extend(relations=[Mirror(other, id)])
-            truth[id] = -truth[other]
-        elif kind < 0.7:
-            a, b = rng.choice(ids), rng.choice(ids)
-            base = base.extend(knots=[(id, ())])
-            base = base.extend(relations=[Sum(a, b, id)])
-            truth[id] = truth[a] + truth[b]
-        else:
-            t = rng.randint(-4, 4)
-            base = base.extend(knots=[(id, ())])
-            base = base.extend(facts=[
-                (id, "tau_lower", t - rng.randint(0, 2), "")])
-            base = base.extend(facts=[
-                (id, "tau_upper", t + rng.randint(0, 2), "")])
-            truth[id] = t
-        ids.append(id)
-    for _ in range(size // 2):
-        a, b = rng.choice(ids), rng.choice(ids)
-        kind = rng.random()
-        if kind < 0.4:
-            if truth[a] >= truth[b] and truth[a] - truth[b] <= 1:
-                base = base.extend(relations=[CrossingChange(a, b)])
-        elif kind < 0.8:
-            g = abs(truth[a] - truth[b]) + rng.randint(0, 2)
-            base = base.extend(relations=[Cobordism(a, b, g)])
-        else:
-            p = max(truth[a], 0) + rng.randint(0, 2)
-            m = max(-truth[a], 0) + rng.randint(0, 2)
-            base = base.extend(relations=[Unknotting(a, p, m)])
-    return base, truth
-
-
 def _chain(n, reverse):
     """c0 - c1 - ... - cn, each link a crossing change or a genus-1
     cobordism, with g3 = 0 at cn; the links are inserted from c0 toward cn,
@@ -579,7 +551,7 @@ def _chain(n, reverse):
 
 class TestConfluenceAndSoundness:
     def test_shuffled_orders_reach_same_fixpoint(self):
-        for base in (_random_consistent_base(random.Random(30))[0],
+        for base in (random_consistent_base(random.Random(30))[0],
                      load_bundled_catalog(),
                      load_factbase(Path(__file__).parent
                                    / "data/all_rules.json")):
@@ -602,7 +574,7 @@ class TestConfluenceAndSoundness:
 
     def test_final_intervals_contain_truth(self):
         for seed in range(5):
-            base, truth = _random_consistent_base(random.Random(100 + seed))
+            base, truth = random_consistent_base(random.Random(100 + seed))
             fixed, _ = propagate(base)
             for id, t in truth.items():
                 assert t in fixed.knot(id).tau, (id, t, fixed.knot(id).tau)

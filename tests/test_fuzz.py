@@ -24,7 +24,7 @@ from taucalc.cli import main
 from taucalc.deduce import Certificate, CertStep, propagate, replay
 from taucalc.errors import BrokenStepError
 
-from .test_deduce import _random_consistent_base
+from .util import random_consistent_base
 
 CATALOG = json.loads((Path(catalog.__file__).parent / "data/catalog.json")
                      .read_text(encoding="utf-8"))
@@ -139,7 +139,7 @@ def test_arbitrary_json_exits_cleanly(doc, flags):
 CERTIFIED = [(base, propagate(base)[1]) for base in (
     load_bundled_catalog(),
     load_factbase(Path(__file__).parent / "data/all_rules.json"),
-    _random_consistent_base(random.Random(0))[0])]
+    random_consistent_base(random.Random(0))[0])]
 
 
 @FUZZ_SETTINGS

@@ -1,22 +1,30 @@
-"""Property tests of the unchecked fast paths against their checked
-references: the report writer, with its knot and step writers, against
-json.dumps(indent=2) of the report's old dicts spelled out here, and
-intervals built without the endpoint checks (arithmetic and R2's
-conclusions) against the constructor."""
+"""Property tests of the fast paths against their references: the report
+writer, with its knot and step writers, against json.dumps(indent=2) of
+the report's old dicts spelled out here; intervals built without the
+endpoint checks (arithmetic and R2's conclusions) against the
+constructor; and `propagate`, which re-runs only the instances that read
+a narrowed key, against one evaluation of every instance."""
 
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.deduce import (
     Certificate, CertStep, Cobordism, KnotRecord, Mirror, Presentation, Sum,
-    _GenusChain)
+    _GenusChain, _instances, propagate)
 from taucalc.errors import EmptyIntervalError
 from taucalc.interval import NEG_INF, POS_INF, Interval
 from taucalc.report import build_report, to_json
+
+from .util import random_consistent_base
+
+ALL_RULES = Path(__file__).parent / "data" / "all_rules.json"
 
 INTS = st.one_of(st.integers(-3, 3), st.integers(),
                  st.integers(-10**300, 10**300))
@@ -35,6 +43,7 @@ def intervals(draw):
 def test_unchecked_arithmetic_gives_valid_intervals(a, b):
     for r in (-a, a + b, a - b):
         assert type(r) is Interval and Interval(*r) == r
+    assert a - b == a + (-b)
     if a.hi < b.lo or b.hi < a.lo:
         with pytest.raises(EmptyIntervalError):
             a.meet(b)
@@ -94,7 +103,7 @@ def test_step_writer_is_the_old_step_schema(steps, certify):
     old = {"knots": [], "total_steps": len(steps)}
     if certify:
         old["certificate"] = [_old_step_schema(s) for s in steps]
-    assert to_json([], Certificate(steps), certify) == json.dumps(
+    assert "".join(to_json([], Certificate(steps), certify)) == json.dumps(
         old, indent=2)
 
 
@@ -152,8 +161,8 @@ def test_knot_writer_is_the_old_knot_schema(recs, data, certify):
            "total_steps": len(cert)}
     if certify:
         old["certificate"] = [_old_step_schema(s) for s in cert]
-    assert to_json(build_report(records, cert), cert, certify) == json.dumps(
-        old, indent=2)
+    text = "".join(to_json(build_report(records, cert), cert, certify))
+    assert text == json.dumps(old, indent=2)
 
 
 @given(intervals(), genus_intervals(), genus_intervals())
@@ -164,3 +173,39 @@ def test_r2_conclusions_are_valid_intervals(tau, g4, g3):
     assert len(conclusions) == 3
     for c in conclusions:
         assert type(c) is Interval and Interval(*c) == c
+
+
+def _narrowings(fixed):
+    """The conclusions of one evaluation of every rule instance of `fixed`
+    against its records that narrow a value: none, at a fixpoint."""
+    records = fixed.records
+    return [(inst.rule, target, qty, c)
+            for inst in _instances(fixed)
+            for target, qty, c, _ in inst.implications(records)
+            if not (c.lo <= getattr(records[target], qty).lo
+                    and getattr(records[target], qty).hi <= c.hi)]
+
+
+@pytest.mark.parametrize("load", [load_bundled_catalog,
+                                  lambda: load_factbase(str(ALL_RULES))],
+                         ids=["catalog", "all_rules"])
+def test_propagate_stops_at_a_fixpoint(load):
+    fixed, _ = propagate(load())
+    assert _narrowings(fixed) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40), st.data())
+def test_propagate_stops_at_a_fixpoint_of_random_bases(seed, size, data):
+    # A genus bound at or above |tau| holds for the hidden truth.  A knot
+    # with a presentation gets a g4 bound, since its seeds pin g3 at the
+    # truth; another knot gets an exact g3, which R2 must carry into g4
+    # and then into tau.
+    base, truth = random_consistent_base(random.Random(seed), size)
+    slack = data.draw(st.dictionaries(st.sampled_from(sorted(truth)),
+                                      st.integers(0, 2)))
+    base = base.extend(facts=[
+        (k, "g4_upper" if base.knot(k).presentations else "g3",
+         abs(truth[k]) + d, "") for k, d in slack.items()])
+    fixed, _ = propagate(base)
+    assert _narrowings(fixed) == []

@@ -8,6 +8,8 @@ from unittest import mock
 
 from taucalc import deduce
 from taucalc.braid import BraidWord, closure_components
+from taucalc.deduce import (CrossingChange, Cobordism, FactBase, Mirror,
+                            Presentation, Sum, Unknotting)
 from taucalc.families import TorusParams
 from taucalc.grid import GridDiagram, components, corner_census, crossings
 
@@ -24,6 +26,57 @@ def propagate_shuffled(base: deduce.FactBase, seed: int):
         return out
     with mock.patch.object(deduce, "_instances", shuffled):
         return deduce.propagate(base)
+
+
+def random_consistent_base(rng, size=30):
+    """Fact base with a hidden ground-truth tau per knot; every fact and
+    relation is consistent with the truth, so propagation cannot go empty
+    and every final interval must contain the truth."""
+    coprime = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)]
+    base = FactBase()
+    truth = {}
+    ids = []
+    for i in range(size):
+        id = f"k{i}"
+        kind = rng.random()
+        if kind < 0.3 or not ids:
+            p, q = rng.choice(coprime)
+            base = base.extend(knots=[
+                (id, [Presentation("torus", f"{p} {q}")])])
+            truth[id] = (p - 1) * (q - 1) // 2
+        elif kind < 0.5:
+            other = rng.choice(ids)
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(relations=[Mirror(other, id)])
+            truth[id] = -truth[other]
+        elif kind < 0.7:
+            a, b = rng.choice(ids), rng.choice(ids)
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(relations=[Sum(a, b, id)])
+            truth[id] = truth[a] + truth[b]
+        else:
+            t = rng.randint(-4, 4)
+            base = base.extend(knots=[(id, ())])
+            base = base.extend(facts=[
+                (id, "tau_lower", t - rng.randint(0, 2), "")])
+            base = base.extend(facts=[
+                (id, "tau_upper", t + rng.randint(0, 2), "")])
+            truth[id] = t
+        ids.append(id)
+    for _ in range(size // 2):
+        a, b = rng.choice(ids), rng.choice(ids)
+        kind = rng.random()
+        if kind < 0.4:
+            if truth[a] >= truth[b] and truth[a] - truth[b] <= 1:
+                base = base.extend(relations=[CrossingChange(a, b)])
+        elif kind < 0.8:
+            g = abs(truth[a] - truth[b]) + rng.randint(0, 2)
+            base = base.extend(relations=[Cobordism(a, b, g)])
+        else:
+            p = max(truth[a], 0) + rng.randint(0, 2)
+            m = max(-truth[a], 0) + rng.randint(0, 2)
+            base = base.extend(relations=[Unknotting(a, p, m)])
+    return base, truth
 
 
 def random_braid_word(rng: random.Random, max_strands: int = 5,
