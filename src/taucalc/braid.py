@@ -12,10 +12,9 @@ import re
 from collections import namedtuple
 
 from .errors import TaucalcError
-from .validated import Validated
 
 
-class BraidWord(Validated, namedtuple("BraidWord", "strands letters")):
+class BraidWord(namedtuple("BraidWord", "strands letters")):
     """Word in the braid group B_n as signed generator indices."""
 
     __slots__ = ()

@@ -52,7 +52,6 @@ from . import families, grid as grid_mod
 from .errors import (BrokenStepError, EmptyIntervalError, InconsistentError,
                      TaucalcError)
 from .interval import NEG_INF, POS_INF, Interval, _unchecked
-from .validated import Validated
 
 DEFAULT_STEP_BUDGET = 10**6
 # fact kind -> (quantity, the bound on that quantity the fact's value gives)
@@ -75,7 +74,10 @@ class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
     `value` alone: construction parses the value into `parsed` and keeps
     the R7 seed bounds it proves in `seeds`; computing them checks that the
     value presents a knot.  Both follow from `kind` and `value`, so two
-    presentations are equal, and hash alike, when those two fields are."""
+    presentations are equal, and hash alike, when those two fields are.
+    `_replace` and `_make` are the named tuple's own and do not re-derive
+    `parsed` and `seeds`: build a new presentation with
+    `Presentation(kind, value)`."""
 
     __slots__ = ()
 
@@ -92,22 +94,6 @@ class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
 
     def __getnewargs__(self):  # copy and pickle rebuild it from two fields
         return self[:2]
-
-    @classmethod
-    def _make(cls, fields):
-        """Built from `kind` and `value`; the `parsed` and `seeds` given
-        must be what those two give."""
-        kind, value, *derived = fields
-        new = cls(kind, value)
-        if derived != list(new[2:]):
-            raise TypeError(f"presentation {new}: parsed and seeds must "
-                            f"follow from kind and value")
-        return new
-
-    def _replace(self, **changes):
-        new = type(self)(changes.pop("kind", self.kind),
-                         changes.pop("value", self.value))
-        return new._make({**new._asdict(), **changes}.values())
 
     def __str__(self):
         return f"{self.kind}: {self.value}"
@@ -170,7 +156,7 @@ PRESENTATION_KINDS = {
 # rule instances
 
 
-class _Relation(Validated):
+class _Relation:
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cite` that names it in its steps (None for R2),

@@ -15,10 +15,9 @@ import math
 from collections import namedtuple
 
 from .errors import TaucalcError
-from .validated import Validated
 
 
-class TorusParams(Validated, namedtuple("TorusParams", "p q")):
+class TorusParams(namedtuple("TorusParams", "p q")):
     __slots__ = ()
 
     def __new__(cls, p, q):
@@ -29,7 +28,7 @@ class TorusParams(Validated, namedtuple("TorusParams", "p q")):
         return super().__new__(cls, p, q)
 
 
-class PretzelParams(Validated, namedtuple("PretzelParams", "twists")):
+class PretzelParams(namedtuple("PretzelParams", "twists")):
     __slots__ = ()
 
     def __new__(cls, twists):

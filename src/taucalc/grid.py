@@ -18,12 +18,11 @@ from collections import namedtuple
 
 from .braid import count_cycles
 from .errors import TaucalcError
-from .validated import Validated
 
 CORNER_KINDS = ("NE", "NW", "SE", "SW")
 
 
-class GridDiagram(Validated, namedtuple("GridDiagram", "size xs os")):
+class GridDiagram(namedtuple("GridDiagram", "size xs os")):
     """xs[r] / os[r] give the column of the X / O marker in row r."""
 
     __slots__ = ()

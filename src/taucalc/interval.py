@@ -15,9 +15,10 @@ from valid operands (int or -inf below, int or +inf above, lo <= hi) each
 yields valid endpoints, and `meet` still rejects lo > hi.  R2 builds
 [-g4.hi, g4.hi], [max(0, tau.lo, -tau.hi), inf] and [-inf, g3.hi] from a
 knot's records, whose g4 and g3 start at [0, inf] and only narrow, so
-g4.hi and g3.hi are ints >= 0 or +inf.  Every operand passed the checks,
-because `Interval(...)` and `_make`, and so `_replace`, run them.
-`widen_by` takes an outside int and stays checked.
+g4.hi and g3.hi are ints >= 0 or +inf.  Every operand is valid, because
+every `Interval` is built by `Interval(...)`, which runs the checks, or by
+`_unchecked` from valid ends.  `widen_by` takes an outside int and stays
+checked.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from collections import namedtuple
 from functools import partial
 
 from .errors import EmptyIntervalError
-from .validated import Validated
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -47,7 +47,7 @@ def _check_endpoint(v):
     raise TypeError(f"interval endpoint must be int or +/-inf, got {v!r}")
 
 
-class Interval(Validated, namedtuple("Interval", "lo hi")):
+class Interval(namedtuple("Interval", "lo hi")):
     """Closed integer interval [lo, hi], possibly unbounded on either side."""
 
     __slots__ = ()

@@ -530,7 +530,7 @@ class TestCli:
                 "print(sorted(m for m in sys.modules"
                 " if m.startswith('taucalc.')))\n")
         assert self._modules_after(code) == (
-            "['taucalc.errors', 'taucalc.families', 'taucalc.validated']\n")
+            "['taucalc.errors', 'taucalc.families']\n")
 
     # A knot id is any JSON string.  The lone surrogate is one that argv
     # can carry too: the byte 0xff decodes to it.

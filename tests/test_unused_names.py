@@ -1,7 +1,8 @@
 """Every public function, class and method in `src/taucalc` has a caller
 in `src/`: code that only tests use belongs under `tests/`.  And every
 subclass of `TaucalcError` earns its class: code in `src/` catches it by
-type, or it carries a field.
+type, or it carries a field.  And namedtuple's `_make` and `_replace`,
+which skip a class's checks, are used only where the checks are moot.
 
 A definition counts as used when its name is read (as a bare name or as
 an attribute) somewhere in `src/` outside its own body, or when it is a
@@ -128,3 +129,57 @@ def test_an_error_class_without_a_catch_or_a_field_is_idle():
         "try: pass\n"
         "except (Caught, OSError): pass\n")
     assert idle_error_classes([tree]) == ["Idle"]
+
+
+_UNCHECKED_COPIES = ("_make", "_replace")
+
+
+def unchecked_copies(tree) -> list[str]:
+    """`function: expression` for each use of `_make` or `_replace` in
+    `tree`, named by the innermost function it is in, and `def name` for
+    each definition of one."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in _UNCHECKED_COPIES:
+                found.append(f"{where}: def {node.name}")
+            where = node.name
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in _UNCHECKED_COPIES):
+            found.append(f"{where}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_make_and_replace_copy_only_records_and_rows():
+    # namedtuple's `_make` and `_replace` build the tuple without calling
+    # the class, so they skip the checks in its `__new__`.  `src/` uses
+    # them twice: on a KnotRecord in `deduce._narrow`, whose new field is
+    # the meet of checked intervals, and on a KnotRow in
+    # `cli._run_deduction`, whose new id is a string.  So every Interval,
+    # relation and presentation is built through its class, and the
+    # closure argument in `taucalc.interval` holds.
+    found = [f"{path.stem}.{use}" for path in sorted(SRC.glob("*.py"))
+             for use in unchecked_copies(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == ["cli._run_deduction: row._replace",
+                     "deduce._narrow: rec._make"]
+
+
+def test_a_third_make_or_replace_is_reported():
+    tree = ast.parse(
+        "def _narrow(rec, fields):\n"
+        "    return rec._make(fields)\n"
+        "def widen(i):\n"
+        "    copy = i._replace\n"
+        "    return copy(lo=-1)\n"
+        "class Hooked:\n"
+        "    def _replace(self, **changes): pass\n"
+        "EMPTY = Interval._make((1, 0))\n")
+    assert unchecked_copies(tree) == [
+        "_narrow: rec._make", "widen: i._replace",
+        "<module>: def _replace", "<module>: Interval._make"]
