@@ -5,6 +5,14 @@ written (a broken pipe), 2 usage or input errors, 3 inconsistent fact base.
 
 `tau deduce` and `tau catalog` write each chunk of their report (see
 `report.chunks`) with one `write`.
+
+A `tau` process, the installed script or `python -m taucalc.cli`, starts
+at `run`, which calls `main` and then freezes the heap (`gc.freeze()`).
+The shutdown collections skip frozen objects, so the process exits
+without walking every class, function and module dict of its imports
+(about 10 ms); the OS takes the memory back, atexit handlers still run
+and stdout is still flushed.  `main` is the in-process API: it never
+freezes, and it leaves the caller's collector setting as it found it.
 """
 
 from __future__ import annotations
@@ -211,5 +219,13 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The process entry: `main`, then a frozen heap for the exit."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,10 +15,12 @@ from valid operands (int or -inf below, int or +inf above, lo <= hi) each
 yields valid endpoints, and `meet` still rejects lo > hi.  R2 builds
 [-g4.hi, g4.hi], [max(0, tau.lo, -tau.hi), inf] and [-inf, g3.hi] from a
 knot's records, whose g4 and g3 start at [0, inf] and only narrow, so
-g4.hi and g3.hi are ints >= 0 or +inf.  Every operand is valid, because
-every `Interval` is built by `Interval(...)`, which runs the checks, or by
-`_unchecked` from valid ends.  `widen_by` takes an outside int and stays
-checked.
+g4.hi and g3.hi are ints >= 0 or +inf.  `top` is one unchecked
+[-inf, inf], and `at_least` and `at_most` of an int build [v, inf] and
+[-inf, v] unchecked, valid for every int v; any other v goes through the
+checks.  Every operand is valid, because every `Interval` is built by
+`Interval(...)`, which runs the checks, or by `_unchecked` from valid
+ends.  `widen_by` takes an outside int and stays checked.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class Interval(namedtuple("Interval", "lo hi")):
 
     @staticmethod
     def top() -> "Interval":
-        return Interval(NEG_INF, POS_INF)
+        return _TOP
 
     @staticmethod
     def exact(v: int) -> "Interval":
@@ -73,10 +75,14 @@ class Interval(namedtuple("Interval", "lo hi")):
 
     @staticmethod
     def at_least(v: int) -> "Interval":
-        return Interval(v, POS_INF)
+        if type(v) is int:
+            return _unchecked((v, POS_INF))
+        return Interval(v, POS_INF)  # a non-int: the checks decide
 
     @staticmethod
     def at_most(v: int) -> "Interval":
+        if type(v) is int:
+            return _unchecked((NEG_INF, v))
         return Interval(NEG_INF, v)
 
     @property
@@ -133,6 +139,7 @@ class Interval(namedtuple("Interval", "lo hi")):
 # Builds an Interval from (lo, hi) without the checks; see the module
 # docstring for why each caller's ends are valid.
 _unchecked = partial(tuple.__new__, Interval)
+_TOP = _unchecked((NEG_INF, POS_INF))
 
 
 def _add(a, b):

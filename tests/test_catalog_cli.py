@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import taucalc
-from taucalc import braid, catalog, report as report_mod
+from taucalc import braid, catalog, cli, report as report_mod
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.cli import main
 from taucalc.deduce import propagate
@@ -30,6 +31,19 @@ ALL_RULES = str(DATA / "all_rules.json")
 RANDOM_WIDE = str(DATA / "random_wide_100.json")
 # The positive trefoil as a size-5 grid diagram.
 TREFOIL_GRID = str(DATA / "trefoil.grid")
+
+
+def _with_files(argv, tmp_path):
+    """`argv` with MISSING replaced by a path that does not exist, and
+    INCONSISTENT by a fact file whose facts contradict (exit 3)."""
+    path = tmp_path / "facts.json"
+    path.write_text(json.dumps({
+        "knots": [{"id": "a"}],
+        "facts": [{"id": "a", "kind": "tau_lower", "value": 2},
+                  {"id": "a", "kind": "g3", "value": 0}]}))
+    names = {"MISSING": str(tmp_path / "missing.json"),
+             "INCONSISTENT": str(path)}
+    return [names.get(a, a) for a in argv]
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -857,22 +871,63 @@ class TestCli:
     ])
     def test_main_restores_the_collector(self, tmp_path, capsys, gc_enabled,
                                          argv, code):
-        path = tmp_path / "facts.json"
-        path.write_text(json.dumps({
-            "knots": [{"id": "a"}],
-            "facts": [{"id": "a", "kind": "tau_lower", "value": 2},
-                      {"id": "a", "kind": "g3", "value": 0}]}))
-        names = {"MISSING": str(tmp_path / "missing.json"),
-                 "INCONSISTENT": str(path)}
-        assert main([names.get(a, a) for a in argv]) == code
+        frozen = gc.get_freeze_count()
+        assert main(_with_files(argv, tmp_path)) == code
         assert gc.isenabled() is gc_enabled
+        assert gc.get_freeze_count() == frozen  # only `run` freezes
 
     def test_usage_error_leaves_the_collector(self, capsys, gc_enabled):
+        frozen = gc.get_freeze_count()
         with pytest.raises(SystemExit):
             main(["torus", "3"])
         assert gc.isenabled() is gc_enabled
+        assert gc.get_freeze_count() == frozen
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as ei:
             main(["torus", "3"])
         assert ei.value.code == 2
+
+
+class TestProcessEntry:
+    """A `tau` process starts at the `run` entry, which freezes the heap
+    so that the interpreter's shutdown collections skip it."""
+
+    # Runs taucalc.cli as `python -m` does, through its `__main__` guard,
+    # and reports at exit whether the heap was frozen.
+    FROZEN_AT_EXIT = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0,"
+        " file=sys.stderr))\n"
+        "runpy.run_module('taucalc.cli', run_name='__main__', "
+        "alter_sys=True)\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["catalog", "--json", "--certify"], 0),
+        (["deduce", "MISSING"], 2),
+        (["deduce", "INCONSISTENT"], 3),
+        (["torus", "3"], 2),
+    ])
+    def test_the_process_freezes_its_heap_and_keeps_its_exit_code(
+            self, tmp_path, argv, code):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", self.FROZEN_AT_EXIT,
+             *_with_files(argv, tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == code, run.stderr
+        assert run.stderr.splitlines()[-1] == "frozen: True"
+        if code == 0:
+            golden = DATA / "catalog_json_certify.txt"
+            assert run.stdout == golden.read_text(encoding="utf-8")
+
+    def test_the_script_and_the_main_guard_start_at_one_entry(self):
+        pyproject = Path(taucalc.__file__).parents[2] / "pyproject.toml"
+        script, = re.findall(r'^tau = "taucalc\.cli:(\w+)"$',
+                             pyproject.read_text(encoding="utf-8"), re.M)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        guard, = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(n) for n in guard.body] == [
+            f"sys.exit({script}())"]

@@ -21,6 +21,31 @@ def test_construction_rejects_non_integers():
         Interval(0.5, 2)
 
 
+def _built(make, *args):
+    """(type, ends and their types) of make(*args), or (error type,
+    message) of what it raises."""
+    try:
+        iv = make(*args)
+    except (TypeError, EmptyIntervalError) as e:
+        return type(e), str(e)
+    return type(iv), tuple(iv), tuple(map(type, iv))
+
+
+@pytest.mark.parametrize("v", [
+    0, -5, 7, 10**400, -10**400, True, False, 1.5, 2.0, -0.0,
+    float("nan"), NEG_INF, POS_INF, None, "3"])
+def test_one_sided_bounds_match_the_checked_constructor(v):
+    # at_least and at_most skip the checks for an int only: every other
+    # value builds or fails exactly as Interval(...) does.
+    assert _built(Interval.at_least, v) == _built(Interval, v, POS_INF)
+    assert _built(Interval.at_most, v) == _built(Interval, NEG_INF, v)
+
+
+def test_top_is_the_checked_top():
+    assert _built(Interval.top) == _built(Interval, NEG_INF, POS_INF)
+    assert Interval.top() is Interval.top()
+
+
 def test_meet_basic():
     assert Interval(0, 5).meet(Interval(3, 9)) == Interval(3, 5)
     assert Interval.top().meet(Interval.exact(2)) == Interval.exact(2)

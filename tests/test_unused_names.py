@@ -83,7 +83,7 @@ def test_a_name_used_only_in_its_own_body_is_unused():
 
 
 def test_the_entry_point_counts_as_a_use():
-    assert "main" in _entry_points()
+    assert "run" in _entry_points()
 
 
 def _caught(tree) -> set[str]:
