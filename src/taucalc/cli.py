@@ -168,9 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("double", help="invariant of an untwisted positive "
                                       "Whitehead double")
-    p.add_argument("--companion", required=True)
-    p.add_argument("--tb-lower", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument("--companion", required=True,
+                   help="the companion's name; the value does not depend "
+                        "on it")
+    p.add_argument("--tb-lower", type=int, required=True,
+                   help="a lower bound on the companion's Thurston-Bennequin "
+                        "number, the only input the value depends on")
+    p.add_argument("--iterations", type=int, default=1,
+                   help="how many times to double (at least 1); the value "
+                        "does not depend on it")
     p.set_defaults(fn=_cmd_double)
 
     for name, help_ in (("deduce", "propagate a fact file"),

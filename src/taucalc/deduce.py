@@ -8,9 +8,11 @@ Whitehead double) and stored presentations generate monotone narrowing
 rules; propagation runs the rules to their least fixpoint and records
 every narrowing in a replayable certificate.
 
-Rule catalog.  Each rule instance is one object, shared by
-`FactBase.extend`, `propagate` and `replay`: a relation, the R2 instance
-of a knot, or the R7 seed of a stored presentation.  A rule only reads:
+Rule catalog.  A rule instance is a relation, the R2 instance of a
+knot, or the R7 seed of a stored presentation.  A relation is one object,
+built by `FactBase.extend` and shared by `propagate` and `replay`; the R2
+instances and R7 seeds are built afresh by each of those two calls
+(`_instances`).  A rule only reads:
 `implications(state)` yields every conclusion whatever the state (the top
 interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key

@@ -31,6 +31,56 @@ ALL_RULES = str(DATA / "all_rules.json")
 RANDOM_WIDE = str(DATA / "random_wide_100.json")
 # The positive trefoil as a size-5 grid diagram.
 TREFOIL_GRID = str(DATA / "trefoil.grid")
+# The directory a `python` child puts on its path to import this `taucalc`.
+SRC = str(Path(taucalc.__file__).parents[1])
+
+# Every golden report: the arguments of `tau` and the file under
+# tests/data that holds its standard output, byte for byte.  Each file
+# there is named here once (test_every_golden_file_is_listed_once).  A
+# change that alters a report on purpose regenerates its file from the
+# repository root with
+#   PYTHONPATH=src python -m taucalc.cli <argv> > tests/data/<name>
+GOLDENS = [
+    (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),
+    (["catalog", "--certify"], "catalog_certify.txt"),
+    (["catalog", "--query", "m10_145"], "catalog_query_m10_145.txt"),
+    (["deduce", ALL_RULES, "--json", "--certify"],
+     "all_rules_json_certify.txt"),
+    (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
+    (["deduce", ALL_RULES, "--query", "s2"], "all_rules_query_s2.txt"),
+    (["catalog", "--query", "m10_145", "--json", "--certify"],
+     "catalog_query_m10_145_json_certify.txt"),
+    (["deduce", ALL_RULES, "--query", "s2", "--json", "--certify"],
+     "all_rules_query_s2_json_certify.txt"),
+    (["catalog", "--json"], "catalog_json.txt"),
+    (["deduce", ALL_RULES, "--query", "s2", "--json"],
+     "all_rules_query_s2_json.txt"),
+    (["deduce", ALL_RULES], "all_rules.txt"),
+    (["deduce", ALL_RULES, "--json"], "all_rules_json.txt"),
+    (["deduce", ALL_RULES, "--query", "s2", "--certify"],
+     "all_rules_query_s2_certify.txt"),
+    (["deduce", RANDOM_WIDE, "--json", "--certify"],
+     "random_wide_100_json_certify.txt"),
+    (["braid", "3: 1 -2 1 -2"], "braid_figure_eight.txt"),
+    (["braid", "2: 1 1 1", "--positive"], "braid_trefoil_positive.txt"),
+    (["grid", TREFOIL_GRID], "grid_trefoil.txt"),
+    (["torus", "3", "5"], "torus_3_5.txt"),
+    (["pretzel", "3", "-5", "-7"], "pretzel_3_m5_m7.txt"),
+    (["double", "--companion", "trefoil", "--tb-lower", "0",
+      "--iterations", "3"], "double_trefoil_3.txt"),
+]
+
+
+def _goldens(*names):
+    """The GOLDENS entries of the files `names`, in that order."""
+    argv_of = {name: argv for argv, name in GOLDENS}
+    return [(argv_of[name], name) for name in names]
+
+
+def _child_env(**changes):
+    """The environment of a `python` child that imports this `taucalc`,
+    with `changes` set."""
+    return {**os.environ, "PYTHONPATH": SRC, **changes}
 
 
 def _with_files(argv, tmp_path):
@@ -491,7 +541,7 @@ class TestCli:
         # Under -O as well: the replay check must not be an assert.
         code = (
             "import sys\n"
-            f"sys.path.insert(0, {str(Path(taucalc.__file__).parents[1])!r})\n"
+            f"sys.path.insert(0, {SRC!r})\n"
             "from taucalc import cli, deduce\n"
             "from taucalc.interval import Interval\n"
             "def forged(base):\n"
@@ -510,8 +560,7 @@ class TestCli:
     def _modules_after(code: str) -> str:
         """What `code` prints under -S, which keeps `site` start-up hooks
         from importing modules first."""
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         run = subprocess.run([sys.executable, "-S", "-c", code],
                              capture_output=True, text=True, env=env,
                              timeout=60)
@@ -558,8 +607,7 @@ class TestCli:
         path = tmp_path / "facts.json"
         path.write_text(json.dumps({"knots": [{"id": id, "presentations": [
             {"kind": "torus", "value": "2 3"}]}]}))
-        env = {**os.environ, "PYTHONIOENCODING": encoding,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env(PYTHONIOENCODING=encoding)
         flags = [id if f == "ID" else f for f in flags]
         run = subprocess.run(
             [sys.executable, "-m", "taucalc.cli", "deduce", str(path),
@@ -656,8 +704,7 @@ class TestCli:
             {"id": "k\u00fc\ud800",
              "presentations": [{"kind": "torus", "value": "2 3"}]},
             {"id": "plain"}]}))
-        env = {**os.environ, "PYTHONIOENCODING": "ascii",
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env(PYTHONIOENCODING="ascii")
         run = subprocess.run(
             [sys.executable, "-m", "taucalc.cli", "deduce", str(path)],
             capture_output=True, text=True, env=env, timeout=60)
@@ -672,8 +719,7 @@ class TestCli:
         path = tmp_path / "facts.json"
         path.write_text(json.dumps(
             {"knots": [{"id": f"k{i}"} for i in range(2000)]}))
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "taucalc.cli", "deduce", str(path),
              "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -701,8 +747,7 @@ class TestCli:
             "code = main(['catalog', '--json'])\n"
             "print(json.dumps([code, gc.isenabled(), before,\n"
             "                  lowest_free_fd()]), file=sys.stderr)\n")
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         r, w = os.pipe()
         os.close(r)
         try:
@@ -722,50 +767,41 @@ class TestCli:
         grid = tmp_path / "tref.grid"
         grid.write_text("5\nX: 4 0 1 2 3\nO: 1 2 3 4 0\n", encoding="utf-8")
         argv = [str(grid) if a == "GRID" else a for a in argv]
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         run = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding",
              "-W", "error::EncodingWarning", "-m", "taucalc.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60)
         assert run.returncode == 0, run.stderr
 
-    @pytest.mark.parametrize("argv,name", [
-        (["catalog", "--json", "--certify"], "catalog_json_certify.txt"),
-        (["catalog", "--certify"], "catalog_certify.txt"),
-        (["catalog", "--query", "m10_145"], "catalog_query_m10_145.txt"),
-        (["deduce", ALL_RULES, "--json", "--certify"],
-         "all_rules_json_certify.txt"),
-        (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
-        (["deduce", ALL_RULES, "--query", "s2"], "all_rules_query_s2.txt"),
-        (["catalog", "--query", "m10_145", "--json", "--certify"],
-         "catalog_query_m10_145_json_certify.txt"),
-        (["deduce", ALL_RULES, "--query", "s2", "--json", "--certify"],
-         "all_rules_query_s2_json_certify.txt"),
-        (["catalog", "--json"], "catalog_json.txt"),
-        (["deduce", ALL_RULES, "--query", "s2", "--json"],
-         "all_rules_query_s2_json.txt"),
-        (["deduce", ALL_RULES], "all_rules.txt"),
-        (["deduce", ALL_RULES, "--json"], "all_rules_json.txt"),
-        (["deduce", ALL_RULES, "--query", "s2", "--certify"],
-         "all_rules_query_s2_certify.txt"),
-        (["deduce", RANDOM_WIDE, "--json", "--certify"],
-         "random_wide_100_json_certify.txt"),
-        (["braid", "3: 1 -2 1 -2"], "braid_figure_eight.txt"),
-        (["braid", "2: 1 1 1", "--positive"], "braid_trefoil_positive.txt"),
-        (["grid", TREFOIL_GRID], "grid_trefoil.txt"),
-        (["torus", "3", "5"], "torus_3_5.txt"),
-        (["pretzel", "3", "-5", "-7"], "pretzel_3_m5_m7.txt"),
-        (["double", "--companion", "trefoil", "--tb-lower", "0",
-          "--iterations", "3"], "double_trefoil_3.txt"),
-    ])
+    @pytest.mark.parametrize("argv,name", GOLDENS)
     def test_output_matches_golden_file(self, capsys, argv, name):
-        # A change that alters reports on purpose regenerates these files
-        # with `tau <argv> > tests/data/<name>`, run from the repository
-        # root.
         assert main(argv) == 0
         golden = DATA / name
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("unbuffered,seed", [("", "0"), ("1", "1")],
+                             ids=["buffered-seed0", "unbuffered-seed1"])
+    @pytest.mark.parametrize("argv,name", GOLDENS)
+    def test_fresh_process_matches_golden_file(self, argv, name, unbuffered,
+                                               seed):
+        # `python -m taucalc.cli` as the benchmark and the installed script
+        # run it: the collector as `main` sets it, the heap frozen by `run`,
+        # and stdout as the interpreter opens it, with a buffered and with
+        # a write-through one (each chunk of a report one write).  Two hash
+        # seeds, so that a report ordered by string hashing differs.
+        env = _child_env(PYTHONUNBUFFERED=unbuffered, PYTHONHASHSEED=seed)
+        env.pop("TAU_STEP_BUDGET", None)
+        run = subprocess.run([sys.executable, "-m", "taucalc.cli", *argv],
+                             capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == (DATA / name).read_bytes()
+
+    def test_every_golden_file_is_listed_once(self):
+        # No golden file goes unchecked, and no entry names a file that
+        # is gone.
+        assert sorted(name for _, name in GOLDENS) == sorted(
+            path.name for path in DATA.glob("*.txt"))
 
     def test_all_rules_golden_file_fires_every_rule(self):
         report = json.loads(
@@ -797,16 +833,10 @@ class TestCli:
         text = "".join(chunks)
         assert text == json.dumps(json.loads(text), indent=2)
 
-    @pytest.mark.parametrize("argv,name", [
-        (["deduce", ALL_RULES, "--certify"], "all_rules_certify.txt"),
-        (["deduce", ALL_RULES, "--query", "s2", "--certify"],
-         "all_rules_query_s2_certify.txt"),
-        (["catalog", "--certify"], "catalog_certify.txt"),
-        (["deduce", ALL_RULES, "--json", "--certify"],
-         "all_rules_json_certify.txt"),
-        (["deduce", RANDOM_WIDE, "--json", "--certify"],
-         "random_wide_100_json_certify.txt"),
-    ])
+    @pytest.mark.parametrize("argv,name", _goldens(
+        "all_rules_certify.txt", "all_rules_query_s2_certify.txt",
+        "catalog_certify.txt", "all_rules_json_certify.txt",
+        "random_wide_100_json_certify.txt"))
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_reports_are_written_one_chunk_at_a_time(self, monkeypatch,
                                                      argv, name, chunk):
@@ -852,8 +882,7 @@ class TestCli:
     def test_reports_in_one_process_match_fresh_runs(self, capsys):
         # Each report encodes its cite premises afresh: one written before
         # it in the same process changes no byte.
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         for argv in ([RANDOM_WIDE], [ALL_RULES], [RANDOM_WIDE]):
             argv = ["deduce", *argv, "--json", "--certify"]
             fresh = subprocess.run(
@@ -910,8 +939,7 @@ class TestProcessEntry:
     ])
     def test_the_process_freezes_its_heap_and_keeps_its_exit_code(
             self, tmp_path, argv, code):
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(taucalc.__file__).parents[1])}
+        env = _child_env()
         run = subprocess.run(
             [sys.executable, "-c", self.FROZEN_AT_EXIT,
              *_with_files(argv, tmp_path)],
@@ -919,8 +947,8 @@ class TestProcessEntry:
         assert run.returncode == code, run.stderr
         assert run.stderr.splitlines()[-1] == "frozen: True"
         if code == 0:
-            golden = DATA / "catalog_json_certify.txt"
-            assert run.stdout == golden.read_text(encoding="utf-8")
+            golden, = [name for a, name in GOLDENS if a == argv]
+            assert run.stdout == (DATA / golden).read_text(encoding="utf-8")
 
     def test_the_script_and_the_main_guard_start_at_one_entry(self):
         pyproject = Path(taucalc.__file__).parents[2] / "pyproject.toml"
