@@ -10,9 +10,9 @@ every narrowing in a replayable certificate.
 
 Rule catalog.  A rule instance is a relation, the R2 instance of a
 knot, or the R7 seed of a stored presentation.  A relation is one object,
-built by `FactBase.extend` and shared by `propagate` and `replay`; the R2
-instances and R7 seeds are built afresh by each of those two calls
-(`_instances`).  A rule only reads:
+built by `FactBase.extend` and shared by `propagate` and `replay`;
+`propagate` builds every R2 instance and R7 seed (`_instances`), `replay`
+only those its steps cite.  A rule only reads:
 `implications(state)` yields every conclusion whatever the state (the top
 interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key
@@ -508,7 +508,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                            f"got {env!r}")
     state = dict(base.records)
     queue = deque(_instances(base))
-    queued = {id(inst) for inst in queue}
+    queued = set(map(id, queue))
     popped = set()  # ids of the instances registered in `readers`
     readers: dict[tuple, list] = {}  # key -> the instances that read it
     steps: list[CertStep] = []
@@ -521,8 +521,9 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
         if spent > budget:
             raise TaucalcError(f"propagation exceeded step budget {budget}")
         evaluated = []  # the `reads` of this evaluation's conclusions so far
+        note = evaluated.append
         for target, qty, constraint, reads in inst.implications(state):
-            evaluated.append(reads)
+            note(reads)
             rec = state[target]
             i = slot[qty]
             cur = rec[i]
@@ -536,25 +537,34 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     f"is disjoint from {target}.{qty} = {cur}",
                     certificate=Certificate(steps)) from None
             # Sum(a, a, c) reads its own target: the premise is the prior.
-            steps.append(CertStep(
+            steps.append(tuple.__new__(CertStep, (  # no Python-level __new__
                 len(steps), inst.rule, target, qty, inst.cite,
-                tuple((k, q, (rec if k == target else state[k])[slot[q]])
-                      for k, q in reads),
-                constraint, result))
+                tuple([(k, q, (rec if k == target else state[k])[slot[q]])
+                       for k, q in reads]),
+                constraint, result)))
             key = (target, qty)
             for reader in readers.get(key, ()):
                 j = id(reader)
                 if j not in queued:
                     queue.append(reader)
                     queued.add(j)
-            if any(key in r for r in evaluated):
-                break  # re-derive what read it from the new state
+            for r in evaluated:
+                if key in r:
+                    break
+            else:
+                continue  # no conclusion so far read the narrowed key
+            break  # re-derive what read it from the new state
         else:
-            queued.discard(id(queue.popleft()))
-            if id(inst) not in popped:
-                popped.add(id(inst))
-                for key in {key for r in evaluated for key in r}:
-                    readers.setdefault(key, []).append(inst)
+            j = id(queue.popleft())
+            queued.discard(j)
+            if j not in popped:
+                popped.add(j)
+                # One pass registers all its keys: a repeat has it last.
+                for r in evaluated:
+                    for key in r:
+                        rs = readers.setdefault(key, [])
+                        if not rs or rs[-1] is not inst:
+                            rs.append(inst)
 
     return replace(base, records=state), Certificate(steps)
 
@@ -570,16 +580,28 @@ def replay(cert: Certificate, base: FactBase) -> bool:
     rule instance of the base, which must yield the step's conclusion from
     the step's `reads` in the replayed state, and the conclusion must
     narrow its target to the step's `result`.  Raises BrokenStepError at
-    the first failure."""
+    the first failure.  It builds only the instances its steps cite, each
+    the first time a step cites it."""
     state = dict(base.records)
-    instances = {(i.rule, i.cite or i.knot): i for i in _instances(base)}
+    relations = {r: r for r in base.relations}  # a cite equal to one names it
+    instances = {}  # (rule, cite, target) -> the instance it names
     slot = _SLOT
     for index, rule, target, qty, cite, reads, conclusion, result in cert:
-        inst = instances.get((rule, cite or target))
+        inst = instances.get((rule, cite, target))
         if inst is None:
-            raise BrokenStepError(
-                f"step {index}: cites no {rule} instance of the base",
-                step_index=index)
+            match cite:
+                case None if target in state:
+                    inst = _GenusChain(target)
+                case ("relation", rel):
+                    inst = relations.get(rel)
+                case ("presentation", knot, Presentation() as p) if (
+                        knot in state and p in state[knot].presentations):
+                    inst = _Seed(knot, p)
+            if inst is None or inst.rule != rule:
+                raise BrokenStepError(
+                    f"step {index}: cites no {rule} instance of the base",
+                    step_index=index)
+            instances[rule, cite, target] = inst
         for t, q, c, keys in inst.implications(state):
             if t == target and q == qty and c == conclusion:
                 break
@@ -587,7 +609,7 @@ def replay(cert: Certificate, base: FactBase) -> bool:
             raise BrokenStepError(
                 f"step {index}: {rule} does not yield {conclusion} for "
                 f"{target}.{qty}", step_index=index)
-        read = tuple((k, q, state[k][slot[q]]) for k, q in keys)
+        read = tuple([(k, q, state[k][slot[q]]) for k, q in keys])
         if reads != read:
             raise BrokenStepError(
                 f"step {index}: recorded reads {reads} but replay read "

@@ -78,15 +78,22 @@ def step_to_json(step: CertStep, encoded: dict) -> str:
     share a key, since a read ends in an Interval and no cite does.  An
     interval prints no character that JSON escapes."""
     index, rule, target, qty, cite, reads, conclusion, result = step
-    premises = [] if cite is None else [
-        encoded.get(cite)
-        or encoded.setdefault(cite, _json_str(" ".join(map(str, cite))))]
+    premises = []
+    if cite is not None:
+        p = encoded.get(cite)
+        if p is None:
+            p = encoded[cite] = _json_str(" ".join(map(str, cite)))
+        premises.append(p)
     for read in reads:
-        premises.append(encoded.get(read) or encoded.setdefault(
-            read, _json_str("fact %s.%s = %s" % read)))
+        p = encoded.get(read)
+        if p is None:
+            k, q, (lo, hi) = read
+            p = encoded[read] = _json_str("fact %s.%s = [%s, %s]"
+                                          % (k, q, lo, hi))
+        premises.append(p)
     return _STEP % (index, _json_str(rule), _json_str(target), _json_str(qty),
-                    _listed(premises, "\n      ", "\n        "),
-                    *conclusion, *result)
+                    "[\n        " + ",\n        ".join(premises) + "\n      ]"
+                    if premises else "[]", *conclusion, *result)
 
 
 def build_report(records: dict[str, KnotRecord],

@@ -579,6 +579,20 @@ class TestCli:
                 " 'tempfile'} & set(sys.modules)))\n")
         assert self._modules_after(code) == "[]\n"
 
+    def test_import_loads_every_module_the_bench_tracer_wraps(self):
+        # bench/tracing.py imports taucalc.cli and then reads
+        # sys.modules[name] for each module of its LAYERS table, so a lazy
+        # import of braid or grid would stop `bench/run.py --trace 1` with
+        # a KeyError.  bench/test_bench_smoke.py imports both modules
+        # itself, so only a fresh process shows it.
+        bench = str(Path(__file__).parents[1] / "bench")
+        code = ("import sys, taucalc.cli\n"
+                "loaded = set(sys.modules)\n"
+                f"sys.path.insert(0, {bench!r})\n"
+                "import tracing\n"
+                "print(sorted({m for m, *_ in tracing.LAYERS} - loaded))\n")
+        assert self._modules_after(code) == "[]\n"
+
     def test_package_import_loads_no_module(self):
         # The package exports only __version__; names come from modules.
         code = ("import sys, taucalc\n"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from taucalc import braid, grid
+from taucalc import braid, deduce, grid
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.deduce import (
     Certificate,
@@ -391,6 +391,43 @@ class TestCertificates:
         with pytest.raises(BrokenStepError) as ei:
             replay(forged, base)
         assert ei.value.step_index == 0
+
+    @pytest.mark.parametrize("cite", [
+        ("presentation", "b", Presentation("torus", "2 3")), ("bogus",),
+        ("presentation", "b")],
+        ids=["another-knots-presentation", "unknown-kind",
+             "two-field-presentation"])
+    def test_cite_of_no_instance_rejected(self, cite):
+        # The torus is stored on a, not b; the other two cites have no
+        # cite's shape, and are refused like it rather than unpacked.
+        base = FactBase().extend(knots=[
+            ("a", [Presentation("torus", "2 3")]), ("b", ())])
+        _, cert = propagate(base)
+        forged = _append_step(cert, "R7-torus", "b", "tau", Interval.exact(1),
+                              cite)
+        with pytest.raises(BrokenStepError,
+                           match="cites no R7-torus instance") as ei:
+            replay(forged, base)
+        assert ei.value.step_index == len(cert)
+
+    def test_replay_builds_only_the_instances_its_steps_cite(
+            self, monkeypatch):
+        base = load_factbase(Path(__file__).parent
+                             / "data/random_wide_100.json")
+        _, cert = propagate(base)
+        built = Counter()
+        for name in ("_GenusChain", "_Seed"):
+            def counted(*args, _cls=getattr(deduce, name), _name=name):
+                built[_name] += 1
+                return _cls(*args)
+            monkeypatch.setattr(deduce, name, counted)
+        assert replay(cert, base)
+        r2_targets = {s.target for s in cert if s.cite is None}
+        seed_cites = {s.cite for s in cert
+                      if s.cite is not None and s.cite[0] == "presentation"}
+        assert built == Counter(_GenusChain=len(r2_targets),
+                                _Seed=len(seed_cites))
+        assert built == Counter(_GenusChain=37, _Seed=29)
 
     def test_rule_must_match_cited_relation(self):
         base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
