@@ -535,7 +535,11 @@ class TestCli:
             "relations": [{"kind": "sum", "a": "a", "b": "b", "c": "a"}],
         }))
         assert main(["deduce", str(path)]) == 2
-        assert "budget" in capsys.readouterr().err
+        # The error names what was still changing: R4 raising a.tau by one
+        # per step.  Nothing goes to stdout.
+        assert capsys.readouterr() == ("", (
+            "error: propagation exceeded step budget 100; last narrowing "
+            "[99] R4: a.tau <- [100, inf] => [100, inf]\n"))
 
     def test_broken_certificate_exits_2(self):
         # Under -O as well: the replay check must not be an assert.

@@ -3,6 +3,7 @@ oracles for the test suite."""
 
 from __future__ import annotations
 
+import os
 import random
 from unittest import mock
 
@@ -10,14 +11,18 @@ from taucalc import deduce
 from taucalc.braid import BraidWord, closure_components
 from taucalc.deduce import (CrossingChange, Cobordism, FactBase, Mirror,
                             Presentation, Sum, Unknotting)
+from taucalc.errors import TaucalcError
 from taucalc.families import TorusParams
 from taucalc.grid import GridDiagram, components, corner_census, crossings
 
 
 def propagate_shuffled(base: deduce.FactBase, seed: int):
-    """`propagate(base)` with its initial queue of rule instances shuffled
+    """`propagate(base)` with its initial order of rule instances shuffled
     by `random.Random(seed)`: the fixpoint must not depend on the order,
-    and each order gives a certificate that must replay."""
+    and each order gives a certificate that must replay.  `propagate` puts
+    each instance in the queue of its priority class, whose order is
+    fixed (seeds, relations, R2), so a shuffle permutes the order within
+    each class."""
     instances = deduce._instances
 
     def shuffled(b):
@@ -26,6 +31,32 @@ def propagate_shuffled(base: deduce.FactBase, seed: int):
         return out
     with mock.patch.object(deduce, "_instances", shuffled):
         return deduce.propagate(base)
+
+
+def relations_reversed(base: deduce.FactBase) -> deduce.FactBase:
+    """`base` with its relations in the reverse order of insertion."""
+    return type(base)(base.records, base.relations[::-1])
+
+
+def least_budget(base: deduce.FactBase) -> int:
+    """The least TAU_STEP_BUDGET under which `propagate(base)` completes,
+    by bisection: the number of rule evaluations it makes."""
+    def completes(budget):
+        with mock.patch.dict(os.environ, TAU_STEP_BUDGET=str(budget)):
+            try:
+                deduce.propagate(base)
+            except TaucalcError as e:
+                if "exceeded step budget" not in str(e):
+                    raise
+                return False
+        return True
+    fails, hi = -1, 1  # budget `fails` does not complete, `hi` does
+    while not completes(hi):
+        fails, hi = hi, 2 * hi
+    while hi - fails > 1:
+        mid = (fails + hi) // 2
+        fails, hi = (fails, mid) if completes(mid) else (mid, hi)
+    return hi
 
 
 def random_consistent_base(rng, size=30):
