@@ -170,11 +170,16 @@ class _Relation:
     (knot, quantity) keys the constraint was computed from.  It yields every
     conclusion whatever the state, the top interval if it cannot narrow,
     since only its `reads` re-queue it, and computes each one from `state`
-    as it is when it yields it.  A relation also lists the `knots`
-    it reads or narrows, which `FactBase.extend` checks: its leading
-    fields, which the `counts` and then `kind` follow.  A relation is a
-    named tuple whose last field is its fact-file `kind`, fixed by default
-    so that relations of different types never compare equal."""
+    as it is when it yields it.  `idempotent` (not on seeds, which read
+    nothing) says that a second evaluation right after the first narrows
+    nothing, so `propagate` does not re-queue it on its own narrowings.  A
+    relation also lists the `knots` it reads or narrows, which
+    `FactBase.extend` checks: its leading fields, which the `counts` and
+    then `kind` follow.  A relation whose knots are distinct must be
+    idempotent, and `idempotent` says so; a type that is not overrides it.
+    A relation is a named tuple whose last field is its fact-file `kind`,
+    fixed by default so that relations of different types never compare
+    equal."""
 
     __slots__ = ()
     priority = 1
@@ -201,6 +206,10 @@ class _Relation:
     @property
     def cite(self) -> tuple:
         return ("relation", self)
+
+    @property
+    def idempotent(self) -> bool:
+        return len(set(self.knots)) == len(self.knots)
 
 
 class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
@@ -288,27 +297,29 @@ Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
 
 class _GenusChain:
     """R2 on one knot.  Its steps cite no instance, so `replay` finds it by
-    the knot."""
+    the knot.  Its conclusions come in dependency order, g4 <= g3 first, as
+    it lowers the g4 the tau bound reads: one evaluation is R2's fixpoint."""
 
     __slots__ = ("knot", "reads")
     rule = "R2"
     priority = 2
     cite = None
+    idempotent = True
 
     def __init__(self, knot: str):
         self.knot = knot
-        self.reads = ((knot, "g4"),), ((knot, "tau"),), ((knot, "g3"),)
+        self.reads = ((knot, "g3"),), ((knot, "g4"),), ((knot, "tau"),)
 
     def implications(self, state: dict):
         # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
-        g4_reads, tau_reads, g3_reads = self.reads
+        g3_reads, g4_reads, tau_reads = self.reads
+        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), g3_reads
         g4 = state[id].g4
         yield id, "tau", _unchecked((-g4.hi, g4.hi)), g4_reads
         tau = state[id].tau
         lo = max(0, tau.lo, -tau.hi)
         yield id, "g4", _unchecked((lo, POS_INF)), tau_reads
-        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), g3_reads
 
 
 class _Seed:
@@ -492,27 +503,23 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     Three FIFO queues, one per priority class, hold each rule instance
     once: the R7 seeds, then the relations, then the R2 instances, each
     queue first in `_instances` order (Schulte & Stuckey, "Efficient
-    constraint propagation engines", TOPLAS 31(1), 2008).  The next
-    evaluation is of the front instance of the first non-empty queue.  It
-    runs through the instance's conclusions; each narrowing sends the
-    readers of the narrowed key to the back of their own class's queue.
-    It goes on past a narrowing unless a conclusion it has already
-    produced read that key: then it stops, and the instance, still in
-    front of its queue, starts again when that queue is next.  An earlier
-    conclusion whose reads did not change gives the same constraint,
-    which its target already lies in, so starting again after every
-    narrowing would add no step.  An evaluation that reaches the last
-    conclusion takes the instance off its queue; the first time, the
-    instance becomes a reader of the keys in its `reads`.  R2 goes last:
-    it is one instance per knot and most of the evaluations, most of
-    which narrow nothing, so it waits until the seeds and relations have
-    narrowed what they can; on wide bases that makes about a quarter
-    fewer evaluations than one queue.  The fixpoint does not depend on
-    the order (the rules are monotone meets); certificates do.  The
-    environment variable `TAU_STEP_BUDGET` (default 10**6) caps
-    evaluations.  Raises InconsistentError (empty interval; carries the
-    certificate prefix), or TaucalcError when the budget runs out, naming
-    the last narrowing: what was still changing.
+    constraint propagation engines", TOPLAS 31(1), 2008).  An evaluation
+    takes the front instance of the first non-empty queue off it and runs
+    through all its conclusions.  The instance's first evaluation makes it
+    a reader of each key a conclusion reads, as the conclusion is yielded,
+    before it narrows anything.  Each narrowing sends the readers of the
+    narrowed key to the back of their own class's queue, except the
+    instance itself when it is idempotent: running it again would narrow
+    nothing.  So Sum(a, b, a), which is not, re-queues itself, and climbs
+    one step per evaluation.  R2 goes last: it is one instance per knot
+    and most of the evaluations, most of which narrow nothing, so it waits
+    until the seeds and relations have narrowed what they can; on wide
+    bases that makes about a quarter fewer evaluations than one queue.
+    The fixpoint does not depend on the order (the rules are monotone
+    meets); certificates do.  The environment variable `TAU_STEP_BUDGET`
+    (default 10**6) caps evaluations.  Raises InconsistentError (empty
+    interval; carries the certificate prefix), or TaucalcError when the
+    budget runs out, naming the last narrowing: what was still changing.
     """
     env = os.environ.get("TAU_STEP_BUDGET")
     try:
@@ -528,24 +535,30 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     for inst in instances:
         queues[inst.priority].append(inst)
     queued = set(map(id, instances))
-    popped = set()  # ids of the instances registered in `readers`
+    popped = set()  # ids of the instances evaluated, so in `readers`
     readers: dict[tuple, list] = {}  # key -> the instances that read it
     steps: list[CertStep] = []
     spent = 0
     slot = _SLOT
 
     while queue := seeds or relations or chains:
-        inst = queue[0]  # it stays in front while its evaluations restart
         spent += 1
         if spent > budget:
             last = (f"last narrowing {steps[-1].describe()}" if steps
                     else "nothing has narrowed yet")
             raise TaucalcError(
                 f"propagation exceeded step budget {budget}; {last}")
-        evaluated = []  # the `reads` of this evaluation's conclusions so far
-        note = evaluated.append
+        inst = queue.popleft()
+        j = id(inst)
+        queued.discard(j)
+        first = j not in popped
+        popped.add(j)
         for target, qty, constraint, reads in inst.implications(state):
-            note(reads)
+            if first:  # a key read twice has this instance last already
+                for key in reads:
+                    rs = readers.setdefault(key, [])
+                    if not rs or rs[-1] is not inst:
+                        rs.append(inst)
             rec = state[target]
             i = slot[qty]
             cur = rec[i]
@@ -564,29 +577,12 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                 tuple([(k, q, (rec if k == target else state[k])[slot[q]])
                        for k, q in reads]),
                 constraint, result)))
-            key = (target, qty)
-            for reader in readers.get(key, ()):
+            for reader in readers.get((target, qty), ()):
                 j = id(reader)
-                if j not in queued:
+                if j not in queued and (reader is not inst
+                                        or not inst.idempotent):
                     queues[reader.priority].append(reader)
                     queued.add(j)
-            for r in evaluated:
-                if key in r:
-                    break
-            else:
-                continue  # no conclusion so far read the narrowed key
-            break  # re-derive what read it from the new state
-        else:
-            j = id(queue.popleft())
-            queued.discard(j)
-            if j not in popped:
-                popped.add(j)
-                # One pass registers all its keys: a repeat has it last.
-                for r in evaluated:
-                    for key in r:
-                        rs = readers.setdefault(key, [])
-                        if not rs or rs[-1] is not inst:
-                            rs.append(inst)
 
     return replace(base, records=state), Certificate(steps)
 
