@@ -9,6 +9,9 @@ Coordinates: row 0 is the southernmost row, column 0 the westernmost
 column; "north" means increasing row index.  Orientation: within a row the
 strand runs O to X, within a column X to O.  The crossing sign convention
 is pinned by the bundled positive-trefoil diagram having writhe +3.
+
+The writhe sweeps the rows once, with the open vertical segments as column
+bitsets: n rows, each a few big-int operations on n bits.
 """
 
 from __future__ import annotations
@@ -86,26 +89,22 @@ def components(g: GridDiagram) -> int:
     return count_cycles([o_row[c] for c in g.xs])
 
 
-def crossings(g: GridDiagram) -> list[tuple[int, int, int]]:
-    """All (row, column, sign) where row r's horizontal segment strictly
-    spans column c and column c's vertical strictly spans row r.
-
-    Sign: +1 when the horizontal (eastward = +1) and vertical (northward =
-    +1) directions agree in sign, -1 otherwise.
-    """
-    x_row, o_row = _rows(g.xs), _rows(g.os)
-    out = []
-    for r, (x, o) in enumerate(zip(g.xs, g.os)):
-        h_dir = 1 if x > o else -1
-        for c in range(min(x, o) + 1, max(x, o)):
-            if min(x_row[c], o_row[c]) < r < max(x_row[c], o_row[c]):
-                v_dir = 1 if o_row[c] > x_row[c] else -1
-                out.append((r, c, h_dir * v_dir))
-    return out
-
-
 def writhe_grid(g: GridDiagram) -> int:
-    return sum(s for _, _, s in crossings(g))
+    """Sum of crossing signs in one sweep north: n rows, each a few big-int
+    operations on n bits.  A row crosses the columns strictly between its
+    markers whose vertical is open there: northward in `up`, else `down`."""
+    x_row, o_row = _rows(g.xs), _rows(g.os)
+    up = down = w = 0
+    for x, o in zip(g.xs, g.os):
+        span = (1 << max(x, o)) - (1 << (min(x, o) + 1))
+        n = (up & span).bit_count() - (down & span).bit_count()
+        w += n if x > o else -n
+        for c in (x, o):  # column c's vertical segment starts or ends here
+            if o_row[c] > x_row[c]:
+                up ^= 1 << c
+            else:
+                down ^= 1 << c
+    return w
 
 
 def corner_census(g: GridDiagram) -> dict[str, int]:

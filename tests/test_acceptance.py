@@ -122,7 +122,14 @@ def test_criterion_7_grid_properties():
         s = stabilize_ne(g, rng.randrange(g.size))
         if components(g) == 1:
             assert tb(s) == tb(g) - 1
-    _ok(7, "500 random grids: corner census = 2n, writhe matches "
+    # Sizes 30-140 take writhe_grid's column bitsets past one of
+    # CPython's 30-bit int digits: five knots and five links.
+    for knot in (True, False) * 5:
+        g = random_grid(rng, rng.randint(30, 140))
+        while (components(g) == 1) != knot:
+            g = random_grid(rng, rng.randint(30, 140))
+        assert writhe_grid(g) == brute_force_writhe(g)
+    _ok(7, "510 random grids: corner census = 2n, writhe matches "
            "brute-force oracle, stabilization drops tb by 1")
 
 

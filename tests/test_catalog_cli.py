@@ -262,6 +262,15 @@ class TestCli:
         assert "components: 1" in out
         assert "tb: 0" in out
 
+    def test_grid_link_prints_writhe_and_no_tb(self, tmp_path, capsys):
+        # The Hopf link: two components, each crossing positive.
+        path = tmp_path / "hopf.grid"
+        path.write_text("4 / X: 0 1 2 3 / O: 2 3 0 1\n", encoding="utf-8")
+        assert main(["grid", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "components: 2" in lines and "writhe: 2" in lines
+        assert not any(line.startswith("tb:") for line in lines)
+
     def test_grid_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.grid"
         path.write_bytes(b"2\nX: 0 1\nO: 1 0\xff\n")

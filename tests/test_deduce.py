@@ -283,6 +283,15 @@ class TestWorkedScenarios:
         assert alt_fixed.knot("a").tau == fixed.knot("k0").tau
 
 
+def _torus_seed(mirror):
+    """Knot k with the torus (2, 3) seed and, with `mirror`, its mirror m.
+    `propagate` evaluates the seed, the mirror and one R2 per knot."""
+    base = FactBase().extend(knots=[("k", [Presentation("torus", "2 3")])])
+    if mirror:
+        base = base.extend(knots=[("m", ())], relations=[Mirror("k", "m")])
+    return base
+
+
 class TestErrors:
     def test_inconsistent_carries_certificate(self):
         base = base_with("a").extend(facts=[("a", "tau_lower", 2, ""),
@@ -328,19 +337,13 @@ class TestErrors:
         with pytest.raises(TaucalcError, match="exceeded step budget 5"):
             propagate(base)
 
-    @pytest.mark.parametrize("mirror,budget", [(False, 3), (True, 6)])
-    def test_evaluation_goes_on_past_its_narrowings(self, monkeypatch,
-                                                    mirror, budget):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_evaluation_goes_on_past_its_narrowings(self, mirror):
         # One evaluation of the seed narrows tau, g4 and g3, and one of the
         # mirror both of m's values: an evaluation runs all its
-        # conclusions, and neither instance reads what it narrows.  With
-        # one R2 evaluation per knot that is 2 and 4 evaluations; each
-        # budget leaves one to spare per knot.
-        base = FactBase().extend(knots=[("k", [Presentation("torus", "2 3")])])
-        if mirror:
-            base = base.extend(knots=[("m", ())],
-                               relations=[Mirror("k", "m")])
-        monkeypatch.setenv("TAU_STEP_BUDGET", str(budget))
+        # conclusions, and neither instance reads what it narrows.  Their
+        # evaluation counts are pinned in LEAST_BUDGETS.
+        base = _torus_seed(mirror)
         fixed, cert = propagate(base)
         assert fixed.knot("k").tau == Interval.exact(1)
         assert len(cert) == 3 + 2 * mirror
@@ -373,6 +376,10 @@ LEAST_BUDGETS = {
     "random_wide_100 reversed": 250,
     "catalog": 36,
     "all_rules": 26,
+    "torus seed": 2,
+    "torus seed and mirror": 4,
+    "chain 200": 801,  # 4n + 1 for n links, in either insertion order
+    "chain 200 reversed": 801,
 }
 
 
@@ -384,7 +391,11 @@ class TestWorkCounts:
         inputs = {"random_wide_100": wide,
                   "random_wide_100 reversed": relations_reversed(wide),
                   "catalog": load_bundled_catalog(),
-                  "all_rules": load_factbase(DATA / "all_rules.json")}
+                  "all_rules": load_factbase(DATA / "all_rules.json"),
+                  "torus seed": _torus_seed(False),
+                  "torus seed and mirror": _torus_seed(True),
+                  "chain 200": _chain(200, False)[0],
+                  "chain 200 reversed": _chain(200, True)[0]}
         assert ({name: least_budget(base) for name, base in inputs.items()}
                 == LEAST_BUDGETS)
 

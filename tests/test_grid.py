@@ -7,7 +7,6 @@ from taucalc.grid import (
     GridDiagram,
     components,
     corner_census,
-    crossings,
     parse_grid,
     tb,
     writhe_grid,
@@ -15,6 +14,7 @@ from taucalc.grid import (
 
 from .util import (
     brute_force_writhe,
+    crossings,
     random_grid,
     reflect_columns,
     stabilize_ne,
@@ -85,6 +85,10 @@ class TestCrossings:
         for _ in range(500):
             g = random_grid(rng, rng.randint(2, 8))
             assert writhe_grid(g) == brute_force_writhe(g)
+
+    def test_sweep_matches_enumerator_across_many_digits(self):
+        g = random_grid(random.Random(15), 700)
+        assert writhe_grid(g) == sum(s for _, _, s in crossings(g))
 
 
 class TestCorners:

@@ -13,7 +13,7 @@ from taucalc.deduce import (CrossingChange, Cobordism, FactBase, Mirror,
                             Presentation, Sum, Unknotting)
 from taucalc.errors import TaucalcError
 from taucalc.families import TorusParams
-from taucalc.grid import GridDiagram, components, corner_census, crossings
+from taucalc.grid import GridDiagram, components, corner_census
 
 
 def propagate_shuffled(base: deduce.FactBase, seed: int):
@@ -162,6 +162,26 @@ def reflect_columns(g: GridDiagram) -> GridDiagram:
         tuple(n - 1 - c for c in g.xs),
         tuple(n - 1 - c for c in g.os),
     )
+
+
+def crossings(g: GridDiagram) -> list[tuple[int, int, int]]:
+    """All (row, column, sign) where row r's horizontal segment strictly
+    spans column c and column c's vertical strictly spans row r: the
+    reference enumerator of `writhe_grid`, one visit per spanned cell.
+
+    Sign: +1 when the horizontal (eastward = +1) and vertical (northward =
+    +1) directions agree in sign, -1 otherwise.
+    """
+    x_row = {c: r for r, c in enumerate(g.xs)}
+    o_row = {c: r for r, c in enumerate(g.os)}
+    out = []
+    for r, (x, o) in enumerate(zip(g.xs, g.os)):
+        h_dir = 1 if x > o else -1
+        for c in range(min(x, o) + 1, max(x, o)):
+            if min(x_row[c], o_row[c]) < r < max(x_row[c], o_row[c]):
+                v_dir = 1 if o_row[c] > x_row[c] else -1
+                out.append((r, c, h_dir * v_dir))
+    return out
 
 
 def stabilize_ne(g: GridDiagram, row: int) -> GridDiagram:
