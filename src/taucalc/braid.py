@@ -4,6 +4,10 @@ A word on n strands is a sequence of nonzero letters; letter +i is the
 generator sigma_i (a positive crossing between strands i and i+1), -i its
 inverse.  The closure of the word is a link; it is a knot exactly when the
 underlying permutation is a single n-cycle.
+
+Each genus bound holds for a knot: `_require_knot` refuses a link by
+`closure_components`, or by the count a caller that has it passes, so
+that a caller of several bounds traces each word's closure once.
 """
 
 from __future__ import annotations
@@ -108,31 +112,31 @@ def closure_components(b: BraidWord) -> int:
     return touched + b.strands - len(at)
 
 
-def _require_knot(b: BraidWord) -> None:
-    c = closure_components(b)
+def _require_knot(b: BraidWord, components: int | None) -> None:
+    c = closure_components(b) if components is None else components
     if c != 1:
         raise TaucalcError(f"closure has {c} components, need 1")
 
 
-def bennequin_genus(b: BraidWord) -> int:
+def bennequin_genus(b: BraidWord, components: int | None = None) -> int:
     """Genus (k - n + 1) / 2 of the banded Seifert surface of the closure:
     n disks joined by k twisted bands, Euler characteristic n - k.  For a
     knot the closure permutation is an n-cycle, of sign (-1)^(n-1), and a
     product of k transpositions, of sign (-1)^k, so k - n + 1 is even."""
-    _require_knot(b)
+    _require_knot(b, components)
     return (b.length - b.strands + 1) // 2
 
 
-def tau_positive_braid(b: BraidWord) -> int:
+def tau_positive_braid(b: BraidWord, components: int | None = None) -> int:
     """Exact concordance invariant (k - n + 1) / 2 for a positive braid word
     with knot closure; the same value is the slice genus and Seifert genus."""
     if not b.is_positive:
         raise TaucalcError(f"word has {b.k_minus} negative letters")
-    return bennequin_genus(b)
+    return bennequin_genus(b, components)
 
 
-def slice_bennequin_lower(b: BraidWord) -> int:
+def slice_bennequin_lower(b: BraidWord, components: int | None = None) -> int:
     """Lower bound (k+ - k- - n + 1) / 2 for the invariant of the closure;
     the writhe has the parity of k, so the numerator is even."""
-    _require_knot(b)
+    _require_knot(b, components)
     return (b.writhe - b.strands + 1) // 2

@@ -40,9 +40,11 @@ _BRAID_SUMMARIES = {
 }
 
 
-def _array(doc: dict, key: str, owner: str) -> list:
+def _array(doc: dict, key: str, knot: str | None = None) -> list:
+    """`doc[key]`, an array; `knot` names `doc`'s knot in the error."""
     value = doc.get(key, [])
     if not isinstance(value, list):
+        owner = "fact file" if knot is None else f"knot {knot!r}"
         raise TaucalcError(f"{owner}: {key!r} must be an array, got {value!r}")
     return value
 
@@ -63,23 +65,22 @@ def factbase_from_dict(doc: dict) -> FactBase:
     rel = None  # the relation entry being read
 
     def knots():
-        for entry in _array(doc, "knots", "fact file"):
+        for entry in _array(doc, "knots"):
             id = _entry(entry, "knot")["id"]
-            yield id, _array(entry, "presentations", f"knot {id!r}")
+            yield id, _array(entry, "presentations", id)
 
     def facts():
-        for fact in _array(doc, "facts", "fact file"):
+        for fact in _array(doc, "facts"):
             f = _entry(fact, "fact")
             yield f["id"], f.get("kind"), f.get("value"), f.get("source", "")
 
     def relations():
         nonlocal rel
-        for rel in _array(doc, "relations", "fact file"):
+        for rel in _array(doc, "relations"):
             kind = _entry(rel, "relation", keyed=False).get("kind")
             if type(kind) is not str or kind not in _RELATION_TYPES:
                 raise TaucalcError(f"unknown relation kind {kind!r}")
-            fields = {k: v for k, v in rel.items() if k != "kind"}
-            yield _RELATION_TYPES[kind](**fields)
+            yield _RELATION_TYPES[kind](**rel)  # `kind` is one of its fields
 
     try:
         return FactBase().extend(knots(), facts(), relations())

@@ -40,10 +40,11 @@ def _cmd_braid(args) -> int:
              f"k+: {b.k_plus}  k-: {b.k_minus}  writhe: {b.writhe}",
              f"closure components: {comps}"]
     if comps == 1:
-        lines += [f"bennequin genus: {braid_mod.bennequin_genus(b)}",
-                  f"tau lower bound: {braid_mod.slice_bennequin_lower(b)}"]
+        lines += [f"bennequin genus: {braid_mod.bennequin_genus(b, comps)}",
+                  "tau lower bound: "
+                  f"{braid_mod.slice_bennequin_lower(b, comps)}"]
     if args.positive:
-        v = braid_mod.tau_positive_braid(b)
+        v = braid_mod.tau_positive_braid(b, comps)
         lines.append(f"tau = {v}, g4 = {v}, g3 = {v}")
     print("\n".join(lines))
     return 0
@@ -55,14 +56,15 @@ def _cmd_grid(args) -> int:
             g = grid_mod.parse_grid(fh.read())
         except UnicodeDecodeError as e:
             raise TaucalcError(f"{args.file}: {e}") from None
-    comps = grid_mod.components(g)
-    census = grid_mod.corner_census(g)
+    known = comps, writhe, census = (grid_mod.components(g),
+                                     grid_mod.writhe_grid(g),
+                                     grid_mod.corner_census(g))
     print(f"size: {g.size}")
     print(f"components: {comps}")
-    print(f"writhe: {grid_mod.writhe_grid(g)}")
+    print(f"writhe: {writhe}")
     print("corners: " + "  ".join(f"{k}: {n}" for k, n in census.items()))
     if comps == 1:
-        print(f"tb: {grid_mod.tb(g)}")
+        print(f"tb: {grid_mod.tb(g, known)}")
     return 0
 
 

@@ -126,11 +126,13 @@ def _exact_seeds(v: int) -> list:
 
 
 def _braid_seeds(b: braid_mod.BraidWord) -> list:
-    genus = braid_mod.bennequin_genus(b)
-    seeds = [("tau", Interval.at_least(braid_mod.slice_bennequin_lower(b))),
+    c = braid_mod.closure_components(b)  # traced once for all three bounds
+    genus = braid_mod.bennequin_genus(b, c)
+    lower = braid_mod.slice_bennequin_lower(b, c)
+    seeds = [("tau", Interval.at_least(lower)),
              ("g3", Interval.at_most(genus))]
     if b.is_positive:
-        seeds += _exact_seeds(braid_mod.tau_positive_braid(b))
+        seeds += _exact_seeds(braid_mod.tau_positive_braid(b, c))
     return seeds
 
 
@@ -357,6 +359,7 @@ class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
 
 
 _SLOT = {q: i for i, q in enumerate(KnotRecord._fields)}  # quantity -> index
+_TOP = KnotRecord(None)[1:-1]  # the default of each quantity
 
 
 def _unknown(id) -> TaucalcError:
@@ -382,16 +385,25 @@ class FactBase:
     def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
         """The base plus `knots` ((id, presentations) pairs), `facts` ((knot,
         kind, value, source)) and `relations`, in one pass: knots, then facts,
-        then relations, each checked and applied in order.  Only a fact
-        that contradicts its record has its `source` quoted."""
+        then relations, each checked and applied in order.  A presentation
+        object ({kind, value}) repeated in one call is parsed and seeded
+        once: its knots share one `Presentation`.  Only a fact that
+        contradicts its record has its `source` quoted."""
         records = dict(self.records)
+        built = {}  # (kind, value) -> the Presentation built from them
         for id, presentations in knots:
             if id in records:
                 raise TaucalcError(f"knot id {id!r} already present")
             pres = []
             for p in presentations:
                 try:
-                    if not isinstance(p, Presentation):
+                    # Only exactly a kind and a string value can be shared.
+                    if (type(p) is dict and len(p) == 2
+                            and type(p.get("value")) is str):
+                        key = p.get("kind"), p["value"]
+                        p = built.get(key) or built.setdefault(
+                            key, Presentation(**p))
+                    elif not isinstance(p, Presentation):
                         p = Presentation(**p)
                 except TypeError:  # not an object of exactly kind and value
                     raise TaucalcError(
@@ -399,7 +411,7 @@ class FactBase:
                 except TaucalcError as e:
                     raise TaucalcError(f"knot {id!r}: {e}") from e
                 pres.append(p)
-            records[id] = KnotRecord(id, presentations=tuple(pres))
+            records[id] = tuple.__new__(KnotRecord, (id, *_TOP, tuple(pres)))
         for knot, kind, value, source in facts:
             if knot not in records:
                 raise _unknown(knot)

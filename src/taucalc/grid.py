@@ -123,9 +123,12 @@ def corner_census(g: GridDiagram) -> dict[str, int]:
     return census
 
 
-def tb(g: GridDiagram) -> int:
-    """Writhe minus the number of northeast corners."""
-    c = components(g)
+def tb(g: GridDiagram, known: tuple | None = None) -> int:
+    """Writhe minus the number of northeast corners, of a knot diagram.
+    A caller that has computed them passes `known`: (components(g),
+    writhe_grid(g), corner_census(g)), so that none is computed twice."""
+    c = components(g) if known is None else known[0]
     if c != 1:
         raise TaucalcError(f"diagram has {c} components, need 1")
-    return writhe_grid(g) - corner_census(g)["NE"]
+    _, writhe, census = known or (c, writhe_grid(g), corner_census(g))
+    return writhe - census["NE"]

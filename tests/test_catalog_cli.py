@@ -8,12 +8,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import taucalc
-from taucalc import braid, catalog, cli, report as report_mod
+from taucalc import braid, catalog, cli, deduce, grid, report as report_mod
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.cli import main
 from taucalc.deduce import propagate
@@ -143,6 +144,35 @@ class TestCatalogFiles:
         load_bundled_catalog()
         assert len(calls) == 6
 
+    def test_each_distinct_presentation_parsed_once_per_load(
+            self, monkeypatch):
+        # `deduce._ints` reads the parameters of every torus and pretzel
+        # value it parses.  Forty knots share four values: each is parsed
+        # once per load, and its knots hold the one Presentation.
+        calls = Counter()
+
+        def counted(kind, value, _fn=deduce._ints):
+            calls[kind, value] += 1
+            return _fn(kind, value)
+        monkeypatch.setattr(deduce, "_ints", counted)
+        values = [("torus", "2 3"), ("pretzel", "-3 -5 -7"),
+                  ("torus", "3 4"), ("pretzel", "3 5 7")]
+        doc = {"knots": [
+            {"id": f"k{i}", "presentations": [
+                {"kind": kind, "value": value}
+                for kind, value in (values[i % 4], values[i % 3])]}
+            for i in range(40)]}
+        base = catalog.factbase_from_dict(doc)
+        assert calls == Counter(dict.fromkeys(values, 1))
+        first = {p.value: p for rec in base.records.values()
+                 for p in rec.presentations}
+        for rec in base.records.values():
+            for p in rec.presentations:
+                assert p is first[p.value]
+        # The presentations are the load's own: a second load parses again.
+        catalog.factbase_from_dict(doc)
+        assert calls == Counter(dict.fromkeys(values, 2))
+
     def test_braid_summary_checked(self, monkeypatch):
         monkeypatch.setitem(catalog._BRAID_SUMMARIES, "trefoil", (2, 4, 0))
         with pytest.raises(TaucalcError, match="trefoil"):
@@ -205,6 +235,57 @@ class TestCli:
     def test_torus_link_rejected(self, capsys):
         assert main(["torus", "2", "4"]) == 2
 
+    # A bad entry after a good one of the same kind is refused as if it
+    # came alone: no presentation built before stands in for it.
+    @pytest.mark.parametrize("bad,message", [
+        ({"kind": "torus", "value": "2 3", "note": "x"},
+         "bad presentation entry {'kind': 'torus', 'value': '2 3', "
+         "'note': 'x'}"),
+        ({"kind": "torus", "value": 23},
+         "torus presentation value must be a string, got 23"),
+        ({"kind": "torus", "value": ["2", "3"]},
+         "torus presentation value must be a string, got ['2', '3']"),
+        ({"kind": ["torus"], "value": "2 3"},
+         "bad presentation entry {'kind': ['torus'], 'value': '2 3'}"),
+        ({"value": "2 3", "type": "torus"},
+         "bad presentation entry {'value': '2 3', 'type': 'torus'}"),
+        ({"kind": "torus"}, "bad presentation entry {'kind': 'torus'}"),
+        ("torus: 2 3", "bad presentation entry 'torus: 2 3'"),
+        ({"kind": "torus", "value": "2 4"},
+         "T(2,4) is a link, not a knot (gcd > 1)"),
+        ({"kind": "Torus", "value": "2 3"},
+         "unknown presentation kind 'Torus' for value '2 3'"),
+        (None, "'presentations' must be an array, got "
+               "{'kind': 'torus', 'value': '2 3'}"),
+    ])
+    def test_bad_presentation_after_a_good_one_exits_2(self, tmp_path, capsys,
+                                                      bad, message):
+        good = {"kind": "torus", "value": "2 3"}
+        second = ({"id": "b", "presentations": good} if bad is None else
+                  {"id": "b", "presentations": [good, bad]})
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({"knots": [
+            {"id": "a", "presentations": [good]}, second]}))
+        assert main(["deduce", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: knot 'b': {message}\n"
+
+    @pytest.mark.parametrize("bad,field", [
+        ({"kind": "mirror", "a": "a", "b": "b", "c": "a"}, "'c'"),
+        ({"kind": "mirror", "a": "a", "bb": "b"}, "'bb'"),
+        ({"kind": "mirror", "a": "a"}, "'b'"),
+        ({"kind": "mirror", "a": "a", "b": ["b"]}, "unhashable"),
+    ])
+    def test_bad_relation_after_a_good_one_exits_2(self, tmp_path, capsys,
+                                                   bad, field):
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps({
+            "knots": [{"id": "a"}, {"id": "b"}],
+            "relations": [{"kind": "mirror", "a": "a", "b": "b"}, bad]}))
+        assert main(["deduce", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad mirror relation {bad}: ")
+        assert field in err
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python prints integers of any length")
     def test_torus_value_past_digit_limit_exits_2(self, capsys):
@@ -238,6 +319,28 @@ class TestCli:
         assert main(["braid", "2: 1 -1 1", "--positive"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("word", ["2: 1 1 1", "3: 1 -2 1 -2"])
+    def test_braid_closure_traced_once_per_word(self, monkeypatch, capsys,
+                                                word):
+        calls = []
+
+        def counted(b, _fn=braid.closure_components):
+            calls.append(b)
+            return _fn(b)
+        monkeypatch.setattr(braid, "closure_components", counted)
+        deduce.Presentation("braid", word)
+        main(["braid", word])
+        main(["braid", word, "--positive"])  # exit 2 on a negative letter
+        capsys.readouterr()
+        assert len(calls) == 3
+        # Called alone, each bound traces the closure to refuse a link.
+        link = braid.BraidWord(2, (1, 1, 1, 1))
+        for bound in (braid.bennequin_genus, braid.slice_bennequin_lower,
+                      braid.tau_positive_braid):
+            with pytest.raises(TaucalcError, match="2 components"):
+                bound(link)
+        assert len(calls) == 6
+
     def test_braid_positive_link_prints_nothing(self, capsys):
         # Like every other subcommand, an exit 2 leaves stdout empty: no
         # half report before the error.
@@ -270,6 +373,23 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "components: 2" in lines and "writhe: 2" in lines
         assert not any(line.startswith("tb:") for line in lines)
+
+    def test_grid_computes_each_invariant_once(self, monkeypatch, capsys):
+        calls = Counter()
+        for name in ("components", "writhe_grid", "corner_census"):
+            def counted(g, _fn=getattr(grid, name), _name=name):
+                calls[_name] += 1
+                return _fn(g)
+            monkeypatch.setattr(grid, name, counted)
+        assert main(["grid", TREFOIL_GRID]) == 0
+        assert capsys.readouterr().out == \
+            (DATA / "grid_trefoil.txt").read_text(encoding="utf-8")
+        assert calls == Counter(components=1, writhe_grid=1, corner_census=1)
+        # Called alone, `tb` refuses a link from its components alone.
+        g = grid.parse_grid("4 / X: 0 1 2 3 / O: 2 3 0 1")
+        with pytest.raises(TaucalcError, match="2 components"):
+            grid.tb(g)
+        assert calls == Counter(components=2, writhe_grid=1, corner_census=1)
 
     def test_grid_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.grid"
