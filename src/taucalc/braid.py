@@ -40,8 +40,8 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
         return len(self.letters)
 
     @property
-    def k_plus(self) -> int:
-        return sum(1 for l in self.letters if l > 0)
+    def k_plus(self) -> int:  # `__new__` refuses letter 0
+        return len(self.letters) - self.k_minus
 
     @property
     def k_minus(self) -> int:
@@ -49,7 +49,7 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
 
     @property
     def writhe(self) -> int:
-        return self.k_plus - self.k_minus
+        return len(self.letters) - 2 * self.k_minus
 
     @property
     def is_positive(self) -> bool:

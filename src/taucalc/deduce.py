@@ -40,9 +40,9 @@ depend on the presentation alone, so a `Presentation` computes them once.
   R7-double   Double          tau = g4 = 1 when the companion has tb >= 0
 
 All rules are meets on a product lattice, so the fixpoint is independent
-of application order.  `propagate` orders its work by priority class:
-seeds first, then relations, then R2, which is most of the instances and
-narrows least, so it runs after what its knot's other rules narrowed.
+of application order.  `propagate` orders its work in two priority
+classes: the seeds and relations, then R2, which is most of the instances
+and narrows least, so it runs after what its knot's other rules narrowed.
 """
 
 from __future__ import annotations
@@ -166,8 +166,8 @@ class _Relation:
     """Base of the relation types.  Every rule instance (a relation, a
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cite` that names it in its steps (None for R2),
-    the `priority` class of its queue in `propagate` (seeds 0, relations 1,
-    R2 2), and `implications(state)` yielding the narrowings the records in
+    the `priority` class of its queue in `propagate` (seeds and relations 0,
+    R2 1), and `implications(state)` yielding the narrowings the records in
     `state` imply as (target, quantity, constraint, reads): `reads` are the
     (knot, quantity) keys the constraint was computed from.  It yields every
     conclusion whatever the state, the top interval if it cannot narrow,
@@ -184,7 +184,7 @@ class _Relation:
     equal."""
 
     __slots__ = ()
-    priority = 1
+    priority = 0
     counts: dict[str, int] = {}  # integer fields -> their least valid value
 
     def __new__(cls, *args, **kwargs):
@@ -297,31 +297,26 @@ class Double(_Relation, namedtuple(
 Relation = Mirror | Sum | CrossingChange | Cobordism | Unknotting | Double
 
 
-class _GenusChain:
+class _GenusChain(namedtuple("_GenusChain", "knot")):
     """R2 on one knot.  Its steps cite no instance, so `replay` finds it by
     the knot.  Its conclusions come in dependency order, g4 <= g3 first, as
     it lowers the g4 the tau bound reads: one evaluation is R2's fixpoint."""
 
-    __slots__ = ("knot", "reads")
+    __slots__ = ()
     rule = "R2"
-    priority = 2
+    priority = 1
     cite = None
     idempotent = True
-
-    def __init__(self, knot: str):
-        self.knot = knot
-        self.reads = ((knot, "g3"),), ((knot, "g4"),), ((knot, "tau"),)
 
     def implications(self, state: dict):
         # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
-        g3_reads, g4_reads, tau_reads = self.reads
-        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), g3_reads
+        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), ((id, "g3"),)
         g4 = state[id].g4
-        yield id, "tau", _unchecked((-g4.hi, g4.hi)), g4_reads
+        yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4"),)
         tau = state[id].tau
         lo = max(0, tau.lo, -tau.hi)
-        yield id, "g4", _unchecked((lo, POS_INF)), tau_reads
+        yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau"),)
 
 
 class _Seed:
@@ -481,8 +476,9 @@ class Certificate(tuple):
 
 def _instances(base: FactBase) -> list:
     """Every rule instance of the base: each knot's R2 instance and
-    presentation seeds, then the relations.  Within each priority class
-    this is the order of `propagate`'s first evaluations."""
+    presentation seeds, then the relations, so every seed comes before
+    every relation.  Within each priority class this is the order of
+    `propagate`'s first evaluations."""
     out: list = []
     for id, rec in base.records.items():
         out.append(_GenusChain(id))
@@ -512,26 +508,28 @@ def _narrow(state: dict, rec: KnotRecord, i: int, constraint: Interval):
 def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     """Run all rules to their least fixpoint.
 
-    Three FIFO queues, one per priority class, hold each rule instance
-    once: the R7 seeds, then the relations, then the R2 instances, each
-    queue first in `_instances` order (Schulte & Stuckey, "Efficient
-    constraint propagation engines", TOPLAS 31(1), 2008).  An evaluation
-    takes the front instance of the first non-empty queue off it and runs
-    through all its conclusions.  The instance's first evaluation makes it
-    a reader of each key a conclusion reads, as the conclusion is yielded,
-    before it narrows anything.  Each narrowing sends the readers of the
-    narrowed key to the back of their own class's queue, except the
-    instance itself when it is idempotent: running it again would narrow
-    nothing.  So Sum(a, b, a), which is not, re-queues itself, and climbs
-    one step per evaluation.  R2 goes last: it is one instance per knot
-    and most of the evaluations, most of which narrow nothing, so it waits
-    until the seeds and relations have narrowed what they can; on wide
-    bases that makes about a quarter fewer evaluations than one queue.
-    The fixpoint does not depend on the order (the rules are monotone
-    meets); certificates do.  The environment variable `TAU_STEP_BUDGET`
-    (default 10**6) caps evaluations.  Raises InconsistentError (empty
-    interval; carries the certificate prefix), or TaucalcError when the
-    budget runs out, naming the last narrowing: what was still changing.
+    Two FIFO queues, one per priority class, hold each rule instance once:
+    the R7 seeds and the relations, then the R2 instances, each queue
+    first in `_instances` order (Schulte & Stuckey, "Efficient constraint
+    propagation engines", TOPLAS 31(1), 2008).  A seed reads nothing, so
+    no narrowing re-queues it: every seed runs before every relation.  An
+    evaluation takes the front instance of the first non-empty queue off
+    it and runs through all its conclusions.  The instance's first
+    evaluation makes it a reader of each key a conclusion reads, as the
+    conclusion is yielded, before it narrows anything.  Each narrowing
+    sends the readers of the narrowed key to the back of their own class's
+    queue, except the instance itself when it is idempotent: running it
+    again would narrow nothing.  So Sum(a, b, a), which is not, re-queues
+    itself, and climbs one step per evaluation.  R2 goes last: it is one
+    instance per knot and most of the evaluations, most of which narrow
+    nothing, so it waits until the seeds and relations have narrowed what
+    they can; on wide bases that makes about a quarter fewer evaluations
+    than one queue.  The fixpoint does not depend on the order (the rules
+    are monotone meets); certificates do.  The environment variable
+    `TAU_STEP_BUDGET` (default 10**6) caps evaluations.  Raises
+    InconsistentError (empty interval; carries the certificate prefix), or
+    TaucalcError when the budget runs out, naming the last narrowing: what
+    was still changing.
     """
     env = os.environ.get("TAU_STEP_BUDGET")
     try:
@@ -543,7 +541,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                            f"got {env!r}")
     state = dict(base.records)
     instances = _instances(base)
-    queues = seeds, relations, chains = deque(), deque(), deque()
+    queues = rules, chains = deque(), deque()
     for inst in instances:
         queues[inst.priority].append(inst)
     queued = set(map(id, instances))
@@ -553,7 +551,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     spent = 0
     slot = _SLOT
 
-    while queue := seeds or relations or chains:
+    while queue := rules or chains:
         spent += 1
         if spent > budget:
             last = (f"last narrowing {steps[-1].describe()}" if steps

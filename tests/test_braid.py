@@ -152,6 +152,19 @@ class TestMirror:
             assert m.writhe == -b.writhe
 
 
+def test_counts_match_a_direct_count():
+    # k_plus and the writhe are derived from k_minus and the length, so
+    # every word here has a negative letter.
+    rng = random.Random(6)
+    for _ in range(300):
+        w = random_braid_word(rng, max_length=30)
+        b = BraidWord(w.strands, w.letters + (-rng.randint(1, w.strands - 1),))
+        plus = len([l for l in b.letters if l > 0])
+        minus = len([l for l in b.letters if l < 0])
+        assert (b.length, b.k_plus, b.k_minus, b.writhe) == (
+            plus + minus, plus, minus, plus - minus)
+
+
 def test_parity_of_knot_closures():
     rng = random.Random(5)
     for _ in range(300):

@@ -670,6 +670,31 @@ class TestCli:
             "error: propagation exceeded step budget 100; last narrowing "
             "[99] R4: a.tau <- [100, inf] => [100, inf]\n"))
 
+    # K = K # K forces tau(K) = 0, so tau(a) <= -1 is inconsistent; each
+    # evaluation doubles a.tau's upper end instead (ROADMAP item 7).
+    SELF_SUM = {"knots": [{"id": "a"}],
+                "facts": [{"id": "a", "kind": "tau_upper", "value": -1}],
+                "relations": [{"kind": "sum", "a": "a", "b": "a", "c": "a"}]}
+
+    def test_self_sum_below_zero_exits_2(self, tmp_path, monkeypatch, capsys):
+        # What holds until item 7: the budget error, one line on stderr.
+        monkeypatch.setenv("TAU_STEP_BUDGET", "100")
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(self.SELF_SUM))
+        assert main(["deduce", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: propagation exceeded step budget 100")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.xfail(strict=True, reason="needs the exact closure of "
+                       "ROADMAP item 7: today the bound climbs")
+    def test_self_sum_below_zero_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TAU_STEP_BUDGET", "100")
+        path = tmp_path / "facts.json"
+        path.write_text(json.dumps(self.SELF_SUM))
+        assert main(["deduce", str(path)]) == 3
+
     def test_broken_certificate_exits_2(self):
         # Under -O as well: the replay check must not be an assert.
         code = (

@@ -399,6 +399,25 @@ class TestWorkCounts:
         assert ({name: least_budget(base) for name, base in inputs.items()}
                 == LEAST_BUDGETS)
 
+    def test_seeds_read_nothing(self):
+        # So no narrowing re-queues a seed, and the seeds, which
+        # `_instances` lists before every relation, all run before the
+        # relations in the queue they share.  One valid value of each kind,
+        # and a positive braid word, whose seeds are exact.
+        values = [("braid", "3: 1 -2 1 -2"), ("braid", "2: 1 1 1"),
+                  ("grid", "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0"),
+                  ("torus", "2 3"), ("pretzel", "-3 -3 -3")]
+        assert {kind for kind, _ in values} == deduce.PRESENTATION_KINDS.keys()
+        base = FactBase().extend(knots=[
+            (f"k{i}", [Presentation(*kv)]) for i, kv in enumerate(values)])
+        seeds = [inst for inst in deduce._instances(base)
+                 if isinstance(inst, deduce._Seed)]
+        assert len(seeds) == len(values)
+        for seed in seeds:
+            conclusions = list(seed.implications(base.records))
+            assert conclusions
+            assert all(reads == () for *_, reads in conclusions)
+
 
 class TestCertificates:
     def test_empty_replay(self):

@@ -21,6 +21,7 @@ from taucalc.deduce import (
     Presentation,
     Sum,
     Unknotting,
+    _GenusChain,
 )
 from taucalc.errors import EmptyIntervalError, TaucalcError
 from taucalc.families import PretzelParams, TorusParams
@@ -64,6 +65,7 @@ MAKERS = [
     lambda: TorusParams(2, 3),
     lambda: PretzelParams([-3, -3, -3]),
     lambda: Presentation("torus", "2 3"),
+    lambda: _GenusChain("k"),
 ]
 IDS = [type(make()).__name__ for make in MAKERS]
 REL_IDS = [type(r).__name__ for r, _, _ in RELATIONS]

@@ -21,8 +21,8 @@ def propagate_shuffled(base: deduce.FactBase, seed: int):
     by `random.Random(seed)`: the fixpoint must not depend on the order,
     and each order gives a certificate that must replay.  `propagate` puts
     each instance in the queue of its priority class, whose order is
-    fixed (seeds, relations, R2), so a shuffle permutes the order within
-    each class."""
+    fixed (seeds and relations, then R2), so a shuffle permutes the order
+    within each class, and mixes seeds in among the relations."""
     instances = deduce._instances
 
     def shuffled(b):
