@@ -28,7 +28,8 @@ depend on the presentation alone, so a `Presentation` computes them once.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
   R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
-  R4          Sum             tau(a # b) = tau(a) + tau(b)
+  R4          Sum             tau(a # b) = tau(a) + tau(b), so tau(b) = 0
+                              when a # b = a
   R5          Cobordism       |tau(a) - tau(b)| <= g  when g4(a # -b) <= g
   R6          Unknotting      -m <= tau <= p, g4 <= p + m  for p pos-to-neg
                               and m neg-to-pos changes reaching the unknot
@@ -40,9 +41,11 @@ depend on the presentation alone, so a `Presentation` computes them once.
   R7-double   Double          tau = g4 = 1 when the companion has tb >= 0
 
 All rules are meets on a product lattice, so the fixpoint is independent
-of application order.  `propagate` orders its work in two priority
-classes: the seeds and relations, then R2, which is most of the instances
-and narrows least, so it runs after what its knot's other rules narrowed.
+of application order.  Every rule instance is idempotent, so a narrowing
+re-queues the instances that read its key, but not the one that made it.
+`propagate` orders its work in two priority classes: the seeds and
+relations, then R2, which is most of the instances and narrows least, so
+it runs after what its knot's other rules narrowed.
 """
 
 from __future__ import annotations
@@ -172,13 +175,11 @@ class _Relation:
     (knot, quantity) keys the constraint was computed from.  It yields every
     conclusion whatever the state, the top interval if it cannot narrow,
     since only its `reads` re-queue it, and computes each one from `state`
-    as it is when it yields it.  `idempotent` (not on seeds, which read
-    nothing) says that a second evaluation right after the first narrows
-    nothing, so `propagate` does not re-queue it on its own narrowings.  A
-    relation also lists the `knots` it reads or narrows, which
-    `FactBase.extend` checks: its leading fields, which the `counts` and
-    then `kind` follow.  A relation whose knots are distinct must be
-    idempotent, and `idempotent` says so; a type that is not overrides it.
+    as it is when it yields it.  Every instance is idempotent, on any
+    knots: a second evaluation right after the first narrows nothing, so
+    `propagate` does not re-queue it on its own narrowings.  A relation
+    also lists the `knots` it reads or narrows, which `FactBase.extend`
+    checks: its leading fields, which the `counts` and then `kind` follow.
     A relation is a named tuple whose last field is its fact-file `kind`,
     fixed by default so that relations of different types never compare
     equal."""
@@ -209,10 +210,6 @@ class _Relation:
     def cite(self) -> tuple:
         return ("relation", self)
 
-    @property
-    def idempotent(self) -> bool:
-        return len(set(self.knots)) == len(self.knots)
-
 
 class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
     __slots__ = ()
@@ -225,13 +222,18 @@ class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
 
 
 class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
-    """c = a # b"""
+    """c = a # b.  If c is a summand, the other summand has tau = 0: that
+    exact bound, which reads nothing, is then the one conclusion, where
+    the three interval ones would narrow one step per evaluation."""
 
     __slots__ = ()
     rule = "R4"
 
     def implications(self, state: dict):
         a, b, c = self.a, self.b, self.c
+        if c == a or c == b:
+            yield b if c == a else a, "tau", Interval(0, 0), ()
+            return
         yield c, "tau", state[a].tau + state[b].tau, ((a, "tau"), (b, "tau"))
         yield a, "tau", state[c].tau - state[b].tau, ((c, "tau"), (b, "tau"))
         yield b, "tau", state[c].tau - state[a].tau, ((c, "tau"), (a, "tau"))
@@ -306,7 +308,6 @@ class _GenusChain(namedtuple("_GenusChain", "knot")):
     rule = "R2"
     priority = 1
     cite = None
-    idempotent = True
 
     def implications(self, state: dict):
         # Unchecked: the ends of valid intervals (see `interval`).
@@ -518,9 +519,8 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     evaluation makes it a reader of each key a conclusion reads, as the
     conclusion is yielded, before it narrows anything.  Each narrowing
     sends the readers of the narrowed key to the back of their own class's
-    queue, except the instance itself when it is idempotent: running it
-    again would narrow nothing.  So Sum(a, b, a), which is not, re-queues
-    itself, and climbs one step per evaluation.  R2 goes last: it is one
+    queue, except the instance that made it: every instance is idempotent,
+    so running it again would narrow nothing.  R2 goes last: it is one
     instance per knot and most of the evaluations, most of which narrow
     nothing, so it waits until the seeds and relations have narrowed what
     they can; on wide bases that makes about a quarter fewer evaluations
@@ -574,6 +574,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
             cur = rec[i]
             if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
                 continue  # `constraint` holds `cur`: nothing narrows
+            read = tuple([(k, q, state[k][slot[q]]) for k, q in reads])
             try:
                 result = _narrow(state, rec, i, constraint)
             except EmptyIntervalError:
@@ -581,16 +582,12 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     f"{inst.rule} on {target}.{qty}: conclusion {constraint} "
                     f"is disjoint from {target}.{qty} = {cur}",
                     certificate=Certificate(steps)) from None
-            # Sum(a, a, c) reads its own target: the premise is the prior.
             steps.append(tuple.__new__(CertStep, (  # no Python-level __new__
-                len(steps), inst.rule, target, qty, inst.cite,
-                tuple([(k, q, (rec if k == target else state[k])[slot[q]])
-                       for k, q in reads]),
+                len(steps), inst.rule, target, qty, inst.cite, read,
                 constraint, result)))
             for reader in readers.get((target, qty), ()):
                 j = id(reader)
-                if j not in queued and (reader is not inst
-                                        or not inst.idempotent):
+                if j not in queued and reader is not inst:
                     queues[reader.priority].append(reader)
                     queued.add(j)
 

@@ -39,6 +39,7 @@ _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 # 3 bits, so an int of at most this many bits prints under every limit.
 _SHORT_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 _SHORT = 1 << _SHORT_BITS  # an int v has at most _SHORT_BITS bits iff |v| < it
+FORMAT = "[%s, %s]"  # the text of an interval, from (lo, hi)
 
 
 def _check_endpoint(v):
@@ -133,7 +134,7 @@ class Interval(namedtuple("Interval", "lo hi")):
         return True
 
     def __str__(self) -> str:
-        return "[%s, %s]" % self
+        return FORMAT % self
 
 
 # Builds an Interval from (lo, hi) without the checks; see the module

@@ -22,14 +22,15 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .deduce import Certificate, CertStep, KnotRecord
-from .interval import NEG_INF
+from .interval import FORMAT, NEG_INF
 
 CHUNK = 256  # the most knots, steps or text lines in one chunk of a report
-# A step in `"certificate"`; see `step_to_json`.
+# A step in `"certificate"`, and a value it read; see `step_to_json`.
 _STEP = ('{\n      "index": %s,\n      "rule": %s,\n      "target": %s,'
          '\n      "quantity": %s,\n      "premises": %s,'
-         '\n      "conclusion": "[%s, %s]",'
-         '\n      "result": "[%s, %s]"\n    }')
+         f'\n      "conclusion": "{FORMAT}",'
+         f'\n      "result": "{FORMAT}"\n    }}')
+_READ = "fact %s.%s = " + FORMAT
 
 
 class KnotRow(namedtuple(
@@ -88,8 +89,7 @@ def step_to_json(step: CertStep, encoded: dict) -> str:
         p = encoded.get(read)
         if p is None:
             k, q, (lo, hi) = read
-            p = encoded[read] = _json_str("fact %s.%s = [%s, %s]"
-                                          % (k, q, lo, hi))
+            p = encoded[read] = _json_str(_READ % (k, q, lo, hi))
         premises.append(p)
     return _STEP % (index, _json_str(rule), _json_str(target), _json_str(qty),
                     "[\n        " + ",\n        ".join(premises) + "\n      ]"

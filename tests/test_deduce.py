@@ -327,15 +327,15 @@ class TestErrors:
             propagate(base.extend(facts=[("k", "g3", 5, "")]))
 
     def test_budget_bounds_rederivation(self, monkeypatch):
-        # tau(a) = tau(a) + tau(b) with tau(b) = 1 climbs by one each time
-        # the same instance is re-derived.
-        base = base_with("a", "b").extend(relations=[Sum("a", "b", "a")])
-        base = base.extend(facts=[("b", "tau_lower", 1, ""),
-                                  ("b", "tau_upper", 1, "")])
-        base = base.extend(facts=[("a", "tau_lower", 0, "")])
-        monkeypatch.setenv("TAU_STEP_BUDGET", "5")
-        with pytest.raises(TaucalcError, match="exceeded step budget 5"):
-            propagate(base)
+        # A base that is only large: the 200-link chain takes 801
+        # evaluations (LEAST_BUDGETS).  At 500 the error names the last
+        # narrowing, what was still changing, halfway along the chain.
+        monkeypatch.setenv("TAU_STEP_BUDGET", "500")
+        with pytest.raises(TaucalcError) as ei:
+            propagate(_chain(200, False)[0])
+        assert str(ei.value) == (
+            "propagation exceeded step budget 500; last narrowing "
+            "[100] R3: c101.tau <- [-49, 99] => [-49, 99]")
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_evaluation_goes_on_past_its_narrowings(self, mirror):
@@ -563,17 +563,37 @@ class TestCertificates:
             replay(forged, base)
         assert ei.value.step_index == 0
 
+    @staticmethod
+    def _self_sum_base():
+        """a # a = c with tau(c) = 4 and tau(a) >= 0: R4 narrows a.tau from
+        a premise that is a.tau itself."""
+        return base_with("a", "c").extend(
+            facts=[("c", "tau_lower", 4, ""), ("c", "tau_upper", 4, ""),
+                   ("a", "tau_lower", 0, "")],
+            relations=[Sum("a", "a", "c")])
+
     def test_self_read_premise_is_prior_value(self):
-        rel = Sum("a", "a", "c")
-        base = base_with("a", "c").extend(relations=[rel])
-        base = base.extend(facts=[("c", "tau_lower", 4, ""),
-                                  ("c", "tau_upper", 4, "")])
-        base = base.extend(facts=[("a", "tau_lower", 0, "")])
-        _, cert = propagate(base)
+        _, cert = propagate(self._self_sum_base())
         step = next(s for s in cert if s.target == "a")
         assert json.loads(step_to_json(step, {}))["premises"] == [
-            f"relation {rel}", "fact c.tau = [4, 4]", "fact a.tau = [0, inf]"]
+            f"relation {Sum('a', 'a', 'c')}", "fact c.tau = [4, 4]",
+            "fact a.tau = [0, inf]"]
         assert step.result == Interval(0, 4)
+
+    def test_self_read_premise_altered_rejected(self):
+        # The forged step records a.tau after its own narrowing, not the
+        # prior value that replay reads.
+        base = self._self_sum_base()
+        _, cert = propagate(base)
+        victim = next(s for s in cert if s.target == "a")
+        forged = victim._replace(reads=tuple(
+            (k, q, victim.result if k == "a" else v)
+            for k, q, v in victim.reads))
+        assert forged.reads != victim.reads
+        bad = Certificate(forged if s is victim else s for s in cert)
+        with pytest.raises(BrokenStepError, match="reads") as ei:
+            replay(bad, base)
+        assert ei.value.step_index == victim.index
 
     def test_monotone_narrowing(self):
         for base in (random_consistent_base(random.Random(21))[0],

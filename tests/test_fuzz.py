@@ -109,9 +109,10 @@ def _deduce_exit_code(doc, flags) -> int:
         path = os.path.join(tmp, "facts.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        # A fuzzed base may climb by one per step (e.g. tau(a) = tau(a) + 1);
-        # a small budget ends it fast.  Standard output is as strict as a
-        # real one: it refuses what utf-8 cannot encode.
+        # A fuzzed base may climb by one per step (e.g. Sum(a, b, c) with
+        # Sum(c, b, a) and tau(b) >= 1); a small budget ends it fast.
+        # Standard output is as strict as a real one: it refuses what utf-8
+        # cannot encode.
         with mock.patch.dict(os.environ, {"TAU_STEP_BUDGET": "10000"}), \
                 contextlib.redirect_stdout(
                     io.TextIOWrapper(io.BytesIO(), encoding="utf-8")), \

@@ -1,7 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from taucalc.catalog import load_bundled_catalog, load_factbase
+from taucalc.deduce import propagate
 from taucalc.errors import TaucalcError
 from taucalc.grid import (
     GridDiagram,
@@ -14,11 +17,16 @@ from taucalc.grid import (
 
 from .util import (
     brute_force_writhe,
+    commutable_columns,
     crossings,
     random_grid,
     reflect_columns,
+    reflect_rows,
     stabilize_ne,
+    swap_columns,
 )
+
+ALL_RULES = Path(__file__).parent / "data" / "all_rules.json"
 
 UNKNOT = GridDiagram(2, (0, 1), (1, 0))
 TREFOIL = GridDiagram(5, (4, 0, 1, 2, 3), (1, 2, 3, 4, 0))
@@ -160,3 +168,59 @@ class TestStabilize:
             assert corner_census(s)["NE"] == corner_census(g)["NE"] + 1
             if components(g) == 1:
                 assert tb(s) == tb(g) - 1
+
+
+def _knot_grids(seed: int, count: int) -> list[GridDiagram]:
+    """`count` random knot grids of sizes 2-12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_grid(rng, rng.randint(2, 12))
+        if components(g) == 1:
+            out.append(g)
+    return out
+
+
+class TestTbOracles:
+    """Identities tb must satisfy, checked against no formula for it."""
+
+    @pytest.mark.parametrize("reflect", [reflect_columns, reflect_rows])
+    def test_mirror_sums_to_minus_size(self, reflect):
+        # A reflection negates the writhe and takes the NE corners to NW
+        # (columns) or SE (rows) ones, which with the NE ones number n.
+        for g in _knot_grids(7, 300):
+            assert tb(g) + tb(reflect(g)) == -g.size
+
+    def test_swapping_markers_keeps_tb(self):
+        # Swapping X and O reverses the orientation of the whole knot.
+        for g in _knot_grids(8, 300):
+            assert tb(GridDiagram(g.size, g.os, g.xs)) == tb(g)
+
+    def test_commutation_keeps_tb(self):
+        # A commutation is a Legendrian isotopy (Ozsvath, Stipsicz and
+        # Szabo, Grid Homology for Knots and Links, 2015).
+        moves = 0
+        for g in _knot_grids(11, 400):
+            for c in commutable_columns(g):
+                h = swap_columns(g, c)
+                assert components(h) == 1 and tb(h) == tb(g)
+                moves += 1
+        assert moves > 600
+
+    @pytest.mark.parametrize("load, ids", [
+        (load_bundled_catalog, {"trefoil"}),
+        # gt's tau is unbounded at the fixpoint: the bound holds trivially.
+        (lambda: load_factbase(ALL_RULES), {"gt"})],
+        ids=["catalog", "all_rules"])
+    def test_legendrian_bound(self, load, ids):
+        # tb <= 2 tau - 1 for every Legendrian representative (Plamenevskaya
+        # 2004), so tb(D) of a knot's grid is at most 2 tau.hi - 1 at the
+        # fixpoint, whose tau contains the true one.
+        fixed, _ = propagate(load())
+        checked = set()
+        for rec in fixed.records.values():
+            for p in rec.presentations:
+                if p.kind == "grid":
+                    assert tb(p.parsed) <= 2 * rec.tau.hi - 1
+                    checked.add(rec.id)
+        assert checked == ids

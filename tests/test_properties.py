@@ -4,9 +4,9 @@ the report's old dicts spelled out here; intervals built without the
 endpoint checks (arithmetic and R2's conclusions) against the
 constructor; `propagate`, which re-runs only the instances that read a
 narrowed key, against one evaluation of every instance, also on bases
-whose relations repeat a knot; and each idempotent rule instance, which
-`propagate` does not re-run on its own narrowings, against a second
-evaluation of itself."""
+whose relations repeat a knot; and every rule instance, on distinct or
+repeated knots, which `propagate` does not re-run on its own narrowings,
+against a second evaluation of itself."""
 
 import json
 import os
@@ -220,7 +220,7 @@ def test_propagate_stops_at_a_fixpoint_of_random_bases(seed, size, data):
 # Derandomized, so that a failure replays on every run.
 ORACLE_SETTINGS = settings(max_examples=100, derandomize=True,
                            database=None, deadline=None)
-# R2 and every relation type, built on distinct knots.
+# R2 and every relation type.
 RULE_TYPES = [_GenusChain, *Relation.__args__]
 
 # Small ends, so that the rules' bounds meet; -5 and 5 stand for the
@@ -252,13 +252,15 @@ def _on_knots(cls, knots, counts):
                                                          counts)))
 
 
-# cls -> the record ends and counts of an instance of `cls` on distinct
-# knots, in one draw: hypothesis spends more on building and drawing a
+# cls -> the knot fields of an instance of `cls`, as indices into its
+# records and so with repeats as in Sum(a, b, a), the record ends and the
+# counts, in one draw: hypothesis spends more on building and drawing a
 # strategy than this test spends on its values.
-DRAWS = {cls: st.tuples(st.lists(RECORD_ENDS, min_size=_knot_fields(cls),
-                                 max_size=_knot_fields(cls)),
+DRAWS = {cls: st.tuples(st.lists(st.integers(0, n - 1), min_size=n,
+                                 max_size=n),
+                        st.lists(RECORD_ENDS, min_size=n, max_size=n),
                         st.lists(st.integers(0, 3), min_size=3, max_size=3))
-         for cls in RULE_TYPES}
+         for cls, n in ((cls, _knot_fields(cls)) for cls in RULE_TYPES)}
 
 
 def _evaluate(inst, state):
@@ -278,40 +280,26 @@ def _evaluate(inst, state):
 @pytest.mark.parametrize("cls", RULE_TYPES, ids=lambda cls: cls.__name__)
 @ORACLE_SETTINGS
 @given(data=st.data())
-def test_instances_on_distinct_knots_are_idempotent(cls, data):
-    # `propagate` does not re-queue an idempotent instance on its own
-    # narrowings: a second evaluation right after the first must narrow
-    # nothing.  A new relation type is in `Relation` and so checked here.
-    ends, counts = data.draw(DRAWS[cls])
-    knots = [f"k{i}" for i in range(len(ends))]
-    inst = _on_knots(cls, knots, counts)
-    state = {k: _record(k, e) for k, e in zip(knots, ends)}
+def test_instances_are_idempotent(cls, data):
+    # `propagate` does not re-queue an instance on its own narrowings: a
+    # second evaluation right after the first must narrow nothing, on
+    # distinct knots and on repeated ones.  A new relation type is in
+    # `Relation` and so checked here.
+    fields, ends, counts = data.draw(DRAWS[cls])
+    inst = _on_knots(cls, [f"k{i}" for i in fields], counts)
+    state = {f"k{i}": _record(f"k{i}", e) for i, e in enumerate(ends)}
     try:
         _evaluate(inst, state)
     except EmptyIntervalError:
         return  # an inconsistent state: `propagate` stops there
     assert _evaluate(inst, state) == []
-    assert inst.idempotent
-
-
-def test_instances_that_repeat_a_knot_are_not_idempotent():
-    for inst in (Sum("a", "b", "a"), Sum("a", "a", "c"), Mirror("a", "a")):
-        assert not inst.idempotent
-    # tau(a) = tau(a) + tau(b) with tau(b) = 1 raises tau(a) on every pass.
-    state = {"a": KnotRecord("a", Interval.at_least(0)),
-             "b": KnotRecord("b", Interval.exact(1))}
-    climbing = Sum("a", "b", "a")
-    assert _evaluate(climbing, state) == [
-        ("a", "tau", Interval.at_least(1))]
-    assert _evaluate(climbing, state) == [
-        ("a", "tau", Interval.at_least(2))]
 
 
 def _repeated_operand_base(rng):
     """(knots, facts, relations) on 1-3 knots: 1-4 relations of any type
     whose knot fields are drawn with repeats, as in Sum(a, b, a), a
-    one-sided tau bound on most knots (what makes Sum(a, b, a) climb) and
-    0-2 more facts of any kind, all small."""
+    one-sided tau bound on most knots (what makes a cycle of sums climb)
+    and 0-2 more facts of any kind, all small."""
     ids = ["a", "b", "c"][:rng.randint(1, 3)]
     relations = []
     for _ in range(rng.randint(1, 4)):
@@ -332,10 +320,10 @@ def _repeated_operand_base(rng):
 @settings(ORACLE_SETTINGS, max_examples=200)
 @given(st.integers(0, 2**32))
 def test_repeated_operands_reach_a_fixpoint_or_fail_cleanly(seed):
-    # The shape that is not idempotent: a base that completes is at a
-    # fixpoint in every order, and one that does not is inconsistent or
-    # out of budget (Sum(a, b, a) climbs), nothing else.  Drawn from a
-    # seed, since hypothesis draws few of the bases that climb.
+    # A base that completes is at a fixpoint in every order, and one that
+    # does not is inconsistent or out of budget (Sum(a, b, c) with
+    # Sum(c, b, a) climbs), nothing else.  Drawn from a seed, since
+    # hypothesis draws few of the bases that climb.
     knots, facts, relations = _repeated_operand_base(random.Random(seed))
     with mock.patch.dict(os.environ, TAU_STEP_BUDGET="100"):
         try:

@@ -164,6 +164,37 @@ def reflect_columns(g: GridDiagram) -> GridDiagram:
     )
 
 
+def reflect_rows(g: GridDiagram) -> GridDiagram:
+    """Mirror the diagram across a horizontal axis; negates every crossing
+    sign."""
+    return GridDiagram(g.size, g.xs[::-1], g.os[::-1])
+
+
+def commutable_columns(g: GridDiagram) -> list[int]:
+    """Each column c whose vertical segment and that of column c + 1 share
+    no row and do not interleave (one lies beside or inside the other):
+    swapping the two is a commutation, a Legendrian isotopy."""
+    x_row = {c: r for r, c in enumerate(g.xs)}
+    o_row = {c: r for r, c in enumerate(g.os)}
+    out = []
+    for c in range(g.size - 1):
+        lo, hi = sorted((x_row[c], o_row[c]))
+        ends = x_row[c + 1], o_row[c + 1]
+        # Both ends of column c + 1 inside column c's span, or both outside.
+        if lo not in ends and hi not in ends and len(
+                {lo < r < hi for r in ends}) == 1:
+            out.append(c)
+    return out
+
+
+def swap_columns(g: GridDiagram, c: int) -> GridDiagram:
+    """The diagram with columns c and c + 1 exchanged, markers and all."""
+    def moved(col):
+        return c + 1 if col == c else c if col == c + 1 else col
+    return GridDiagram(g.size, tuple(map(moved, g.xs)),
+                       tuple(map(moved, g.os)))
+
+
 def crossings(g: GridDiagram) -> list[tuple[int, int, int]]:
     """All (row, column, sign) where row r's horizontal segment strictly
     spans column c and column c's vertical strictly spans row r: the
