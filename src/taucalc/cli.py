@@ -13,6 +13,8 @@ without walking every class, function and module dict of its imports
 (about 10 ms); the OS takes the memory back, atexit handlers still run
 and stdout is still flushed.  `main` is the in-process API: it never
 freezes, and it leaves the caller's collector setting as it found it.
+
+`braid`, `grid` and `families` come from `deduce`, which makes them lazy.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import os
 import sys
 from itertools import chain
 
-from . import braid as braid_mod
 from . import catalog as catalog_mod
-from . import families, grid as grid_mod
-from .deduce import Double, propagate, query, replay
+from .deduce import (Double, braid_mod, families, grid_mod, propagate, query,
+                     replay)
 from .errors import InconsistentError, TaucalcError
 from .interval import Interval
 from .report import build_report, chunks, dash, render_report, to_json

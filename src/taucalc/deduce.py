@@ -46,19 +46,40 @@ re-queues the instances that read its key, but not the one that made it.
 `propagate` orders its work in two priority classes: the seeds and
 relations, then R2, which is most of the instances and narrows least, so
 it runs after what its knot's other rules narrowed.
+
+`braid`, `grid` and `families` are lazy (`_lazy`): each runs only when a
+presentation, a `Double` or a `tau` subcommand first uses it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 
-from . import braid as braid_mod
-from . import families, grid as grid_mod
 from .errors import (BrokenStepError, EmptyIntervalError, InconsistentError,
                      TaucalcError)
 from .interval import NEG_INF, POS_INF, Interval, _unchecked
+
+
+def _lazy(name: str):
+    """`taucalc.<name>`, in sys.modules and on the package, run on its first
+    attribute access; a module already in sys.modules is returned as is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# `cli` takes these from here: `import taucalc.braid` would run braid.
+braid_mod, grid_mod, families = map(_lazy, ("braid", "grid", "families"))
 
 DEFAULT_STEP_BUDGET = 10**6
 # fact kind -> (quantity, the bound on that quantity the fact's value gives)

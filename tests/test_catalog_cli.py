@@ -742,21 +742,84 @@ class TestCli:
     def test_import_leaves_out_modules_a_run_does_not_use(self):
         # No code in src/ imports `random`, and the bundled catalog is a
         # plain file next to catalog.py, read without importlib.resources
-        # (which brings in zipfile and tempfile).  `dataclasses` is still
-        # imported: FactBase stays a dataclass while bench/tracing.py
-        # derives a base from it with dataclasses.replace.
+        # (which brings in zipfile and tempfile).  `importlib.util`, which
+        # deduce uses for its lazy modules, brings in none of the three.
+        # `dataclasses` is still imported: FactBase stays a dataclass while
+        # bench/tracing.py derives a base from it with dataclasses.replace.
         code = ("import sys, taucalc.cli\n"
                 "taucalc.catalog.load_bundled_catalog()\n"
                 "print(sorted({'random', 'importlib.resources', 'zipfile',"
                 " 'tempfile'} & set(sys.modules)))\n")
         assert self._modules_after(code) == "[]\n"
 
+    # Each fact base as a fact file: a chain of crossing changes with no
+    # presentation, and two knots whose only presentations are grids.
+    BASES = {
+        "CHAIN": {"knots": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+                  "facts": [{"id": "a", "kind": "tau_lower", "value": 1}],
+                  "relations": [
+                      {"kind": "crossing_change", "plus": "a", "minus": "b"},
+                      {"kind": "crossing_change", "plus": "b", "minus": "c"}]},
+        "GRIDS": {"knots": [
+            {"id": "g", "presentations": [
+                {"kind": "grid",
+                 "value": "6 / X: 5 4 0 1 2 3 / O: 4 1 2 3 5 0"}]},
+            {"id": "t", "presentations": [
+                {"kind": "grid",
+                 "value": "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0"}]}]},
+    }
+
+    @pytest.mark.parametrize("argv,executed", [
+        (["deduce", "CHAIN"], []),
+        (["deduce", RANDOM_WIDE], ["families"]),  # its presentations are tori
+        # grid.py imports count_cycles from braid.py, so a grid runs both.
+        (["deduce", "GRIDS"], ["braid", "grid"]),
+        (["catalog"], ["braid", "families", "grid"]),
+        (["torus", "3", "5"], ["families"]),
+    ], ids=["chain", "random-wide", "grids", "catalog", "torus"])
+    def test_a_run_executes_only_the_modules_it_uses(self, tmp_path, argv,
+                                                     executed):
+        # deduce makes braid, grid and families lazy: each is in
+        # sys.modules from the start and runs on its first attribute
+        # access, after which it is a plain module.  The test reads only
+        # the type, since any attribute access would run the module.
+        for name, doc in self.BASES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a) if a in self.BASES else a for a in argv]
+        code = ("import sys, types, taucalc.cli\n"
+                f"code = taucalc.cli.main({argv!r})\n"
+                "print(code, sorted(m for m in ('braid', 'grid', 'families')"
+                " if type(sys.modules['taucalc.' + m])"
+                " is types.ModuleType))\n")
+        last = self._modules_after(code).splitlines()[-1]
+        assert last == f"0 {executed}"
+
+    def test_a_module_imported_first_is_the_one_deduce_uses(self):
+        # A lazy module must not replace one already in sys.modules, or
+        # there would be two BraidWord classes.
+        code = ("import sys, taucalc.braid as first\n"
+                "import taucalc.deduce as d\n"
+                "p = d.Presentation('braid', '2: 1 1 1')\n"
+                "print(d.braid_mod is first is sys.modules['taucalc.braid'],"
+                " type(p.parsed) is first.BraidWord)\n")
+        assert self._modules_after(code) == "True True\n"
+
+    def test_an_import_after_cli_runs_the_lazy_module(self):
+        # The import finds the lazy module in sys.modules and binds the
+        # package attribute that deduce set for it.
+        code = ("import taucalc.cli\n"
+                "import taucalc.braid\n"
+                "print(taucalc.braid.parse_braid('2: 1 1 1').writhe)\n")
+        assert self._modules_after(code) == "3\n"
+
     def test_import_loads_every_module_the_bench_tracer_wraps(self):
         # bench/tracing.py imports taucalc.cli and then reads
-        # sys.modules[name] for each module of its LAYERS table, so a lazy
+        # sys.modules[name] for each module of its LAYERS table, so every
+        # one must be there after the import, and a plain function-level
         # import of braid or grid would stop `bench/run.py --trace 1` with
-        # a KeyError.  bench/test_bench_smoke.py imports both modules
-        # itself, so only a fresh process shows it.
+        # a KeyError.  The lazy modules are there without having run.
+        # bench/test_bench_smoke.py imports both modules itself, so only a
+        # fresh process shows it.
         bench = str(Path(__file__).parents[1] / "bench")
         code = ("import sys, taucalc.cli\n"
                 "loaded = set(sys.modules)\n"
