@@ -113,8 +113,8 @@ def _run_deduction(args) -> int:
     """`tau deduce FACTS` and `tau catalog`: the same run on another base."""
     base = (catalog_mod.load_factbase(args.file) if args.command == "deduce"
             else catalog_mod.load_bundled_catalog())
-    fixed, cert = propagate(base)
-    replay(cert, base)  # raises BrokenStepError on a step that does not follow
+    cert = propagate(base)[1]
+    fixed = replay(cert, base)  # what `cert` re-derives, or BrokenStepError
     records = fixed.records
     if args.query is not None:
         rec, cert = query(fixed, cert, args.query)

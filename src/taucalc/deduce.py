@@ -9,10 +9,10 @@ rules; propagation runs the rules to their least fixpoint and records
 every narrowing in a replayable certificate.
 
 Rule catalog.  A rule instance is a relation, the R2 instance of a
-knot, or the R7 seed of a stored presentation.  A relation is one object,
-built by `FactBase.extend` and shared by `propagate` and `replay`;
-`propagate` builds every R2 instance and R7 seed (`_instances`), `replay`
-only those its steps cite.  A rule only reads:
+knot, or the R7 seed of a stored presentation.  `_named` builds the
+instances a step names by its `cite`, the seeds and relations; `propagate`
+adds each knot's R2 instance (`_instances`), and `replay` looks each cite up
+in one table of `_named`'s instances.  A rule only reads:
 `implications(state)` yields every conclusion whatever the state (the top
 interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key
@@ -168,8 +168,9 @@ def _pretzel_seeds(p: families.PretzelParams) -> list:
 # kind -> (rule name, parser, seed bounds of the parsed object as (quantity,
 # constraint) pairs).  The seed function is the knot check: the braid
 # genus bounds and grid tb refuse a closure or diagram that is a link.
-# Module functions are looked up at call time, so wrapping them (e.g. to
-# profile) takes effect here too.
+# The lambdas look module functions up at call time: wrapping one (e.g. to
+# profile) takes effect here too, and `braid`, `grid` and `families` stay
+# lazy, where naming `braid_mod.parse_braid` here would run `braid`.
 PRESENTATION_KINDS = {
     "braid": ("R7-braid", lambda v: braid_mod.parse_braid(v), _braid_seeds),
     "grid": ("R7-grid", lambda v: grid_mod.parse_grid(v),
@@ -496,17 +497,20 @@ class Certificate(tuple):
 # propagation engine
 
 
-def _instances(base: FactBase) -> list:
-    """Every rule instance of the base: each knot's R2 instance and
-    presentation seeds, then the relations, so every seed comes before
-    every relation.  Within each priority class this is the order of
-    `propagate`'s first evaluations."""
-    out: list = []
+def _named(base: FactBase):
+    """The rule instances a step names by its `cite`: each knot's
+    presentation seeds, knot by knot, then the relations."""
     for id, rec in base.records.items():
-        out.append(_GenusChain(id))
-        out.extend(_Seed(id, p) for p in rec.presentations)
-    out.extend(base.relations)
-    return out
+        for p in rec.presentations:
+            yield _Seed(id, p)
+    yield from base.relations
+
+
+def _instances(base: FactBase) -> list:
+    """Every rule instance of the base: each knot's R2 instance, then the
+    `_named` ones, so every seed comes before every relation.  Within each
+    priority class this is the order of `propagate`'s first evaluations."""
+    return [*map(_GenusChain, base.records), *_named(base)]
 
 
 def _narrow(state: dict, rec: KnotRecord, i: int, constraint: Interval):
@@ -621,33 +625,27 @@ def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certi
     return base.knot(id), cert.for_knot(id)
 
 
-def replay(cert: Certificate, base: FactBase) -> bool:
+def replay(cert: Certificate, base: FactBase) -> FactBase:
     """Re-derive every step from the base's axioms: the step must cite a
     rule instance of the base, which must yield the step's conclusion from
     the step's `reads` in the replayed state, and the conclusion must
-    narrow its target to the step's `result`.  Raises BrokenStepError at
-    the first failure.  It builds only the instances its steps cite, each
-    the first time a step cites it."""
+    narrow its target to the step's `result`.  A cite is looked up among
+    the `_named` instances, an R2 step's by its target.  Raises
+    BrokenStepError at the first failure; returns the base with the records
+    the steps re-derived, for a certificate of `propagate` its fixpoint."""
     state = dict(base.records)
-    relations = {r: r for r in base.relations}  # a cite equal to one names it
-    instances = {}  # (rule, cite, target) -> the instance it names
+    named = {inst.cite: inst for inst in _named(base)}
     slot = _SLOT
     for index, rule, target, qty, cite, reads, conclusion, result in cert:
-        inst = instances.get((rule, cite, target))
-        if inst is None:
-            match cite:
-                case None if target in state:
-                    inst = _GenusChain(target)
-                case ("relation", rel):
-                    inst = relations.get(rel)
-                case ("presentation", knot, Presentation() as p) if (
-                        knot in state and p in state[knot].presentations):
-                    inst = _Seed(knot, p)
-            if inst is None or inst.rule != rule:
-                raise BrokenStepError(
-                    f"step {index}: cites no {rule} instance of the base",
-                    step_index=index)
-            instances[rule, cite, target] = inst
+        try:
+            inst = (named.get(cite) if cite is not None else
+                    _GenusChain(target) if target in state else None)
+        except TypeError:  # an unhashable cite or target names nothing
+            inst = None
+        if inst is None or inst.rule != rule:
+            raise BrokenStepError(
+                f"step {index}: cites no {rule} instance of the base",
+                step_index=index)
         for t, q, c, keys in inst.implications(state):
             if t == target and q == qty and c == conclusion:
                 break
@@ -674,4 +672,4 @@ def replay(cert: Certificate, base: FactBase) -> bool:
             raise BrokenStepError(
                 f"step {index}: recorded result {result} but replay "
                 f"produced {new}", step_index=index)
-    return True
+    return replace(base, records=state)

@@ -17,7 +17,7 @@ import taucalc
 from taucalc import braid, catalog, cli, deduce, grid, report as report_mod
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.cli import main
-from taucalc.deduce import propagate
+from taucalc.deduce import FactBase, propagate
 from taucalc.errors import TaucalcError
 from taucalc.interval import Interval
 from taucalc.report import build_report, to_json
@@ -654,12 +654,12 @@ class TestCli:
             "got '-1'\n")
 
     @staticmethod
-    def _deduce(tmp_path, capsys, doc) -> tuple[int, str, str]:
-        """The exit code of `tau deduce` on fact file `doc`, its standard
-        output and its standard error."""
+    def _deduce(tmp_path, capsys, doc, *flags) -> tuple[int, str, str]:
+        """The exit code of `tau deduce` with `flags` on fact file `doc`, its
+        standard output and its standard error."""
         path = tmp_path / "facts.json"
         path.write_text(json.dumps(doc))
-        return main(["deduce", str(path)]), *capsys.readouterr()
+        return main(["deduce", str(path), *flags]), *capsys.readouterr()
 
     def test_large_base_out_of_budget_exits_2(self, tmp_path, monkeypatch,
                                               capsys):
@@ -708,6 +708,78 @@ class TestCli:
             "relations": [{"kind": "sum", "a": "a", "b": "a", "c": "c"}],
         })
         assert code == 3
+
+    # ROADMAP item 9's open cases: each needs two relations' equalities at
+    # once, which interval propagation, one relation at a time, cannot see.
+
+    @pytest.mark.xfail(strict=True, reason="K # mK is slice, so tau(s) = 1 "
+                       "is inconsistent; with tau(k) unbounded R4 narrows "
+                       "nothing (ROADMAP item 9)")
+    def test_sum_with_mirror_of_nonzero_tau_exits_3(self, tmp_path, capsys):
+        code, _, _ = self._deduce(tmp_path, capsys, {
+            "knots": [{"id": "k"}, {"id": "mk"}, {"id": "s"}],
+            "facts": [{"id": "s", "kind": "tau_lower", "value": 1},
+                      {"id": "s", "kind": "tau_upper", "value": 1}],
+            "relations": [{"kind": "mirror", "a": "k", "b": "mk"},
+                          {"kind": "sum", "a": "k", "b": "mk", "c": "s"}],
+        })
+        assert code == 3
+
+    @pytest.mark.xfail(strict=True, reason="a # b = c and c # d = a force "
+                       "tau(b) + tau(d) = 0, which tau(b) >= 1 and "
+                       "tau(d) >= 0 contradict (ROADMAP item 9)")
+    def test_cycle_of_two_sums_exits_3(self, tmp_path, capsys):
+        code, _, _ = self._deduce(tmp_path, capsys, {
+            "knots": [{"id": k} for k in "abcd"],
+            "facts": [{"id": "b", "kind": "tau_lower", "value": 1},
+                      {"id": "d", "kind": "tau_lower", "value": 0}],
+            "relations": [{"kind": "sum", "a": "a", "b": "b", "c": "c"},
+                          {"kind": "sum", "a": "c", "b": "d", "c": "a"}],
+        })
+        assert code == 3
+
+    @pytest.mark.xfail(strict=True, reason="a # b = c and c # b = a force "
+                       "tau(b) = 0; with tau(a) >= 0 the two sums climb one "
+                       "step per evaluation until the budget runs out "
+                       "(ROADMAP item 9)")
+    def test_climbing_pair_of_sums_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        # A small budget: the default one climbs for about a second.
+        monkeypatch.setenv("TAU_STEP_BUDGET", "200")
+        code, _, _ = self._deduce(tmp_path, capsys, {
+            "knots": [{"id": k} for k in "abc"],
+            "facts": [{"id": "b", "kind": "tau_lower", "value": 1},
+                      {"id": "a", "kind": "tau_lower", "value": 0}],
+            "relations": [{"kind": "sum", "a": "a", "b": "b", "c": "c"},
+                          {"kind": "sum", "a": "c", "b": "b", "c": "a"}],
+        })
+        assert code == 3
+
+    @pytest.mark.xfail(strict=True, reason="tau(k3) = -tau(k1) in "
+                       "0 <= tau(k1) - tau(k3) <= 1 gives 0 <= 2 tau(k1) <= 1, "
+                       "so tau(k1) = 0; propagation leaves it unbounded "
+                       "(ROADMAP item 9)")
+    def test_mirror_and_crossing_change_pin_tau_to_0(self, tmp_path, capsys):
+        code, out, _ = self._deduce(tmp_path, capsys, {
+            "knots": [{"id": "k1"}, {"id": "k3"}],
+            "relations": [{"kind": "mirror", "a": "k1", "b": "k3"},
+                          {"kind": "crossing_change", "plus": "k1",
+                           "minus": "k3"}],
+        }, "--query", "k1")
+        assert code == 0 and out.startswith("k1: tau = [0, 0],")
+
+    @pytest.mark.parametrize("argv", [["catalog", "--json"],
+                                      ["catalog", "--query", "10_139"]])
+    def test_report_is_what_the_certificate_rederives(self, monkeypatch,
+                                                      capsys, argv):
+        # `propagate`'s records are not what is printed: with them replaced
+        # by an empty base, the report is unchanged.
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli, "propagate",
+                            lambda base: (FactBase(), propagate(base)[1]))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_broken_certificate_exits_2(self):
         # Under -O as well: the replay check must not be an assert.

@@ -249,7 +249,7 @@ class TestWorkedScenarios:
         assert fixed.knot("k139").tau == Interval.exact(4)
         assert fixed.knot("k139").g4 == Interval.exact(4)
         rec, sub = query(fixed, cert, "k139")
-        assert len(sub) >= 1 and replay(sub, base)
+        assert len(sub) >= 1 and replay(sub, base).records["k139"] == rec
 
     def test_nine_one_with_seifert_genus(self):
         base = FactBase().extend(knots=[
@@ -258,7 +258,7 @@ class TestWorkedScenarios:
         fixed, cert = propagate(base)
         assert fixed.knot("k161").tau == Interval.exact(3)
         assert fixed.knot("k161").g4 == Interval.exact(3)
-        assert replay(cert, base)
+        assert replay(cert, base).records == fixed.records
 
     def test_nine_two_with_unknotting(self):
         base = FactBase().extend(knots=[
@@ -349,7 +349,7 @@ class TestErrors:
         assert len(cert) == 3 + 2 * mirror
         if mirror:
             assert fixed.knot("m").tau == Interval.exact(-1)
-        assert replay(cert, base)
+        assert replay(cert, base).records == fixed.records
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("TAU_STEP_BUDGET", "1")
@@ -383,20 +383,25 @@ LEAST_BUDGETS = {
 }
 
 
+def _least_budget_inputs() -> dict:
+    """The inputs of `LEAST_BUDGETS`, by name."""
+    wide = load_factbase(DATA / "random_wide_100.json")
+    return {"random_wide_100": wide,
+            "random_wide_100 reversed": relations_reversed(wide),
+            "catalog": load_bundled_catalog(),
+            "all_rules": load_factbase(DATA / "all_rules.json"),
+            "torus seed": _torus_seed(False),
+            "torus seed and mirror": _torus_seed(True),
+            "chain 200": _chain(200, False)[0],
+            "chain 200 reversed": _chain(200, True)[0]}
+
+
 class TestWorkCounts:
     def test_least_budgets_are_pinned(self):
         # Budget N completes and N - 1 does not: one evaluation more or
         # fewer than the table fails.
-        wide = load_factbase(DATA / "random_wide_100.json")
-        inputs = {"random_wide_100": wide,
-                  "random_wide_100 reversed": relations_reversed(wide),
-                  "catalog": load_bundled_catalog(),
-                  "all_rules": load_factbase(DATA / "all_rules.json"),
-                  "torus seed": _torus_seed(False),
-                  "torus seed and mirror": _torus_seed(True),
-                  "chain 200": _chain(200, False)[0],
-                  "chain 200 reversed": _chain(200, True)[0]}
-        assert ({name: least_budget(base) for name, base in inputs.items()}
+        assert ({name: least_budget(base)
+                 for name, base in _least_budget_inputs().items()}
                 == LEAST_BUDGETS)
 
     def test_seeds_read_nothing(self):
@@ -421,12 +426,20 @@ class TestWorkCounts:
 
 class TestCertificates:
     def test_empty_replay(self):
-        assert replay(Certificate(), FactBase())
+        base = base_with("a")
+        assert replay(Certificate(), base) == base
+
+    def test_replay_rederives_the_fixpoint(self):
+        # `tau` reports the records `replay` returns: they must be
+        # `propagate`'s fixpoint, field for field.
+        for name, base in _least_budget_inputs().items():
+            fixed, cert = propagate(base)
+            assert replay(cert, base).records == fixed.records, name
 
     def test_replay_of_propagation(self):
         base = random_consistent_base(random.Random(20))[0]
         fixed, cert = propagate(base)
-        assert replay(cert, base)
+        assert replay(cert, base).records == fixed.records
 
     def test_tampered_conclusion_rejected(self):
         base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
@@ -459,41 +472,49 @@ class TestCertificates:
             replay(forged, base)
         assert ei.value.step_index == 0
 
-    @pytest.mark.parametrize("cite", [
-        ("presentation", "b", Presentation("torus", "2 3")), ("bogus",),
-        ("presentation", "b")],
+    @pytest.mark.parametrize("cite, target", [
+        (("presentation", "b", Presentation("torus", "2 3")), "b"),
+        (("bogus",), "b"), (("presentation", "b"), "b"),
+        (["presentation", "a", Presentation("torus", "2 3")], "b"),
+        (("presentation", ["a"], Presentation("torus", "2 3")), "b"),
+        (None, ["b"])],
         ids=["another-knots-presentation", "unknown-kind",
-             "two-field-presentation"])
-    def test_cite_of_no_instance_rejected(self, cite):
-        # The torus is stored on a, not b; the other two cites have no
-        # cite's shape, and are refused like it rather than unpacked.
+             "two-field-presentation", "list-cite", "list-in-cite",
+             "list-target"])
+    def test_cite_of_no_instance_rejected(self, cite, target):
+        # The torus is stored on a, not b; the other cites have no cite's
+        # shape, and are refused like it rather than unpacked.  A cite or
+        # target that cannot be hashed names no instance either.
         base = FactBase().extend(knots=[
             ("a", [Presentation("torus", "2 3")]), ("b", ())])
         _, cert = propagate(base)
-        forged = _append_step(cert, "R7-torus", "b", "tau", Interval.exact(1),
-                              cite)
+        forged = _append_step(cert, "R7-torus", target, "tau",
+                              Interval.exact(1), cite)
         with pytest.raises(BrokenStepError,
                            match="cites no R7-torus instance") as ei:
             replay(forged, base)
         assert ei.value.step_index == len(cert)
 
-    def test_replay_builds_only_the_instances_its_steps_cite(
-            self, monkeypatch):
-        base = load_factbase(DATA / "random_wide_100.json")
+    def test_replay_builds_each_named_instance_once(self, monkeypatch):
+        # Each seed once, whether or not a step cites it, and one R2
+        # instance per R2 step.  Knot "uncited" has a grid seed, tb >= 1,
+        # that its tb fact already holds, so no step cites it.
+        grid = Presentation("grid", "5 / X: 4 0 1 2 3 / O: 1 2 3 4 0")
+        base = load_factbase(DATA / "random_wide_100.json").extend(
+            knots=[("uncited", [grid])], facts=[("uncited", "tb_lower", 1, "")])
         _, cert = propagate(base)
+        assert ("presentation", "uncited", grid) not in {s.cite for s in cert}
+        seeds = sum(len(rec.presentations) for rec in base.records.values())
         built = Counter()
         for name in ("_GenusChain", "_Seed"):
             def counted(*args, _cls=getattr(deduce, name), _name=name):
                 built[_name] += 1
                 return _cls(*args)
             monkeypatch.setattr(deduce, name, counted)
-        assert replay(cert, base)
-        r2_targets = {s.target for s in cert if s.cite is None}
-        seed_cites = {s.cite for s in cert
-                      if s.cite is not None and s.cite[0] == "presentation"}
-        assert built == Counter(_GenusChain=len(r2_targets),
-                                _Seed=len(seed_cites))
-        assert built == Counter(_GenusChain=34, _Seed=29)
+        replay(cert, base)
+        assert built == Counter(
+            _GenusChain=sum(s.cite is None for s in cert), _Seed=seeds)
+        assert built == Counter(_GenusChain=34, _Seed=30)
 
     def test_rule_must_match_cited_relation(self):
         base = base_with("a", "b").extend(relations=[Mirror("a", "b")])
@@ -611,9 +632,11 @@ class TestCertificates:
     def test_query_slice_replays(self):
         base = random_consistent_base(random.Random(22))[0]
         fixed, cert = propagate(base)
+        # A knot's slice holds every step that targets it, so replaying
+        # the slice re-derives the knot's record.
         for id in list(fixed.records)[:10]:
-            _, sub = query(fixed, cert, id)
-            assert replay(sub, base)
+            rec, sub = query(fixed, cert, id)
+            assert replay(sub, base).records[id] == rec
 
     def test_for_knot_matches_closure_oracle(self):
         for seed in range(10):
@@ -684,7 +707,7 @@ class TestConfluenceAndSoundness:
                 for seed in range(20):
                     fixed, cert = propagate_shuffled(base, seed)
                     assert fixed.records == reference.records
-                    assert replay(cert, base)
+                    assert replay(cert, base).records == fixed.records
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_chain_costs_linear_evaluations(self, monkeypatch, reverse):
@@ -695,7 +718,7 @@ class TestConfluenceAndSoundness:
         monkeypatch.setenv("TAU_STEP_BUDGET", str(10 * n))
         fixed, cert = propagate(base)
         assert fixed.knot("c0").tau == tau
-        assert replay(cert, base)
+        assert replay(cert, base).records == fixed.records
 
     def test_final_intervals_contain_truth(self):
         for seed in range(5):

@@ -6,7 +6,8 @@ constructor; `propagate`, which re-runs only the instances that read a
 narrowed key, against one evaluation of every instance, also on bases
 whose relations repeat a knot; and every rule instance, on distinct or
 repeated knots, which `propagate` does not re-run on its own narrowings,
-against a second evaluation of itself."""
+against a second evaluation of itself; and the records `replay` rebuilds
+from a certificate against `propagate`'s fixpoint."""
 
 import json
 import os
@@ -217,6 +218,15 @@ def test_propagate_stops_at_a_fixpoint_of_random_bases(seed, size, data):
     assert _narrowings(fixed) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40))
+def test_replay_rederives_the_fixpoint_of_random_bases(seed, size):
+    # `tau` reports the records `replay` returns, not `propagate`'s.
+    base = random_consistent_base(random.Random(seed), size)[0]
+    fixed, cert = propagate(base)
+    assert replay(cert, base).records == fixed.records
+
+
 # Derandomized, so that a failure replays on every run.
 ORACLE_SETTINGS = settings(max_examples=100, derandomize=True,
                            database=None, deadline=None)
@@ -335,6 +345,6 @@ def test_repeated_operands_reach_a_fixpoint_or_fail_cleanly(seed):
             assert str(e).startswith("propagation exceeded step budget 100")
             return
         assert _narrowings(fixed) == []
-        assert replay(cert, base)
+        assert replay(cert, base).records == fixed.records
         for order in range(4):
             assert propagate_shuffled(base, order)[0].records == fixed.records
