@@ -19,11 +19,12 @@ freezes, and it leaves the caller's collector setting as it found it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 from . import catalog as catalog_mod
 from .deduce import (Double, braid_mod, families, grid_mod, propagate, query,
@@ -142,70 +143,109 @@ def _run_deduction(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="tau",
-        description="Concordance invariant bounds from combinatorial knot "
-                    "presentations.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: tau braid WORD [--positive]    analyze a braid word 'n: l1 l2 ...'
+       tau grid FILE                  analyze a grid diagram file
+       tau torus P Q                  invariant of the (p,q) torus knot
+       tau pretzel T1 T2 ...          invariant of an odd pretzel knot
+       tau double --companion NAME --tb-lower N [--iterations K]
+                                      invariant of a Whitehead double
+       tau deduce FACTS [--json] [--certify] [--query ID]
+                                      propagate a fact file
+       tau catalog [--json] [--certify] [--query ID]
+                                      run the bundled catalog
+"""
 
-    p = sub.add_parser("braid", help="analyze a braid word 'n: l1 l2 ...'")
-    p.add_argument("word")
-    p.add_argument("--positive", action="store_true",
-                   help="require a positive word and print the exact invariant")
-    p.set_defaults(fn=_cmd_braid)
+# Each command's handler and arguments.  A positional is given by its type
+# (list: one or more ints), an option ("--...") by its type if required,
+# else by its default: False makes a flag, None takes a string.
+_DEDUCTION = {"--certify": False, "--query": None, "--json": False}
+COMMANDS = {
+    "braid": (_cmd_braid, {"word": str, "--positive": False}),
+    "grid": (_cmd_grid, {"file": str}),
+    "torus": (_cmd_torus, {"p": int, "q": int}),
+    "pretzel": (_cmd_pretzel, {"twists": list}),
+    "double": (_cmd_double, {"--companion": str, "--tb-lower": int,
+                             "--iterations": 1}),
+    "deduce": (_run_deduction, {"file": str, **_DEDUCTION}),
+    "catalog": (_run_deduction, _DEDUCTION),
+}
 
-    p = sub.add_parser("grid", help="analyze a grid diagram file")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_grid)
 
-    p = sub.add_parser("torus", help="invariant of the (p,q) torus knot")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(fn=_cmd_torus)
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}tau: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("pretzel", help="invariant of an odd pretzel knot")
-    p.add_argument("twists", type=int, nargs="+")
-    p.set_defaults(fn=_cmd_pretzel)
 
-    p = sub.add_parser("double", help="invariant of an untwisted positive "
-                                      "Whitehead double")
-    p.add_argument("--companion", required=True,
-                   help="the companion's name; the value does not depend "
-                        "on it")
-    p.add_argument("--tb-lower", type=int, required=True,
-                   help="a lower bound on the companion's Thurston-Bennequin "
-                        "number, the only input the value depends on")
-    p.add_argument("--iterations", type=int, default=1,
-                   help="how many times to double (at least 1); the value "
-                        "does not depend on it")
-    p.set_defaults(fn=_cmd_double)
+def _option(word: str, names) -> tuple[str, str | None] | None:
+    """The option that `word` names and its `=value`, or None if `word` is a
+    positional.  As in argparse, a unique prefix names a long option, and
+    `-`, a negative number and a word with a space are positionals."""
+    name, eq, value = word.partition("=")
+    found = [o for o in names
+             if o == name or name[:2] == "--" and o.startswith(name)]
+    if len(found) == 1:
+        return found[0], value if eq else None
+    if found or (word.startswith("-") and word != "-" and " " not in word
+                 and not re.match(r"^-\d+$|^-\d*\.\d+$", word)):
+        _usage_error(f"{'ambiguous' if found else 'unknown'} option: {word}")
+    return None
 
-    for name, help_ in (("deduce", "propagate a fact file"),
-                        ("catalog", "run the bundled catalog")):
-        p = sub.add_parser(name, help=help_)
-        if name == "deduce":
-            p.add_argument("file", metavar="facts")
-        p.add_argument("--certify", action="store_true",
-                       help="include the certificate: every step, or with "
-                            "--query the steps supporting the knot (the text "
-                            "--query form always prints them)")
-        p.add_argument("--query", metavar="ID",
-                       help="print one knot with its supporting derivation")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(fn=_run_deduction)
 
-    return ap
+def parse_args(argv) -> SimpleNamespace:
+    """`argv` read by COMMANDS in one pass, as argparse would, into the
+    namespace that `args.fn(args)` reads.  -h or --help prints USAGE and
+    exits 0; a usage error exits 2."""
+    command = argv[0] if argv else None
+    fn, spec = COMMANDS.get(command, (None, {}))
+    names = [*(o for o in spec if o[0] == "-"), "-h", "--help"]
+    given, values, words = {}, [], iter(argv[1:] if fn else argv)
+    for word in words:
+        if word == "--":  # the rest are positionals
+            values += words
+        elif (option := _option(word, names)) is None:
+            values.append(word)
+        elif option[0] not in spec and option[1] is None:  # -h or --help
+            print(USAGE, end="", flush=True)  # a closed pipe raises here
+            raise SystemExit(0)
+        else:
+            name, value = option
+            if spec.get(name, False) is False:  # a flag, or --help=...
+                value = value is None or _usage_error(f"{name} takes no value")
+            elif value is None:
+                value = next(words, "--")
+                if value == "--" or _option(value, names):
+                    _usage_error(f"{name} expects one argument")
+            given.setdefault(name, []).append(value)
+    if fn is None:
+        _usage_error(f"invalid command: {command!r}" if argv else "no command")
+    args = SimpleNamespace(command=command, fn=fn)
+    for name, kind in spec.items():
+        if name[0] != "-" and values:  # the next positional, or all
+            given[name] = values if kind is list else values[:1]
+            values = [] if kind is list else values[1:]
+        if name not in given and isinstance(kind, type):
+            _usage_error(f"the following arguments are required: {name}")
+        value = given.get(name, [kind])
+        try:  # every value given, as argparse converts each
+            if kind in (int, list) or type(kind) is int:
+                value = [*map(int, value)]
+        except ValueError:
+            _usage_error(f"{name}: invalid int value")
+        setattr(args, name.lstrip("-").replace("-", "_"),
+                value if kind is list else value[-1])
+    if values:
+        _usage_error(f"unrecognized arguments: {' '.join(values)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # A run's heap is acyclic named tuples, so the cyclic collector would
     # only scan it; the caller's setting comes back on every exit.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

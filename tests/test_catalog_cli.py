@@ -84,6 +84,14 @@ def _child_env(**changes):
     return {**os.environ, "PYTHONPATH": SRC, **changes}
 
 
+def _readme_cli_block() -> str:
+    """The first code block under README's `## CLI` heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    return section.split("\n```\n", 1)[1].split("```", 1)[0]
+
+
 def _with_files(argv, tmp_path):
     """`argv` with MISSING replaced by a path that does not exist, and
     INCONSISTENT by a fact file whose facts contradict (exit 3)."""
@@ -816,12 +824,18 @@ class TestCli:
         # plain file next to catalog.py, read without importlib.resources
         # (which brings in zipfile and tempfile).  `importlib.util`, which
         # deduce uses for its lazy modules, brings in none of the three.
+        # `cli.parse_args` reads the arguments from one table: importing
+        # argparse (with gettext) took about 1.8 ms, and its first parser
+        # about 2.3 ms more, as it looked up 24 help strings through
+        # gettext, which imports locale.
         # `dataclasses` is still imported: FactBase stays a dataclass while
         # bench/tracing.py derives a base from it with dataclasses.replace.
-        code = ("import sys, taucalc.cli\n"
-                "taucalc.catalog.load_bundled_catalog()\n"
+        code = ("import contextlib, io, sys, taucalc.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    taucalc.cli.main(['catalog', '--json', '--certify'])\n"
                 "print(sorted({'random', 'importlib.resources', 'zipfile',"
-                " 'tempfile'} & set(sys.modules)))\n")
+                " 'tempfile', 'argparse', 'gettext', 'locale'}"
+                " & set(sys.modules)))\n")
         assert self._modules_after(code) == "[]\n"
 
     # Each fact base as a fact file: a chain of crossing changes with no
@@ -1052,6 +1066,19 @@ class TestCli:
         assert proc.wait(timeout=60) == 1
         assert err == b""
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_help_into_a_closed_stdout_exits_1_silently(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "taucalc.cli", "--help"], stdout=write,
+                stderr=subprocess.PIPE, timeout=60,
+                env=_child_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (1, b"")
+
     def test_closed_stdout_closes_its_devnull(self, gc_enabled):
         # The broken-pipe path points stdout at devnull and keeps no other
         # descriptor open, and it leaves the collector as it found it.  The
@@ -1233,10 +1260,40 @@ class TestCli:
         assert gc.isenabled() is gc_enabled
         assert gc.get_freeze_count() == frozen
 
-    def test_usage_error_exits_2(self):
+    @pytest.mark.parametrize("argv,code", [
+        (["-h"], 0), (["--help"], 0), (["deduce", "-h"], 0),
+        ([], 2), (["bogus"], 2), (["torus", "3"], 2),
+    ])
+    def test_help_exits_0_and_usage_error_exits_2(self, capsys, argv, code):
+        # Help prints the usage text, README's CLI block, to stdout; a usage
+        # error prints it to stderr, then one `tau: error:` line.
         with pytest.raises(SystemExit) as ei:
-            main(["torus", "3"])
-        assert ei.value.code == 2
+            main(argv)
+        out, err = capsys.readouterr()
+        assert ei.value.code == code
+        usage = _readme_cli_block()
+        if code == 0:
+            assert (out, err) == (usage, "")
+        else:
+            error = err.splitlines()[-1]
+            assert (out, err) == ("", f"{usage}{error}\n")
+            assert error.startswith("tau: error: ")
+
+    @pytest.mark.parametrize("argv,same_as", [
+        # argparse refused a trailing `--` ("unrecognized arguments: --").
+        (["catalog", "--"], ["catalog"]),
+        (["deduce", "--", "-facts.json"], ["deduce", "./-facts.json"]),
+        (["pretzel", "--", "3", "-5", "-7"], ["pretzel", "3", "-5", "-7"]),
+    ])
+    def test_double_dash_ends_the_options(self, tmp_path, monkeypatch,
+                                          capsys, argv, same_as):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-facts.json").write_text('{"knots": [{"id": "a"}]}',
+                                              encoding="utf-8")
+        assert main(same_as) == 0
+        expected = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestProcessEntry:

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the fact-file boundary: whatever the document,
 `tau deduce` exits 0, 2 or 3 and never raises, in text or --json form.  And
 of certificates: a step with one field taken from another step replays, or
-`replay` names that step."""
+`replay` names that step.  And of the command line: `cli.parse_args` reads
+every argv as the argparse parser it replaced does."""
 
 import contextlib
 import copy
@@ -20,11 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from taucalc import catalog
 from taucalc.catalog import load_bundled_catalog, load_factbase
-from taucalc.cli import main
+from taucalc.cli import COMMANDS, main, parse_args
 from taucalc.deduce import Certificate, CertStep, propagate, replay
 from taucalc.errors import BrokenStepError
 
-from .util import random_consistent_base
+from .util import build_parser, random_consistent_base
 
 CATALOG = json.loads((Path(catalog.__file__).parent / "data/catalog.json")
                      .read_text(encoding="utf-8"))
@@ -163,3 +164,65 @@ def test_mutated_certificate_step_is_named(data):
     else:
         assert field not in ("reads", "conclusion", "result") \
             or step == cert[i]
+
+
+# Words of `tau` argv: every command and a bogus one, every option and a
+# prefix of each (`--c` names --certify or --companion, by command), the
+# `--opt=value` forms, numbers, and plain words.  Not -h, --help or `--`:
+# argparse prints its own help for the first two, and refused a trailing
+# `--`, which parse_args takes as the end of the options.
+ARGV_WORDS = [
+    *COMMANDS, "bogus",
+    "--positive", "--pos", "--companion", "--comp", "--c", "--tb-lower",
+    "--tb", "--iterations", "--iter", "--i", "--certify", "--cert",
+    "--query", "--q", "--json", "--j",
+    "--json=1", "--cert=1", "--positive=1", "--query=x", "--query=",
+    "--query=-k", "--q=a b", "--companion=k", "--tb-lower=-3", "--tb=0",
+    "--iterations=2", "--iterations=x",
+    "0", "1", "3", "-5", "-7", "-1.5",
+    "x", "2: 1 1 1", "", "-", "-x", "-k x", "--x"]
+# The values of the positionals and options in a drawn call.
+VALUES = ["0", "3", "-5", "-1.5", "x", "2: 1 1 1", "", "-", "-k x"]
+REFERENCE = build_parser()
+
+
+@st.composite
+def argvs(draw):
+    """0-6 words of ARGV_WORDS; or a command with a value for each of its
+    positionals and some of its options, each maybe as a prefix, in any
+    order: a call that argparse often accepts, so values are compared."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+    command = draw(st.sampled_from(list(COMMANDS)))
+    value = st.sampled_from(VALUES)
+    parts = []
+    for name, kind in COMMANDS[command][1].items():
+        if name[0] != "-":
+            most = 3 if kind is list else 1
+            parts += [[v] for v in draw(st.lists(value, min_size=1,
+                                                 max_size=most))]
+        elif draw(st.booleans()):
+            option = name[:draw(st.integers(3, len(name)))]
+            if kind is False:
+                parts.append([option])
+            elif draw(st.booleans()):
+                parts.append([f"{option}={draw(value)}"])
+            else:
+                parts.append([option, draw(value)])
+    return [command, *(w for part in draw(st.permutations(parts))
+                       for w in part)]
+
+
+def _parsed(parse, argv):
+    """The attributes `parse(argv)` sets, or the code it exits with."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as e:
+            return e.code
+
+
+@FUZZ_SETTINGS
+@given(argvs())
+def test_parse_args_matches_argparse(argv):
+    assert _parsed(parse_args, argv) == _parsed(REFERENCE.parse_args, argv)

@@ -3,12 +3,15 @@ oracles for the test suite."""
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 from unittest import mock
 
 from taucalc import deduce
 from taucalc.braid import BraidWord, closure_components
+from taucalc.cli import (_cmd_braid, _cmd_double, _cmd_grid, _cmd_pretzel,
+                         _cmd_torus, _run_deduction)
 from taucalc.deduce import (CrossingChange, Cobordism, FactBase, Mirror,
                             Presentation, Sum, Unknotting)
 from taucalc.errors import TaucalcError
@@ -302,3 +305,63 @@ def brute_force_writhe(g: GridDiagram) -> int:
             v_dir = "N" if g.os.index(c) > g.xs.index(c) else "S"
             total += SIGN_TABLE[(h_dir, v_dir)]
     return total
+
+
+# The argparse parser `tau` read its arguments with before
+# `taucalc.cli.parse_args`, kept unchanged as the reference that
+# `test_parse_args_matches_argparse` compares it with.
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="tau",
+        description="Concordance invariant bounds from combinatorial knot "
+                    "presentations.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("braid", help="analyze a braid word 'n: l1 l2 ...'")
+    p.add_argument("word")
+    p.add_argument("--positive", action="store_true",
+                   help="require a positive word and print the exact invariant")
+    p.set_defaults(fn=_cmd_braid)
+
+    p = sub.add_parser("grid", help="analyze a grid diagram file")
+    p.add_argument("file")
+    p.set_defaults(fn=_cmd_grid)
+
+    p = sub.add_parser("torus", help="invariant of the (p,q) torus knot")
+    p.add_argument("p", type=int)
+    p.add_argument("q", type=int)
+    p.set_defaults(fn=_cmd_torus)
+
+    p = sub.add_parser("pretzel", help="invariant of an odd pretzel knot")
+    p.add_argument("twists", type=int, nargs="+")
+    p.set_defaults(fn=_cmd_pretzel)
+
+    p = sub.add_parser("double", help="invariant of an untwisted positive "
+                                      "Whitehead double")
+    p.add_argument("--companion", required=True,
+                   help="the companion's name; the value does not depend "
+                        "on it")
+    p.add_argument("--tb-lower", type=int, required=True,
+                   help="a lower bound on the companion's Thurston-Bennequin "
+                        "number, the only input the value depends on")
+    p.add_argument("--iterations", type=int, default=1,
+                   help="how many times to double (at least 1); the value "
+                        "does not depend on it")
+    p.set_defaults(fn=_cmd_double)
+
+    for name, help_ in (("deduce", "propagate a fact file"),
+                        ("catalog", "run the bundled catalog")):
+        p = sub.add_parser(name, help=help_)
+        if name == "deduce":
+            p.add_argument("file", metavar="facts")
+        p.add_argument("--certify", action="store_true",
+                       help="include the certificate: every step, or with "
+                            "--query the steps supporting the knot (the text "
+                            "--query form always prints them)")
+        p.add_argument("--query", metavar="ID",
+                       help="print one knot with its supporting derivation")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=_run_deduction)
+
+    return ap
