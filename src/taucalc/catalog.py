@@ -110,7 +110,7 @@ def load_bundled_catalog() -> FactBase:
     path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
     base = factbase_from_dict(_read_json(path))
     for id, (n, kp, km) in _BRAID_SUMMARIES.items():
-        b = next((p.parsed for p in base.knot(id).presentations
+        b = next((p.parsed for p in base.presentations.get(id, ())
                   if p.kind == "braid"), None)
         if b is None:
             raise TaucalcError(f"catalog entry {id} lost its braid word")

@@ -116,11 +116,11 @@ def _run_deduction(args) -> int:
             else catalog_mod.load_bundled_catalog())
     cert = propagate(base)[1]
     fixed = replay(cert, base)  # what `cert` re-derives, or BrokenStepError
-    records = fixed.records
+    ids = None  # every knot
     if args.query is not None:
         rec, cert = query(fixed, cert, args.query)
-        records = {rec.id: rec}
-    rows = build_report(records, cert)
+        ids = [rec.id]
+    rows = build_report(fixed, cert, ids)
     if args.json:
         out = chain(to_json(rows, cert, args.certify), ["\n"])
     elif args.query is not None:

@@ -18,11 +18,12 @@ interval if it cannot narrow) with the (knot, quantity) keys it was
 computed from, because those `reads` re-queue the instance when a key
 narrows.  It computes each conclusion from the state as it is when it
 yields it, so `propagate` can narrow between two conclusions.  The state
-is the records themselves (knot id -> KnotRecord);
-`_narrow`, the one function that meets a bound into a record, writes it,
-for input facts too.  Every conclusion is an Interval, so a conflict is
-always an empty meet there.  A certificate is the tuple of its steps: each
-names its instance by the instance's `cite` (None for R2, found by its
+is one column per quantity (quantity -> knot id -> Interval), the base's
+`bounds` copied once per run; `_narrow`, the one function that meets a
+bound into a knot, writes one entry of a column in place, for input facts
+too.  Every conclusion is an Interval, so a conflict is always an empty
+meet there.  A certificate is the tuple of its steps: each names its
+instance by the instance's `cite` (None for R2, found by its
 target) and records the (knot, quantity, value) triples it read.  R7 seeds
 depend on the presentation alone, so a `Presentation` computes them once.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
@@ -192,12 +193,13 @@ class _Relation:
     knot's _GenusChain or a presentation's _Seed) has a `rule` name for
     certificate steps, the `cite` that names it in its steps (None for R2),
     the `priority` class of its queue in `propagate` (seeds and relations 0,
-    R2 1), and `implications(state)` yielding the narrowings the records in
-    `state` imply as (target, quantity, constraint, reads): `reads` are the
-    (knot, quantity) keys the constraint was computed from.  It yields every
-    conclusion whatever the state, the top interval if it cannot narrow,
-    since only its `reads` re-queue it, and computes each one from `state`
-    as it is when it yields it.  Every instance is idempotent, on any
+    R2 1), and `implications(state)` yielding the narrowings the bounds in
+    `state` (quantity -> knot id -> Interval) imply as (target, quantity,
+    constraint, reads): `reads` are the (knot, quantity) keys the
+    constraint was computed from.  It yields every conclusion whatever the
+    state, the top interval if it cannot narrow, since only its `reads`
+    re-queue it, and computes each one from `state` as it is when it
+    yields it.  Every instance is idempotent, on any
     knots: a second evaluation right after the first narrows nothing, so
     `propagate` does not re-queue it on its own narrowings.  A relation
     also lists the `knots` it reads or narrows, which `FactBase.extend`
@@ -239,8 +241,8 @@ class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
 
     def implications(self, state: dict):
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            yield y, "tau", -state[x].tau, ((x, "tau"),)
-            yield y, "g4", state[x].g4, ((x, "g4"),)
+            yield y, "tau", -state["tau"][x], ((x, "tau"),)
+            yield y, "g4", state["g4"][x], ((x, "g4"),)
 
 
 class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
@@ -256,9 +258,10 @@ class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
         if c == a or c == b:
             yield b if c == a else a, "tau", Interval(0, 0), ()
             return
-        yield c, "tau", state[a].tau + state[b].tau, ((a, "tau"), (b, "tau"))
-        yield a, "tau", state[c].tau - state[b].tau, ((c, "tau"), (b, "tau"))
-        yield b, "tau", state[c].tau - state[a].tau, ((c, "tau"), (a, "tau"))
+        tau = state["tau"]
+        yield c, "tau", tau[a] + tau[b], ((a, "tau"), (b, "tau"))
+        yield a, "tau", tau[c] - tau[b], ((c, "tau"), (b, "tau"))
+        yield b, "tau", tau[c] - tau[a], ((c, "tau"), (a, "tau"))
 
 
 class CrossingChange(_Relation, namedtuple(
@@ -271,8 +274,8 @@ class CrossingChange(_Relation, namedtuple(
 
     def implications(self, state: dict):
         plus, minus = self.plus, self.minus
-        yield plus, "tau", state[minus].tau + self._up, ((minus, "tau"),)
-        yield minus, "tau", state[plus].tau + self._down, ((plus, "tau"),)
+        yield plus, "tau", state["tau"][minus] + self._up, ((minus, "tau"),)
+        yield minus, "tau", state["tau"][plus] + self._down, ((plus, "tau"),)
 
 
 class Cobordism(_Relation, namedtuple(
@@ -283,7 +286,7 @@ class Cobordism(_Relation, namedtuple(
 
     def implications(self, state: dict):
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            yield y, "tau", state[x].tau.widen_by(self.genus), ((x, "tau"),)
+            yield y, "tau", state["tau"][x].widen_by(self.genus), ((x, "tau"),)
 
 
 class Unknotting(_Relation, namedtuple(
@@ -311,7 +314,7 @@ class Double(_Relation, namedtuple(
     counts = {"iterations": 1}
 
     def implications(self, state: dict):
-        v = families.whitehead_double_tau(state[self.companion].tb.lo)
+        v = families.whitehead_double_tau(state["tb"][self.companion].lo)
         bound = Interval.top() if v is None else Interval.exact(v)
         reads = ((self.companion, "tb"),)
         yield self.result, "tau", bound, reads
@@ -334,10 +337,11 @@ class _GenusChain(namedtuple("_GenusChain", "knot")):
     def implications(self, state: dict):
         # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
-        yield id, "g4", _unchecked((NEG_INF, state[id].g3.hi)), ((id, "g3"),)
-        g4 = state[id].g4
+        g3 = state["g3"][id]
+        yield id, "g4", _unchecked((NEG_INF, g3.hi)), ((id, "g3"),)
+        g4 = state["g4"][id]
         yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4"),)
-        tau = state[id].tau
+        tau = state["tau"][id]
         lo = max(0, tau.lo, -tau.hi)
         yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau"),)
 
@@ -368,16 +372,18 @@ class KnotRecord(namedtuple("KnotRecord", "id tau g4 g3 tb presentations",
                             defaults=(Interval.top(), Interval(0, POS_INF),
                                       Interval(0, POS_INF), Interval.top(),
                                       ()))):
-    """A knot's element of the lattice: one interval per quantity (`tau`,
-    `g4`, `g3`, `tb`), narrowed only by `_narrow`; the defaults are its top.
-    Facts pin `g3` or raise `tb`, and seeds bound `g3` by a Seifert surface
-    and `tb` by a grid.  `presentations` is a tuple of Presentations."""
+    """A knot's element of the lattice as one tuple: one interval per
+    quantity (`tau`, `g4`, `g3`, `tb`) and its tuple of Presentations; the
+    defaults are its top.  Facts pin `g3` or raise `tb`, and seeds bound
+    `g3` by a Seifert surface and `tb` by a grid.  A view, built by
+    `FactBase.knot` and `FactBase.records`: a run reads and narrows the
+    base's `bounds`, not records."""
 
     __slots__ = ()
 
 
-_SLOT = {q: i for i, q in enumerate(KnotRecord._fields)}  # quantity -> index
-_TOP = KnotRecord(None)[1:-1]  # the default of each quantity
+# quantity -> its top, in KnotRecord's order: the keys of `FactBase.bounds`
+_TOP = dict(zip(KnotRecord._fields[1:5], KnotRecord(None)[1:5]))
 
 
 def _unknown(id) -> TaucalcError:
@@ -386,19 +392,32 @@ def _unknown(id) -> TaucalcError:
 
 @dataclass(frozen=True)
 class FactBase:
-    """Immutable snapshot: knot records and relations.  `extend` meets each
-    input fact into its knot's record and keeps no copy, so on a freshly
-    built base the records hold what the input facts alone imply;
-    `propagate` returns a new base whose records are at the rule fixpoint.
-    """
+    """Snapshot of knots, their bounds and relations, which nothing
+    changes once it is built.  `presentations` maps each knot id to its tuple of Presentations; its
+    keys, in insertion order, are the knots.  `bounds` maps each quantity
+    (`tau`, `g4`, `g3`, `tb`) to a column: knot id -> Interval.  Every
+    run copies the columns once and narrows its copies in place, so no
+    run writes into the base it was given.  `extend` meets each input fact
+    into its column and keeps no copy, so on a freshly built base the
+    bounds are what the input facts alone imply; `propagate` returns a new
+    base whose bounds are at the rule fixpoint."""
 
-    records: dict[str, KnotRecord] = field(default_factory=dict)
+    presentations: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=lambda: {q: {} for q in _TOP})
     relations: tuple[Relation, ...] = ()
 
     def knot(self, id: str) -> KnotRecord:
-        if id not in self.records:
+        if id not in self.presentations:
             raise _unknown(id)
-        return self.records[id]
+        return KnotRecord(id, *(self.bounds[q][id] for q in _TOP),
+                          self.presentations[id])
+
+    @property
+    def records(self) -> dict[str, KnotRecord]:
+        """knot id -> KnotRecord, a fresh dict built on each access in
+        O(knots): a view for the library API and the tests, which no run
+        of `tau` reads."""
+        return {id: self.knot(id) for id in self.presentations}
 
     def extend(self, knots=(), facts=(), relations=()) -> "FactBase":
         """The base plus `knots` ((id, presentations) pairs), `facts` ((knot,
@@ -406,14 +425,16 @@ class FactBase:
         then relations, each checked and applied in order.  A presentation
         object ({kind, value}) repeated in one call is parsed and seeded
         once: its knots share one `Presentation`.  Only a fact that
-        contradicts its record has its `source` quoted."""
-        records = dict(self.records)
+        contradicts its bound has its `source` quoted."""
+        presentations = dict(self.presentations)
+        bounds = {q: dict(col) for q, col in self.bounds.items()}
+        tops = [(bounds[q], top) for q, top in _TOP.items()]
         built = {}  # (kind, value) -> the Presentation built from them
-        for id, presentations in knots:
-            if id in records:
+        for id, given in knots:
+            if id in presentations:
                 raise TaucalcError(f"knot id {id!r} already present")
             pres = []
-            for p in presentations:
+            for p in given:
                 try:
                     # Only exactly a kind and a string value can be shared.
                     if (type(p) is dict and len(p) == 2
@@ -429,9 +450,11 @@ class FactBase:
                 except TaucalcError as e:
                     raise TaucalcError(f"knot {id!r}: {e}") from e
                 pres.append(p)
-            records[id] = tuple.__new__(KnotRecord, (id, *_TOP, tuple(pres)))
+            presentations[id] = tuple(pres)
+            for col, top in tops:
+                col[id] = top
         for knot, kind, value, source in facts:
-            if knot not in records:
+            if knot not in presentations:
                 raise _unknown(knot)
             if type(kind) is not str or kind not in FACT_KINDS:
                 raise TaucalcError(f"fact on {knot!r}: unknown kind {kind!r}")
@@ -439,20 +462,20 @@ class FactBase:
                 raise TaucalcError(f"fact {kind} on {knot!r}: value "
                                    f"must be an integer, got {value!r}")
             qty, bound = FACT_KINDS[kind]
-            rec = records[knot]
             try:
-                _narrow(records, rec, _SLOT[qty], bound(value))
+                _narrow(bounds[qty], knot, qty, bound(value))
             except EmptyIntervalError:
                 raise InconsistentError(
                     f"fact {kind} {value} on {knot!r} (source {source!r}) "
-                    f"contradicts {knot}.{qty} = {rec[_SLOT[qty]]}") from None
+                    f"contradicts {knot}.{qty} = {bounds[qty][knot]}"
+                ) from None
         rels = []
         for rel in relations:
             for id in rel.knots:
-                if id not in records:
+                if id not in presentations:
                     raise _unknown(id)
             rels.append(rel)
-        return replace(self, records=records,
+        return replace(self, presentations=presentations, bounds=bounds,
                        relations=self.relations + tuple(rels))
 
 
@@ -500,8 +523,8 @@ class Certificate(tuple):
 def _named(base: FactBase):
     """The rule instances a step names by its `cite`: each knot's
     presentation seeds, knot by knot, then the relations."""
-    for id, rec in base.records.items():
-        for p in rec.presentations:
+    for id, presentations in base.presentations.items():
+        for p in presentations:
             yield _Seed(id, p)
     yield from base.relations
 
@@ -510,24 +533,22 @@ def _instances(base: FactBase) -> list:
     """Every rule instance of the base: each knot's R2 instance, then the
     `_named` ones, so every seed comes before every relation.  Within each
     priority class this is the order of `propagate`'s first evaluations."""
-    return [*map(_GenusChain, base.records), *_named(base)]
+    return [*map(_GenusChain, base.presentations), *_named(base)]
 
 
-def _narrow(state: dict, rec: KnotRecord, i: int, constraint: Interval):
-    """Meet `constraint` into field `i` of `rec`, its knot's record in
-    `state` (knot id -> KnotRecord), replacing the record; returns the new
-    value.  The one place a bound is met into a knot: input facts,
-    `propagate` and `replay` all narrow through it, and only `propagate`
-    first asks whether the constraint holds the value, since only there do
-    most constraints narrow nothing.  An empty meet raises
-    EmptyIntervalError; the constraint must be printable, since the
+def _narrow(col: dict, id: str, qty: str, constraint: Interval):
+    """Meet `constraint` into knot `id`'s entry of `col`, the column of
+    quantity `qty` (knot id -> Interval), in place; returns the new value.
+    The one place a bound is met into a knot: input facts, `propagate` and
+    `replay` all narrow through it, and only `propagate` first asks whether
+    the constraint holds the value, since only there do most constraints
+    narrow nothing.  An empty meet raises EmptyIntervalError and leaves
+    the entry as it was; the constraint must be printable, since the
     certificate and the error message print it."""
     if not constraint.is_printable:
-        raise TaucalcError(f"{rec.id}.{rec._fields[i]}: a bound has more "
-                           f"digits than str() prints")
-    fields = list(rec)
-    fields[i] = new = rec[i].meet(constraint)
-    state[rec.id] = rec._make(fields)
+        raise TaucalcError(f"{id}.{qty}: a bound has more digits than str() "
+                           f"prints")
+    col[id] = new = col[id].meet(constraint)
     return new
 
 
@@ -564,7 +585,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     if budget < 0:
         raise TaucalcError(f"TAU_STEP_BUDGET must be a non-negative integer, "
                            f"got {env!r}")
-    state = dict(base.records)
+    state = {q: dict(col) for q, col in base.bounds.items()}
     instances = _instances(base)
     queues = rules, chains = deque(), deque()
     for inst in instances:
@@ -574,7 +595,6 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     readers: dict[tuple, list] = {}  # key -> the instances that read it
     steps: list[CertStep] = []
     spent = 0
-    slot = _SLOT
 
     while queue := rules or chains:
         spent += 1
@@ -594,14 +614,13 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     rs = readers.setdefault(key, [])
                     if not rs or rs[-1] is not inst:
                         rs.append(inst)
-            rec = state[target]
-            i = slot[qty]
-            cur = rec[i]
+            col = state[qty]
+            cur = col[target]
             if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
                 continue  # `constraint` holds `cur`: nothing narrows
-            read = tuple([(k, q, state[k][slot[q]]) for k, q in reads])
+            read = tuple([(k, q, state[q][k]) for k, q in reads])
             try:
-                result = _narrow(state, rec, i, constraint)
+                result = _narrow(col, target, qty, constraint)
             except EmptyIntervalError:
                 raise InconsistentError(
                     f"{inst.rule} on {target}.{qty}: conclusion {constraint} "
@@ -616,7 +635,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
                     queues[reader.priority].append(reader)
                     queued.add(j)
 
-    return replace(base, records=state), Certificate(steps)
+    return replace(base, bounds=state), Certificate(steps)
 
 
 def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certificate]:
@@ -631,15 +650,15 @@ def replay(cert: Certificate, base: FactBase) -> FactBase:
     the step's `reads` in the replayed state, and the conclusion must
     narrow its target to the step's `result`.  A cite is looked up among
     the `_named` instances, an R2 step's by its target.  Raises
-    BrokenStepError at the first failure; returns the base with the records
+    BrokenStepError at the first failure; returns the base with the bounds
     the steps re-derived, for a certificate of `propagate` its fixpoint."""
-    state = dict(base.records)
+    state = {q: dict(col) for q, col in base.bounds.items()}
     named = {inst.cite: inst for inst in _named(base)}
-    slot = _SLOT
     for index, rule, target, qty, cite, reads, conclusion, result in cert:
         try:
             inst = (named.get(cite) if cite is not None else
-                    _GenusChain(target) if target in state else None)
+                    _GenusChain(target) if target in base.presentations
+                    else None)
         except TypeError:  # an unhashable cite or target names nothing
             inst = None
         if inst is None or inst.rule != rule:
@@ -653,23 +672,23 @@ def replay(cert: Certificate, base: FactBase) -> FactBase:
             raise BrokenStepError(
                 f"step {index}: {rule} does not yield {conclusion} for "
                 f"{target}.{qty}", step_index=index)
-        read = tuple([(k, q, state[k][slot[q]]) for k, q in keys])
+        read = tuple([(k, q, state[q][k]) for k, q in keys])
         if reads != read:
             raise BrokenStepError(
                 f"step {index}: recorded reads {reads} but replay read "
                 f"{read}", step_index=index)
-        rec = state[t]
-        i = slot[q]
+        col = state[q]
+        prior = col[t]
         try:
-            new = _narrow(state, rec, i, c)  # what the rule implied
+            new = _narrow(col, t, q, c)  # what the rule implied
         except EmptyIntervalError as e:
             raise BrokenStepError(f"step {index}: meet is empty: {e}",
                                   step_index=index) from e
-        if new == rec[i]:
+        if new == prior:
             raise BrokenStepError(f"step {index}: narrows nothing",
                                   step_index=index)
         if new != result:
             raise BrokenStepError(
                 f"step {index}: recorded result {result} but replay "
                 f"produced {new}", step_index=index)
-    return replace(base, records=state)
+    return replace(base, bounds=state)

@@ -21,7 +21,7 @@ from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .deduce import Certificate, CertStep, KnotRecord
+from .deduce import Certificate, CertStep, FactBase
 from .interval import FORMAT, NEG_INF
 
 CHUNK = 256  # the most knots, steps or text lines in one chunk of a report
@@ -42,12 +42,16 @@ class KnotRow(namedtuple(
     __slots__ = ()
 
 
-def knot_row(rec: KnotRecord, steps: int) -> KnotRow:
-    """The row of `rec`, which `steps` certificate steps target."""
-    return KnotRow(rec.id, rec.tau, rec.g4,
-                   rec.g3.lo if rec.g3.is_exact else None,
-                   None if rec.tb.lo == NEG_INF else rec.tb.lo,
-                   tuple(sorted({p.kind for p in rec.presentations})), steps)
+def knot_row(base: FactBase, id: str, steps: int) -> KnotRow:
+    """The row of knot `id` of `base`, which `steps` certificate steps
+    target, read off the base's columns."""
+    b = base.bounds
+    g3, tb = b["g3"][id], b["tb"][id]
+    return KnotRow(id, b["tau"][id], b["g4"][id],
+                   g3.lo if g3.is_exact else None,
+                   None if tb.lo == NEG_INF else tb.lo,
+                   tuple(sorted({p.kind for p in base.presentations[id]})),
+                   steps)
 
 
 def _listed(items: list[str], a: str, b: str) -> str:
@@ -96,13 +100,14 @@ def step_to_json(step: CertStep, encoded: dict) -> str:
                     if premises else "[]", *conclusion, *result)
 
 
-def build_report(records: dict[str, KnotRecord],
-                 cert: Certificate) -> list[KnotRow]:
-    """The rows of the knots in `records` (id -> KnotRecord), sorted by id,
-    each counting the steps of `cert` that target it; byte-for-byte
-    reproducible from the same inputs (no timestamps)."""
+def build_report(base: FactBase, cert: Certificate,
+                 ids=None) -> list[KnotRow]:
+    """The rows of the knots `ids` of `base` (by default every knot),
+    sorted by id, each counting the steps of `cert` that target it;
+    byte-for-byte reproducible from the same inputs (no timestamps)."""
     steps_per_knot = Counter(s.target for s in cert)
-    return [knot_row(records[id], steps_per_knot[id]) for id in sorted(records)]
+    return [knot_row(base, id, steps_per_knot[id])
+            for id in sorted(base.presentations if ids is None else ids)]
 
 
 def chunks(items, sep: str, head: str = "", tail: str = ""):

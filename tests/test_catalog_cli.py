@@ -230,8 +230,8 @@ class TestCatalogDeduction:
         base = load_bundled_catalog()
         f1, c1 = propagate(base)
         f2, c2 = propagate(base)
-        r1 = "".join(to_json(build_report(f1.records, c1), c1, True))
-        r2 = "".join(to_json(build_report(f2.records, c2), c2, True))
+        r1 = "".join(to_json(build_report(f1, c1), c1, True))
+        r2 = "".join(to_json(build_report(f2, c2), c2, True))
         assert r1 == r2
 
 
@@ -440,9 +440,9 @@ class TestCli:
     def test_query_builds_one_row(self, monkeypatch, capsys):
         rows = []
 
-        def counted(rec, steps, _fn=report_mod.knot_row):
-            rows.append(rec.id)
-            return _fn(rec, steps)
+        def counted(base, id, steps, _fn=report_mod.knot_row):
+            rows.append(id)
+            return _fn(base, id, steps)
         monkeypatch.setattr(report_mod, "knot_row", counted)
         assert main(["deduce", ALL_RULES, "--query", "s2", "--json"]) == 0
         assert rows == ["s2"]
@@ -1160,8 +1160,7 @@ class TestCli:
 
     def test_steps_citing_one_instance_each_write_its_premise(self):
         fixed, cert = propagate(load_factbase(RANDOM_WIDE))
-        text = "".join(to_json(build_report(fixed.records, cert), cert,
-                               True))
+        text = "".join(to_json(build_report(fixed, cert), cert, True))
         written = json.loads(text)["certificate"]
         cited = [s.cite for s in cert if s.cite is not None]
         assert len(set(cited)) < len(cited)  # some instance is cited again
@@ -1173,7 +1172,7 @@ class TestCli:
     def test_a_large_report_comes_in_chunks_of_at_most_chunk_items(self):
         base, _ = random_consistent_base(random.Random(1000), 1000)
         fixed, cert = propagate(base)
-        chunks = list(to_json(build_report(fixed.records, cert), cert, True))
+        chunks = list(to_json(build_report(fixed, cert), cert, True))
         # A knot or a step opens at indent 4, and nothing else does.
         items = [chunk.count("\n    {") for chunk in chunks]
         assert sum(items) == 1000 + len(cert)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -90,6 +91,45 @@ class TestFactBase:
         assert rec.g4 == Interval(0, POS_INF)
         with pytest.raises(TaucalcError, match="unknown knot id 'nope'"):
             query(fixed, cert, "nope")
+
+
+class TestNoAliasing:
+    """A base's columns are mutable dicts, and a run narrows its own copy of
+    them in place: `extend`, `propagate` and `replay` must each leave the
+    base they were given as it was, and return columns of their own."""
+
+    @staticmethod
+    def _check(base, call):
+        """`call()`'s base, after checking that the call left `base`'s
+        bounds and presentations equal to deep snapshots taken before it
+        and that the base it returned shares no column of bounds with
+        `base` (a run writes no presentation, so it may share those)."""
+        bounds = copy.deepcopy(base.bounds)
+        presentations = copy.deepcopy(base.presentations)
+        out = call()
+        assert base.bounds == bounds
+        assert base.presentations == presentations
+        assert out.bounds is not base.bounds
+        for q, col in out.bounds.items():
+            assert col is not base.bounds[q], q
+        return out
+
+    @pytest.mark.parametrize("name", ["random_wide_100.json",
+                                      "all_rules.json"])
+    def test_a_run_never_writes_into_its_input_base(self, name):
+        base = load_factbase(DATA / name)
+        assert any(base.bounds.values())  # its facts bound some knots
+        # A new knot, and a fact on every knot, of which some narrow.
+        facts = [(id, "tb_lower", -10**6, "") for id in base.presentations]
+        extended = self._check(base, lambda: base.extend(
+            knots=[("new", ())], facts=facts))
+        assert extended.bounds["tb"] != base.bounds["tb"]
+        for b in (base, extended):
+            # Each run narrows something, so an alias would show.
+            fixed = self._check(b, lambda: propagate(b)[0])
+            assert fixed.bounds != b.bounds
+            cert = propagate(b)[1]
+            assert self._check(b, lambda: replay(cert, b)).bounds != b.bounds
 
 
 class TestRules:
@@ -419,7 +459,7 @@ class TestWorkCounts:
                  if isinstance(inst, deduce._Seed)]
         assert len(seeds) == len(values)
         for seed in seeds:
-            conclusions = list(seed.implications(base.records))
+            conclusions = list(seed.implications(base.bounds))
             assert conclusions
             assert all(reads == () for *_, reads in conclusions)
 

@@ -22,14 +22,15 @@ from hypothesis import given, settings, strategies as st
 
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.deduce import (
-    _SLOT, FACT_KINDS, Certificate, CertStep, Cobordism, FactBase, KnotRecord,
-    Mirror, Presentation, Relation, Sum, _GenusChain, _instances, _narrow,
-    propagate, replay)
+    FACT_KINDS, Certificate, CertStep, Cobordism, FactBase, KnotRecord, Mirror,
+    Presentation, Relation, Sum, _GenusChain, _instances, _narrow, propagate,
+    replay)
 from taucalc.errors import EmptyIntervalError, InconsistentError, TaucalcError
 from taucalc.interval import NEG_INF, POS_INF, Interval
 from taucalc.report import build_report, to_json
 
-from .util import propagate_shuffled, random_consistent_base
+from .util import (base_of, columns_of, propagate_shuffled,
+                   random_consistent_base)
 
 ALL_RULES = Path(__file__).parent / "data" / "all_rules.json"
 
@@ -168,14 +169,15 @@ def test_knot_writer_is_the_old_knot_schema(recs, data, certify):
            "total_steps": len(cert)}
     if certify:
         old["certificate"] = [_old_step_schema(s) for s in cert]
-    text = "".join(to_json(build_report(records, cert), cert, certify))
+    text = "".join(to_json(build_report(base_of(records), cert), cert,
+                           certify))
     assert text == json.dumps(old, indent=2)
 
 
 @given(intervals(), genus_intervals(), genus_intervals())
 def test_r2_conclusions_are_valid_intervals(tau, g4, g3):
     # R2 builds its conclusions without the endpoint checks.
-    state = {"k": KnotRecord("k", tau=tau, g4=g4, g3=g3)}
+    state = columns_of({"k": KnotRecord("k", tau=tau, g4=g4, g3=g3)})
     conclusions = [c for _, _, c, _ in _GenusChain("k").implications(state)]
     assert len(conclusions) == 3
     for c in conclusions:
@@ -184,13 +186,13 @@ def test_r2_conclusions_are_valid_intervals(tau, g4, g3):
 
 def _narrowings(fixed):
     """The conclusions of one evaluation of every rule instance of `fixed`
-    against its records that narrow a value: none, at a fixpoint."""
-    records = fixed.records
+    against its bounds that narrow a value: none, at a fixpoint."""
+    bounds = fixed.bounds
     return [(inst.rule, target, qty, c)
             for inst in _instances(fixed)
-            for target, qty, c, _ in inst.implications(records)
-            if not (c.lo <= getattr(records[target], qty).lo
-                    and getattr(records[target], qty).hi <= c.hi)]
+            for target, qty, c, _ in inst.implications(bounds)
+            if not (c.lo <= bounds[qty][target].lo
+                    and bounds[qty][target].hi <= c.hi)]
 
 
 @pytest.mark.parametrize("load", [load_bundled_catalog,
@@ -275,15 +277,15 @@ DRAWS = {cls: st.tuples(st.lists(st.integers(0, n - 1), min_size=n,
 
 def _evaluate(inst, state):
     """One evaluation of `inst` as `propagate` makes it: each conclusion
-    that narrows is met into `state` through `_narrow` before the next
-    conclusion is computed.  Returns the narrowing conclusions."""
+    that narrows is met into its column of `state` (quantity -> knot id ->
+    Interval) through `_narrow` before the next conclusion is computed.
+    Returns the narrowing conclusions."""
     narrowed = []
     for target, qty, c, _ in inst.implications(state):
-        rec = state[target]
-        i = _SLOT[qty]
-        if not (c.lo <= rec[i].lo and rec[i].hi <= c.hi):
+        cur = state[qty][target]
+        if not (c.lo <= cur.lo and cur.hi <= c.hi):
             narrowed.append((target, qty, c))
-            _narrow(state, rec, i, c)
+            _narrow(state[qty], target, qty, c)
     return narrowed
 
 
@@ -297,7 +299,8 @@ def test_instances_are_idempotent(cls, data):
     # `Relation` and so checked here.
     fields, ends, counts = data.draw(DRAWS[cls])
     inst = _on_knots(cls, [f"k{i}" for i in fields], counts)
-    state = {f"k{i}": _record(f"k{i}", e) for i, e in enumerate(ends)}
+    state = columns_of({f"k{i}": _record(f"k{i}", e)
+                        for i, e in enumerate(ends)})
     try:
         _evaluate(inst, state)
     except EmptyIntervalError:

@@ -104,7 +104,7 @@ def test_replace_with_no_change_is_equal(make):
 # constructor raises for it and a pattern its message matches.  The
 # checks live in each `__new__` alone: `_replace` and `_make` are
 # namedtuple's own and do not run them, and `src/` calls them only on
-# KnotRecord and KnotRow (see tests/test_unused_names.py).
+# a KnotRow (see tests/test_unused_names.py).
 BAD_CHANGES = [
     (Interval(0, 1), {"lo": 5}, EmptyIntervalError, None),
     (Interval(0, 1), {"hi": 1.5}, TypeError, None),
@@ -171,6 +171,7 @@ def test_remaining_dataclasses():
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)
                   and obj.__module__ == mod.__name__}
     assert found == {"FactBase"}
-    # It holds what propagate and replay read, not the input facts.
+    # It holds what propagate and replay read, not the input facts: each
+    # knot's presentations, one column of bounds per quantity, relations.
     assert [f.name for f in dataclasses.fields(FactBase)] == [
-        "records", "relations"]
+        "presentations", "bounds", "relations"]

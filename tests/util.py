@@ -38,7 +38,22 @@ def propagate_shuffled(base: deduce.FactBase, seed: int):
 
 def relations_reversed(base: deduce.FactBase) -> deduce.FactBase:
     """`base` with its relations in the reverse order of insertion."""
-    return type(base)(base.records, base.relations[::-1])
+    return type(base)(base.presentations, base.bounds, base.relations[::-1])
+
+
+def columns_of(records: dict) -> dict:
+    """The bounds of `records` (knot id -> KnotRecord) as a run's state
+    holds them: quantity -> knot id -> Interval."""
+    return {q: {id: getattr(rec, q) for id, rec in records.items()}
+            for q in deduce._TOP}
+
+
+def base_of(records: dict) -> deduce.FactBase:
+    """The base whose knots are `records` (knot id -> KnotRecord), with no
+    relations."""
+    return deduce.FactBase({id: rec.presentations
+                            for id, rec in records.items()},
+                           columns_of(records))
 
 
 def least_budget(base: deduce.FactBase) -> int:
