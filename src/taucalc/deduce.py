@@ -8,24 +8,24 @@ Whitehead double) and stored presentations generate monotone narrowing
 rules; propagation runs the rules to their least fixpoint and records
 every narrowing in a replayable certificate.
 
-Rule catalog.  A rule instance is a relation, the R2 instance of a
-knot, or the R7 seed of a stored presentation.  `_named` builds the
-instances a step names by its `cite`, the seeds and relations; `propagate`
-adds each knot's R2 instance (`_instances`), and `replay` looks each cite up
-in one table of `_named`'s instances.  A rule only reads:
-`implications(state)` yields every conclusion whatever the state (the top
-interval if it cannot narrow) with the (knot, quantity) keys it was
-computed from, because those `reads` re-queue the instance when a key
-narrows.  It computes each conclusion from the state as it is when it
-yields it, so `propagate` can narrow between two conclusions.  The state
+Rule catalog.  A rule instance is a relation, the R2 instance of a knot, or
+the R7 seed of a stored presentation.  `_named` builds the instances a step
+names by its `cite`, the seeds and relations; `propagate` adds each knot's
+R2 instance (`_instances`), and `replay` looks each cite up in one table of
+`_named`'s instances.  A rule only reads: `implications(state)` yields
+every conclusion whatever the state (the top interval if it cannot narrow)
+with the (knot, quantity, value) triples it was computed from, because
+those `reads` re-queue the instance when a key narrows, and a step records
+them as they are.  It computes each conclusion from the state as it is when
+it yields it, so `propagate` can narrow between two conclusions.  The state
 is one column per quantity (quantity -> knot id -> Interval), the base's
 `bounds` copied once per run; `_narrow`, the one function that meets a
 bound into a knot, writes one entry of a column in place, for input facts
 too.  Every conclusion is an Interval, so a conflict is always an empty
 meet there.  A certificate is the tuple of its steps: each names its
-instance by the instance's `cite` (None for R2, found by its
-target) and records the (knot, quantity, value) triples it read.  R7 seeds
-depend on the presentation alone, so a `Presentation` computes them once.
+instance by the instance's `cite` (None for R2, found by its target) and
+records the reads its rule yielded.  R7 seeds depend on the presentation
+alone, so a `Presentation` computes them once.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
   R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4 <= g3
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
@@ -195,11 +195,13 @@ class _Relation:
     the `priority` class of its queue in `propagate` (seeds and relations 0,
     R2 1), and `implications(state)` yielding the narrowings the bounds in
     `state` (quantity -> knot id -> Interval) imply as (target, quantity,
-    constraint, reads): `reads` are the (knot, quantity) keys the
-    constraint was computed from.  It yields every conclusion whatever the
-    state, the top interval if it cannot narrow, since only its `reads`
-    re-queue it, and computes each one from `state` as it is when it
-    yields it.  Every instance is idempotent, on any
+    constraint, reads): `reads` are the (knot, quantity, value) triples
+    the constraint was computed from, each value the Interval it read
+    from `state`.  It yields every conclusion whatever the state, the top
+    interval if it cannot narrow, since only its `reads` re-queue it, and
+    computes each one from `state` as it is when it yields it: a key that
+    an earlier conclusion of the same evaluation may have narrowed is read
+    again.  Every instance is idempotent, on any
     knots: a second evaluation right after the first narrows nothing, so
     `propagate` does not re-queue it on its own narrowings.  A relation
     also lists the `knots` it reads or narrows, which `FactBase.extend`
@@ -241,8 +243,10 @@ class Mirror(_Relation, namedtuple("Mirror", "a b kind", defaults=["mirror"])):
 
     def implications(self, state: dict):
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            yield y, "tau", -state["tau"][x], ((x, "tau"),)
-            yield y, "g4", state["g4"][x], ((x, "g4"),)
+            # The second pair reads what the first narrowed.
+            tau, g4 = state["tau"][x], state["g4"][x]
+            yield y, "tau", -tau, ((x, "tau", tau),)
+            yield y, "g4", g4, ((x, "g4", g4),)
 
 
 class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
@@ -259,9 +263,12 @@ class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
             yield b if c == a else a, "tau", Interval(0, 0), ()
             return
         tau = state["tau"]
-        yield c, "tau", tau[a] + tau[b], ((a, "tau"), (b, "tau"))
-        yield a, "tau", tau[c] - tau[b], ((c, "tau"), (b, "tau"))
-        yield b, "tau", tau[c] - tau[a], ((c, "tau"), (a, "tau"))
+        ta, tb = tau[a], tau[b]
+        yield c, "tau", ta + tb, ((a, "tau", ta), (b, "tau", tb))
+        tc = tau[c]  # c was just narrowed; b is not c, so tb holds
+        yield a, "tau", tc - tb, ((c, "tau", tc), (b, "tau", tb))
+        ta = tau[a]  # a was just narrowed; a is not c, so tc holds
+        yield b, "tau", tc - ta, ((c, "tau", tc), (a, "tau", ta))
 
 
 class CrossingChange(_Relation, namedtuple(
@@ -274,8 +281,10 @@ class CrossingChange(_Relation, namedtuple(
 
     def implications(self, state: dict):
         plus, minus = self.plus, self.minus
-        yield plus, "tau", state["tau"][minus] + self._up, ((minus, "tau"),)
-        yield minus, "tau", state["tau"][plus] + self._down, ((plus, "tau"),)
+        v = state["tau"][minus]
+        yield plus, "tau", v + self._up, ((minus, "tau", v),)
+        v = state["tau"][plus]
+        yield minus, "tau", v + self._down, ((plus, "tau", v),)
 
 
 class Cobordism(_Relation, namedtuple(
@@ -286,7 +295,8 @@ class Cobordism(_Relation, namedtuple(
 
     def implications(self, state: dict):
         for x, y in ((self.a, self.b), (self.b, self.a)):
-            yield y, "tau", state["tau"][x].widen_by(self.genus), ((x, "tau"),)
+            v = state["tau"][x]
+            yield y, "tau", v.widen_by(self.genus), ((x, "tau", v),)
 
 
 class Unknotting(_Relation, namedtuple(
@@ -314,9 +324,10 @@ class Double(_Relation, namedtuple(
     counts = {"iterations": 1}
 
     def implications(self, state: dict):
-        v = families.whitehead_double_tau(state["tb"][self.companion].lo)
+        tb = state["tb"][self.companion]  # neither conclusion narrows it
+        v = families.whitehead_double_tau(tb.lo)
         bound = Interval.top() if v is None else Interval.exact(v)
-        reads = ((self.companion, "tb"),)
+        reads = ((self.companion, "tb", tb),)
         yield self.result, "tau", bound, reads
         yield self.result, "g4", bound, reads
 
@@ -338,12 +349,12 @@ class _GenusChain(namedtuple("_GenusChain", "knot")):
         # Unchecked: the ends of valid intervals (see `interval`).
         id = self.knot
         g3 = state["g3"][id]
-        yield id, "g4", _unchecked((NEG_INF, g3.hi)), ((id, "g3"),)
+        yield id, "g4", _unchecked((NEG_INF, g3.hi)), ((id, "g3", g3),)
         g4 = state["g4"][id]
-        yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4"),)
+        yield id, "tau", _unchecked((-g4.hi, g4.hi)), ((id, "g4", g4),)
         tau = state["tau"][id]
         lo = max(0, tau.lo, -tau.hi)
-        yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau"),)
+        yield id, "g4", _unchecked((lo, POS_INF)), ((id, "tau", tau),)
 
 
 class _Seed:
@@ -563,7 +574,9 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     evaluation takes the front instance of the first non-empty queue off
     it and runs through all its conclusions.  The instance's first
     evaluation makes it a reader of each key a conclusion reads, as the
-    conclusion is yielded, before it narrows anything.  Each narrowing
+    conclusion is yielded, before it narrows anything; `readers` is one
+    dict per quantity, like the state.  A step records the conclusion's
+    `reads` as the rule yielded them, not read again.  Each narrowing
     sends the readers of the narrowed key to the back of their own class's
     queue, except the instance that made it: every instance is idempotent,
     so running it again would narrow nothing.  R2 goes last: it is one
@@ -575,7 +588,9 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     `TAU_STEP_BUDGET` (default 10**6) caps evaluations.  Raises
     InconsistentError (empty interval; carries the certificate prefix), or
     TaucalcError when the budget runs out, naming the last narrowing: what
-    was still changing.
+    was still changing.  Also raises TaucalcError naming a knot that a rule
+    reads or narrows and the base's bounds lack, which only a base built
+    without `extend` can: a KeyError becomes it, at no cost until raised.
     """
     env = os.environ.get("TAU_STEP_BUDGET")
     try:
@@ -592,48 +607,51 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
         queues[inst.priority].append(inst)
     queued = set(map(id, instances))
     popped = set()  # ids of the instances evaluated, so in `readers`
-    readers: dict[tuple, list] = {}  # key -> the instances that read it
+    readers = {q: {} for q in state}  # quantity -> knot -> its readers
     steps: list[CertStep] = []
     spent = 0
 
-    while queue := rules or chains:
-        spent += 1
-        if spent > budget:
-            last = (f"last narrowing {steps[-1].describe()}" if steps
-                    else "nothing has narrowed yet")
-            raise TaucalcError(
-                f"propagation exceeded step budget {budget}; {last}")
-        inst = queue.popleft()
-        j = id(inst)
-        queued.discard(j)
-        first = j not in popped
-        popped.add(j)
-        for target, qty, constraint, reads in inst.implications(state):
-            if first:  # a key read twice has this instance last already
-                for key in reads:
-                    rs = readers.setdefault(key, [])
-                    if not rs or rs[-1] is not inst:
-                        rs.append(inst)
-            col = state[qty]
-            cur = col[target]
-            if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
-                continue  # `constraint` holds `cur`: nothing narrows
-            read = tuple([(k, q, state[q][k]) for k, q in reads])
-            try:
-                result = _narrow(col, target, qty, constraint)
-            except EmptyIntervalError:
-                raise InconsistentError(
-                    f"{inst.rule} on {target}.{qty}: conclusion {constraint} "
-                    f"is disjoint from {target}.{qty} = {cur}",
-                    certificate=Certificate(steps)) from None
-            steps.append(tuple.__new__(CertStep, (  # no Python-level __new__
-                len(steps), inst.rule, target, qty, inst.cite, read,
-                constraint, result)))
-            for reader in readers.get((target, qty), ()):
-                j = id(reader)
-                if j not in queued and reader is not inst:
-                    queues[reader.priority].append(reader)
-                    queued.add(j)
+    try:
+        while queue := rules or chains:
+            spent += 1
+            if spent > budget:
+                last = (f"last narrowing {steps[-1].describe()}" if steps
+                        else "nothing has narrowed yet")
+                raise TaucalcError(
+                    f"propagation exceeded step budget {budget}; {last}")
+            inst = queue.popleft()
+            j = id(inst)
+            queued.discard(j)
+            first = j not in popped
+            popped.add(j)
+            for target, qty, constraint, reads in inst.implications(state):
+                if first:  # a key read twice has this instance last already
+                    for k, q, _ in reads:
+                        rs = readers[q].setdefault(k, [])
+                        if not rs or rs[-1] is not inst:
+                            rs.append(inst)
+                col = state[qty]
+                cur = col[target]
+                if constraint[0] <= cur[0] and cur[1] <= constraint[1]:
+                    continue  # `constraint` holds `cur`: nothing narrows
+                try:
+                    result = _narrow(col, target, qty, constraint)
+                except EmptyIntervalError:
+                    raise InconsistentError(
+                        f"{inst.rule} on {target}.{qty}: conclusion "
+                        f"{constraint} is disjoint from {target}.{qty} = "
+                        f"{cur}", certificate=Certificate(steps)) from None
+                # tuple.__new__: no Python-level __new__
+                steps.append(tuple.__new__(CertStep, (
+                    len(steps), inst.rule, target, qty, inst.cite, reads,
+                    constraint, result)))
+                for reader in readers[qty].get(target, ()):
+                    j = id(reader)
+                    if j not in queued and reader is not inst:
+                        queues[reader.priority].append(reader)
+                        queued.add(j)
+    except KeyError as e:  # a base built without `extend` can lack a knot
+        raise _unknown(e.args[0]) from None
 
     return replace(base, bounds=state), Certificate(steps)
 
@@ -646,49 +664,53 @@ def query(base: FactBase, cert: Certificate, id: str) -> tuple[KnotRecord, Certi
 
 def replay(cert: Certificate, base: FactBase) -> FactBase:
     """Re-derive every step from the base's axioms: the step must cite a
-    rule instance of the base, which must yield the step's conclusion from
-    the step's `reads` in the replayed state, and the conclusion must
-    narrow its target to the step's `result`.  A cite is looked up among
-    the `_named` instances, an R2 step's by its target.  Raises
+    rule instance of the base, which must yield the step's conclusion in
+    the replayed state with the step's `reads` (compared with the reads
+    the instance yields, not read again), and the conclusion must narrow
+    its target to the step's `result`.  A cite is looked up among the
+    `_named` instances, an R2 step's by its target.  Raises
     BrokenStepError at the first failure; returns the base with the bounds
-    the steps re-derived, for a certificate of `propagate` its fixpoint."""
+    the steps re-derived, for a certificate of `propagate` its fixpoint.
+    Refuses a base whose bounds lack a knot as `propagate` does."""
     state = {q: dict(col) for q, col in base.bounds.items()}
     named = {inst.cite: inst for inst in _named(base)}
-    for index, rule, target, qty, cite, reads, conclusion, result in cert:
-        try:
-            inst = (named.get(cite) if cite is not None else
-                    _GenusChain(target) if target in base.presentations
-                    else None)
-        except TypeError:  # an unhashable cite or target names nothing
-            inst = None
-        if inst is None or inst.rule != rule:
-            raise BrokenStepError(
-                f"step {index}: cites no {rule} instance of the base",
-                step_index=index)
-        for t, q, c, keys in inst.implications(state):
-            if t == target and q == qty and c == conclusion:
-                break
-        else:
-            raise BrokenStepError(
-                f"step {index}: {rule} does not yield {conclusion} for "
-                f"{target}.{qty}", step_index=index)
-        read = tuple([(k, q, state[q][k]) for k, q in keys])
-        if reads != read:
-            raise BrokenStepError(
-                f"step {index}: recorded reads {reads} but replay read "
-                f"{read}", step_index=index)
-        col = state[q]
-        prior = col[t]
-        try:
-            new = _narrow(col, t, q, c)  # what the rule implied
-        except EmptyIntervalError as e:
-            raise BrokenStepError(f"step {index}: meet is empty: {e}",
-                                  step_index=index) from e
-        if new == prior:
-            raise BrokenStepError(f"step {index}: narrows nothing",
-                                  step_index=index)
-        if new != result:
-            raise BrokenStepError(
-                f"step {index}: recorded result {result} but replay "
-                f"produced {new}", step_index=index)
+    try:
+        for index, rule, target, qty, cite, reads, conclusion, result in cert:
+            try:
+                inst = (named.get(cite) if cite is not None else
+                        _GenusChain(target) if target in base.presentations
+                        else None)
+            except TypeError:  # an unhashable cite or target names nothing
+                inst = None
+            if inst is None or inst.rule != rule:
+                raise BrokenStepError(
+                    f"step {index}: cites no {rule} instance of the base",
+                    step_index=index)
+            for t, q, c, read in inst.implications(state):
+                if t == target and q == qty and c == conclusion:
+                    break
+            else:
+                raise BrokenStepError(
+                    f"step {index}: {rule} does not yield {conclusion} for "
+                    f"{target}.{qty}", step_index=index)
+            if reads != read:
+                raise BrokenStepError(
+                    f"step {index}: recorded reads {reads} but replay read "
+                    f"{read}", step_index=index)
+            col = state[q]
+            prior = col[t]
+            try:
+                new = _narrow(col, t, q, c)  # what the rule implied
+            except EmptyIntervalError as e:
+                raise BrokenStepError(f"step {index}: meet is empty: {e}",
+                                      step_index=index) from e
+            if new == prior:
+                raise BrokenStepError(f"step {index}: narrows nothing",
+                                      step_index=index)
+            if new != result:
+                raise BrokenStepError(
+                    f"step {index}: recorded result {result} but replay "
+                    f"produced {new}", step_index=index)
+    except KeyError as e:  # a base built without `extend` can lack a knot
+        raise _unknown(e.args[0]) from None
     return replace(base, bounds=state)

@@ -55,6 +55,31 @@ class TestFactBase:
         with pytest.raises(TaucalcError, match="unknown knot id 'b'"):
             base_with("a").extend(relations=[Mirror("a", "b")])
 
+    # A base built without `extend` can lack a knot of its presentations in
+    # its bounds (a), or name an unknown knot in a relation (zz): a run
+    # refuses it by the knot, not with a KeyError.  `replay` is given a
+    # step that reads or narrows the missing knot.
+    @pytest.mark.parametrize("missing", ["a", "zz"])
+    @pytest.mark.parametrize("run", [
+        lambda base, step: propagate(base),
+        lambda base, step: replay(Certificate([step]), base)],
+        ids=["propagate", "replay"])
+    def test_knot_missing_from_bounds_refused(self, run, missing):
+        top = Interval.top()
+        if missing == "a":
+            base = FactBase({"a": ()})
+            step = CertStep(0, "R2", "a", "g4", None, (), Interval(0, 3),
+                            Interval(0, 3))
+        else:
+            rel, b = Mirror("a", "zz"), base_with("a")
+            base = FactBase(b.presentations, b.bounds, (rel,))
+            step = CertStep(0, "R1", "zz", "tau", rel.cite,
+                            (("a", "tau", top),), top, top)
+        with pytest.raises(TaucalcError,
+                           match=f"unknown knot id '{missing}'") as ei:
+            run(base, step)
+        assert type(ei.value) is TaucalcError
+
     def test_fact_narrows_axioms(self):
         base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
         assert base.knot("a").tau == Interval.at_least(3)

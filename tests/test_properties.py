@@ -6,8 +6,10 @@ constructor; `propagate`, which re-runs only the instances that read a
 narrowed key, against one evaluation of every instance, also on bases
 whose relations repeat a knot; and every rule instance, on distinct or
 repeated knots, which `propagate` does not re-run on its own narrowings,
-against a second evaluation of itself; and the records `replay` rebuilds
-from a certificate against `propagate`'s fixpoint."""
+against a second evaluation of itself; the records `replay` rebuilds
+from a certificate against `propagate`'s fixpoint; and the values each
+certificate step records as read against a walk of the certificate that
+shares no code with the rules."""
 
 import json
 import os
@@ -229,6 +231,39 @@ def test_replay_rederives_the_fixpoint_of_random_bases(seed, size):
     assert replay(cert, base).records == fixed.records
 
 
+def _walk(base, cert):
+    """The bounds `cert` leaves, found by hand: starting from a copy of the
+    base's bounds, each step's `result` replaces the value of its target,
+    in index order.  Checks on the way that each step's `reads` are the
+    walked values just before it: a rule supplies the values it read, and
+    nothing in `replay` re-reads them.  Calls no rule and no `_narrow`."""
+    walked = {q: dict(col) for q, col in base.bounds.items()}
+    for i, step in enumerate(cert):
+        assert step.index == i
+        assert step.reads == tuple((k, q, walked[q][k])
+                                   for k, q, _ in step.reads), step
+        walked[step.quantity][step.target] = step.result
+    return walked
+
+
+@pytest.mark.parametrize("load", [
+    load_bundled_catalog, lambda: load_factbase(str(ALL_RULES)),
+    lambda: load_factbase(str(ALL_RULES.with_name("random_wide_100.json")))],
+    ids=["catalog", "all_rules", "random_wide_100"])
+def test_certificate_walk(load):
+    base = load()
+    fixed, cert = propagate(base)
+    assert _walk(base, cert) == replay(cert, base).bounds == fixed.bounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40))
+def test_certificate_walk_of_random_bases(seed, size):
+    base = random_consistent_base(random.Random(seed), size)[0]
+    _, cert = propagate(base)
+    assert _walk(base, cert) == replay(cert, base).bounds
+
+
 # Derandomized, so that a failure replays on every run.
 ORACLE_SETTINGS = settings(max_examples=100, derandomize=True,
                            database=None, deadline=None)
@@ -351,3 +386,24 @@ def test_repeated_operands_reach_a_fixpoint_or_fail_cleanly(seed):
         assert replay(cert, base).records == fixed.records
         for order in range(4):
             assert propagate_shuffled(base, order)[0].records == fixed.records
+
+
+@settings(ORACLE_SETTINGS, max_examples=200)
+@given(st.integers(0, 2**32))
+def test_certificate_walk_of_repeated_operands(seed):
+    # A run that stops inconsistent is walked up to where it stopped.  In
+    # Sum(a, a, c) and Mirror(a, a) a conclusion reads what an earlier one
+    # of the same evaluation narrowed.
+    knots, facts, relations = _repeated_operand_base(random.Random(seed))
+    try:
+        base = FactBase().extend(knots, facts, relations)
+    except InconsistentError:
+        return
+    with mock.patch.dict(os.environ, TAU_STEP_BUDGET="100"):
+        try:
+            cert = propagate(base)[1]
+        except InconsistentError as e:
+            cert = e.certificate
+        except TaucalcError:
+            return  # out of budget: `propagate` returns no certificate
+    assert _walk(base, cert) == replay(cert, base).bounds
