@@ -235,8 +235,9 @@ def _walk(base, cert):
     """The bounds `cert` leaves, found by hand: starting from a copy of the
     base's bounds, each step's `result` replaces the value of its target,
     in index order.  Checks on the way that each step's `reads` are the
-    walked values just before it: a rule supplies the values it read, and
-    nothing in `replay` re-reads them.  Calls no rule and no `_narrow`."""
+    walked values just before it: the rules supply the values they read,
+    and `replay` checks them against the same rules, where this walk calls
+    no rule and no `_narrow`."""
     walked = {q: dict(col) for q, col in base.bounds.items()}
     for i, step in enumerate(cert):
         assert step.index == i
@@ -391,9 +392,9 @@ def test_repeated_operands_reach_a_fixpoint_or_fail_cleanly(seed):
 @settings(ORACLE_SETTINGS, max_examples=200)
 @given(st.integers(0, 2**32))
 def test_certificate_walk_of_repeated_operands(seed):
-    # A run that stops inconsistent is walked up to where it stopped.  In
-    # Sum(a, a, c) and Mirror(a, a) a conclusion reads what an earlier one
-    # of the same evaluation narrowed.
+    # Repeated operands make a rule read a key it narrows itself, as in
+    # Sum(a, a, c).  A run that stops inconsistent is walked up to where
+    # it stopped.
     knots, facts, relations = _repeated_operand_base(random.Random(seed))
     try:
         base = FactBase().extend(knots, facts, relations)
