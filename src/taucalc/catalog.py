@@ -64,20 +64,29 @@ def factbase_from_dict(doc: dict) -> FactBase:
             f"fact file must be a JSON object, got {type(doc).__name__}")
     rel = None  # the relation entry being read
 
+    # Each entry is checked inline; `_entry` and `_array`, which word the
+    # errors, run only for an entry that is not a plain dict with a string
+    # id (or not a list), so a well-formed entry costs no call.
     def knots():
         for entry in _array(doc, "knots"):
-            id = _entry(entry, "knot")["id"]
-            yield id, _array(entry, "presentations", id)
+            id = entry.get("id") if type(entry) is dict else None
+            if type(id) is not str:
+                id = _entry(entry, "knot")["id"]
+            ps = entry.get("presentations", [])
+            yield id, (ps if type(ps) is list
+                       else _array(entry, "presentations", id))
 
     def facts():
-        for fact in _array(doc, "facts"):
-            f = _entry(fact, "fact")
+        for f in _array(doc, "facts"):
+            if type(f) is not dict or type(f.get("id")) is not str:
+                _entry(f, "fact")
             yield f["id"], f.get("kind"), f.get("value"), f.get("source", "")
 
     def relations():
         nonlocal rel
         for rel in _array(doc, "relations"):
-            kind = _entry(rel, "relation", keyed=False).get("kind")
+            kind = (rel if type(rel) is dict else
+                    _entry(rel, "relation", keyed=False)).get("kind")
             if type(kind) is not str or kind not in _RELATION_TYPES:
                 raise TaucalcError(f"unknown relation kind {kind!r}")
             yield _RELATION_TYPES[kind](**rel)  # `kind` is one of its fields

@@ -401,6 +401,20 @@ def _unknown(id) -> TaucalcError:
     return TaucalcError(f"unknown knot id {id!r}")
 
 
+def _columns(base: "FactBase") -> dict:
+    """A run's own copy of `base`'s bounds, one new dict per column.
+    Refuses bounds whose keys are not exactly the quantities of `_TOP`,
+    naming the missing columns (or, if none is missing, every column), so
+    that no run takes a missing column for an unknown knot."""
+    bounds = base.bounds
+    if bounds.keys() != _TOP.keys():
+        missing = [q for q in _TOP if q not in bounds]
+        raise TaucalcError(f"fact base bounds lack the column(s) {missing}"
+                           if missing else f"fact base bounds must be the "
+                           f"columns {list(_TOP)}, got {list(bounds)}")
+    return {q: dict(col) for q, col in bounds.items()}
+
+
 @dataclass(frozen=True)
 class FactBase:
     """Snapshot of knots, their bounds and relations, which nothing
@@ -438,7 +452,7 @@ class FactBase:
         once: its knots share one `Presentation`.  Only a fact that
         contradicts its bound has its `source` quoted."""
         presentations = dict(self.presentations)
-        bounds = {q: dict(col) for q, col in self.bounds.items()}
+        bounds = _columns(self)
         tops = [(bounds[q], top) for q, top in _TOP.items()]
         built = {}  # (kind, value) -> the Presentation built from them
         for id, given in knots:
@@ -590,7 +604,9 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     TaucalcError when the budget runs out, naming the last narrowing: what
     was still changing.  Also raises TaucalcError naming a knot that a rule
     reads or narrows and the base's bounds lack, which only a base built
-    without `extend` can: a KeyError becomes it, at no cost until raised.
+    without `extend` can: a KeyError becomes it, at no cost until raised;
+    and one naming the missing column of bounds that are not exactly
+    `tau`, `g4`, `g3` and `tb`, checked once before the run.
     """
     env = os.environ.get("TAU_STEP_BUDGET")
     try:
@@ -600,7 +616,7 @@ def propagate(base: FactBase) -> tuple[FactBase, Certificate]:
     if budget < 0:
         raise TaucalcError(f"TAU_STEP_BUDGET must be a non-negative integer, "
                            f"got {env!r}")
-    state = {q: dict(col) for q, col in base.bounds.items()}
+    state = _columns(base)
     instances = _instances(base)
     queues = rules, chains = deque(), deque()
     for inst in instances:
@@ -671,8 +687,9 @@ def replay(cert: Certificate, base: FactBase) -> FactBase:
     `_named` instances, an R2 step's by its target.  Raises
     BrokenStepError at the first failure; returns the base with the bounds
     the steps re-derived, for a certificate of `propagate` its fixpoint.
-    Refuses a base whose bounds lack a knot as `propagate` does."""
-    state = {q: dict(col) for q, col in base.bounds.items()}
+    Refuses a base whose bounds lack a knot or a column as `propagate`
+    does."""
+    state = _columns(base)
     named = {inst.cite: inst for inst in _named(base)}
     try:
         for index, rule, target, qty, cite, reads, conclusion, result in cert:

@@ -3,11 +3,14 @@
 `build_report` gives one `KnotRow` per knot, which the text table and
 `to_json` both read.  `to_json` is the one writer of the one shape a JSON
 report has: `"knots"`, `"total_steps"` and, when certifying,
-`"certificate"`.  Two writers are the one statement of the objects in
-those lists: `knot_to_json` of a knot and `step_to_json` of a
-certificate step.  A step's premises name the instance it cites and the
-values it read; `to_json` encodes each distinct premise once, in a cache
-that lives for the one call.
+`"certificate"`.  Two templates are the one statement of the objects in
+those lists: `_KNOT` of a knot and `_STEP` of a certificate step.  One
+generator fills each list, `knots_to_json` from the rows and
+`steps_to_json` from the certificate, with no helper call per item.  A
+step's premises name the instance it cites and the values it read;
+`steps_to_json` encodes each distinct premise once, and builds the step
+template for each number of premises once, in caches that live for the
+one call.
 
 Every form of a report comes out in the chunks `chunks` cuts, and `cli`
 writes each as it comes: no report is held whole as one string, and a
@@ -17,20 +20,24 @@ write-through stdout (`python -u`) makes one system call per chunk.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .deduce import Certificate, CertStep, FactBase
+from .deduce import Certificate, FactBase
 from .interval import FORMAT, NEG_INF
 
 CHUNK = 256  # the most knots, steps or text lines in one chunk of a report
-# A step in `"certificate"`, and a value it read; see `step_to_json`.
+# A knot in `"knots"` and a step in `"certificate"`, at the indent each has
+# in the report; a step's premises, a list, go between its head and tail.
+_KNOT = ('{\n      "id": %s,\n      "tau": [\n        "%s",\n        "%s"'
+         '\n      ],\n      "g4": [\n        "%s",\n        "%s"\n      ],'
+         '\n      "g3": %s,\n      "tb_lower": %s,\n      "seeds": %s,'
+         '\n      "certificate_steps": %s\n    }')
 _STEP = ('{\n      "index": %s,\n      "rule": %s,\n      "target": %s,'
-         '\n      "quantity": %s,\n      "premises": %s,'
-         f'\n      "conclusion": "{FORMAT}",'
+         '\n      "quantity": %s,\n      "premises": ',
+         f',\n      "conclusion": "{FORMAT}",'
          f'\n      "result": "{FORMAT}"\n    }}')
-_READ = "fact %s.%s = " + FORMAT
+_READ = "fact %s.%s = " + FORMAT  # a value a step read, as a premise
 
 
 class KnotRow(namedtuple(
@@ -46,58 +53,65 @@ def knot_row(base: FactBase, id: str, steps: int) -> KnotRow:
     """The row of knot `id` of `base`, which `steps` certificate steps
     target, read off the base's columns."""
     b = base.bounds
-    g3, tb = b["g3"][id], b["tb"][id]
-    return KnotRow(id, b["tau"][id], b["g4"][id],
-                   g3.lo if g3.is_exact else None,
-                   None if tb.lo == NEG_INF else tb.lo,
-                   tuple(sorted({p.kind for p in base.presentations[id]})),
-                   steps)
+    g3, tb, ps = b["g3"][id], b["tb"][id], base.presentations[id]
+    # tuple.__new__: no Python-level __new__
+    return tuple.__new__(KnotRow, (
+        id, b["tau"][id], b["g4"][id], g3.lo if g3.is_exact else None,
+        None if tb.lo == NEG_INF else tb.lo,
+        tuple(sorted({p.kind for p in ps})) if len(ps) > 1
+        else (ps[0].kind,) if ps else (), steps))
 
 
-def _listed(items: list[str], a: str, b: str) -> str:
-    """JSON items, each already encoded, as a list whose items sit at
-    indent `b` and whose closing bracket sits at `a`."""
-    return "[" + b + ("," + b).join(items) + a + "]" if items else "[]"
+def _listed(items) -> str:
+    """A list of JSON items, each already encoded, at the indent a knot's
+    or a step's list has in the report."""
+    return ("[\n        " + ",\n        ".join(items) + "\n      ]" if items
+            else "[]")
 
 
-def knot_to_json(row: KnotRow) -> str:
-    """A knot as `to_json` writes it in `"knots"`: the one statement of the
-    knot schema.  An interval end prints no character JSON escapes."""
-    a, b = "\n      ", "\n        "  # the knot's keys, its list items
-    tau, g4, g3, tb = row.tau, row.g4, row.g3, row.tb_lower
-    return (f'{{{a}"id": {_json_str(row.id)},'
-            f'{a}"tau": [{b}"{tau.lo}",{b}"{tau.hi}"{a}],'
-            f'{a}"g4": [{b}"{g4.lo}",{b}"{g4.hi}"{a}],'
-            f'{a}"g3": {"null" if g3 is None else g3},'
-            f'{a}"tb_lower": {"null" if tb is None else tb},'
-            f'{a}"seeds": {_listed(list(map(_json_str, row.seeds)), a, b)},'
-            f'{a}"certificate_steps": {row.certificate_steps}\n    }}')
+def knots_to_json(rows):
+    """Each of `rows` as `to_json` writes it in `"knots"`, by the `_KNOT`
+    template: the one statement of the knot schema.  A row's seeds list is
+    encoded once per distinct list, in a cache that lives for the one
+    call.  An interval end prints no character JSON escapes."""
+    seeds = {}  # a row's seeds -> its JSON list
+    for id, tau, g4, g3, tb, kinds, steps in rows:
+        s = seeds.get(kinds)
+        if s is None:
+            s = seeds[kinds] = _listed(list(map(_json_str, kinds)))
+        yield _KNOT % (_json_str(id), *tau, *g4, "null" if g3 is None else g3,
+                       "null" if tb is None else tb, s, steps)
 
 
-def step_to_json(step: CertStep, encoded: dict) -> str:
-    """A certificate step as `to_json` writes it in `"certificate"`, by the
-    `_STEP` template: the one statement of the step schema.  Its premises
-    are the instance the step cites, then each value it read.  `encoded`
-    maps each cite and each (knot, quantity, value) read met so far to its
-    premise, encoded, so that a report encodes each once; the two never
-    share a key, since a read ends in an Interval and no cite does.  An
-    interval prints no character that JSON escapes."""
-    index, rule, target, qty, cite, reads, conclusion, result = step
-    premises = []
-    if cite is not None:
-        p = encoded.get(cite)
-        if p is None:
-            p = encoded[cite] = _json_str(" ".join(map(str, cite)))
-        premises.append(p)
-    for read in reads:
-        p = encoded.get(read)
-        if p is None:
-            k, q, (lo, hi) = read
-            p = encoded[read] = _json_str(_READ % (k, q, lo, hi))
-        premises.append(p)
-    return _STEP % (index, _json_str(rule), _json_str(target), _json_str(qty),
-                    "[\n        " + ",\n        ".join(premises) + "\n      ]"
-                    if premises else "[]", *conclusion, *result)
+def steps_to_json(cert: Certificate):
+    """Each step of `cert` as `to_json` writes it in `"certificate"`, by
+    `_STEP`: the one statement of the step schema.  Its premises are the
+    instance the step cites, then each value it read.  `encoded` maps each
+    cite and each (knot, quantity, value) read met so far to its premise,
+    encoded, and `shapes` each number of premises to its step's template,
+    so that the one call encodes each premise and builds each template
+    once; a cite and a read never share a key, since a read ends in an
+    Interval and no cite does.  An interval prints no character that JSON
+    escapes."""
+    encoded, shapes = {}, {}
+    for index, rule, target, qty, cite, reads, conclusion, result in cert:
+        ps = []
+        if cite is not None:
+            p = encoded.get(cite)
+            if p is None:
+                p = encoded[cite] = _json_str(" ".join(map(str, cite)))
+            ps.append(p)
+        for read in reads:
+            p = encoded.get(read)
+            if p is None:
+                k, q, (lo, hi) = read
+                p = encoded[read] = _json_str(_READ % (k, q, lo, hi))
+            ps.append(p)
+        t = shapes.get(len(ps))
+        if t is None:
+            t = shapes[len(ps)] = _listed(["%s"] * len(ps)).join(_STEP)
+        yield t % (index, _json_str(rule), _json_str(target), _json_str(qty),
+                   *ps, *conclusion, *result)
 
 
 def build_report(base: FactBase, cert: Certificate,
@@ -122,11 +136,11 @@ def chunks(items, sep: str, head: str = "", tail: str = ""):
 
 
 def _report_list(head: str, items, encode, tail: str):
-    """The chunks of `head`, the report's list of `encode` of each of
-    `items` at indent 4, and `tail`."""
+    """The chunks of `head`, the report's list of the items `encode(items)`
+    yields at indent 4, and `tail`."""
     if not items:
         return [head + "[]" + tail]
-    return chunks(map(encode, items), ",\n    ", head + "[\n    ",
+    return chunks(encode(items), ",\n    ", head + "[\n    ",
                   "\n  ]" + tail)
 
 
@@ -140,10 +154,9 @@ def to_json(rows: list[KnotRow], cert: Certificate, certify: bool):
     a = "\n  "  # the report's keys
     tail = f',{a}"total_steps": {len(cert)}'
     tail += f',{a}"certificate": ' if certify else "\n}"
-    yield from _report_list(f'{{{a}"knots": ', rows, knot_to_json, tail)
+    yield from _report_list(f'{{{a}"knots": ', rows, knots_to_json, tail)
     if certify:
-        yield from _report_list("", cert, partial(step_to_json, encoded={}),
-                                "\n}")
+        yield from _report_list("", cert, steps_to_json, "\n}")
 
 
 def dash(v) -> str:

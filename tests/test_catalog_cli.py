@@ -452,10 +452,11 @@ class TestCli:
         # as JSON.
         calls = []
 
-        def counted(step, *args, _fn=report_mod.step_to_json):
-            calls.append(step.index)
-            return _fn(step, *args)
-        monkeypatch.setattr(report_mod, "step_to_json", counted)
+        def counted(cert, _fn=report_mod.steps_to_json):
+            for step, text in zip(cert, _fn(cert)):
+                calls.append(step.index)
+                yield text
+        monkeypatch.setattr(report_mod, "steps_to_json", counted)
         assert main(["deduce", ALL_RULES, "--certify"]) == 0
         assert calls == []
         assert "[0] R7-braid" in capsys.readouterr().out

@@ -26,7 +26,7 @@ from taucalc.deduce import (
 )
 from taucalc.errors import BrokenStepError, InconsistentError, TaucalcError
 from taucalc.interval import POS_INF, Interval
-from taucalc.report import step_to_json
+from taucalc.report import steps_to_json
 
 from .util import (least_budget, propagate_shuffled, random_consistent_base,
                    relations_reversed)
@@ -79,6 +79,26 @@ class TestFactBase:
                            match=f"unknown knot id '{missing}'") as ei:
             run(base, step)
         assert type(ei.value) is TaucalcError
+
+    # A base built without `extend` can also lack a whole quantity column
+    # of bounds, or hold one more: a run refuses it by the column before it
+    # starts, not as an unknown knot named after the column.
+    @pytest.mark.parametrize("bounds, named", [
+        ({}, "['tau', 'g4', 'g3', 'tb']"), ({"tau": {}}, "['g4', 'g3', 'tb']"),
+        ({**base_with("a").bounds, "x": {}}, "'tb', 'x'")],
+        ids=["none", "tau-only", "extra"])
+    @pytest.mark.parametrize("run", [
+        lambda base, step: propagate(base),
+        lambda base, step: replay(Certificate([step]), base)],
+        ids=["propagate", "replay"])
+    def test_column_missing_from_bounds_refused(self, run, bounds, named):
+        base = FactBase({"a": ()}, bounds)
+        step = CertStep(0, "R2", "a", "g4", None, (), Interval(0, 3),
+                        Interval(0, 3))
+        with pytest.raises(TaucalcError, match="column") as ei:
+            run(base, step)
+        assert type(ei.value) is TaucalcError
+        assert named in str(ei.value)
 
     def test_fact_narrows_axioms(self):
         base = base_with("a").extend(facts=[("a", "tau_lower", 3, "")])
@@ -661,7 +681,7 @@ class TestCertificates:
     def test_self_read_premise_is_prior_value(self):
         _, cert = propagate(self._self_sum_base())
         step = next(s for s in cert if s.target == "a")
-        assert json.loads(step_to_json(step, {}))["premises"] == [
+        assert json.loads(next(steps_to_json([step])))["premises"] == [
             f"relation {Sum('a', 'a', 'c')}", "fact c.tau = [4, 4]",
             "fact a.tau = [0, inf]"]
         assert step.result == Interval(0, 4)

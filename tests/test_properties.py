@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.deduce import (
@@ -108,7 +108,17 @@ def _old_step_schema(step):
     }
 
 
+# Every number of premises the writer meets on every run, not only when
+# hypothesis draws it: none (an R2 step that reads nothing), and a cite
+# plus three reads.
 @given(st.lists(cert_steps(), max_size=3), st.booleans())
+@example([CertStep(0, "R2", "k", "g4", None, (), Interval(0, 3),
+                   Interval(0, 3))], True)
+@example([CertStep(1, "R4", "c", "tau", ("relation", Sum("a", "b", "c")),
+                   (("a", "tau", Interval(0, 1)),
+                    ("b", "tau", Interval(NEG_INF, 2)),
+                    ("c", "tau", Interval(-5, POS_INF))),
+                   Interval(0, 3), Interval(0, 3))], True)
 def test_step_writer_is_the_old_step_schema(steps, certify):
     old = {"knots": [], "total_steps": len(steps)}
     if certify:
