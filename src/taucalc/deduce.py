@@ -24,10 +24,11 @@ bound into a knot, writes one entry of a column in place, for input facts
 too.  Every conclusion is an Interval, so a conflict is always an empty
 meet there.  A certificate is the tuple of its steps: each names its
 instance by the instance's `cite` (None for R2, found by its target) and
-records the reads its rule yielded.  R7 seeds depend on the presentation
-alone, so a `Presentation` computes them once.
+records the reads its rule yielded.  R3 and R5 are one difference bound
+(`_difference`); a `Presentation` computes its R7 seeds once.
   R1          Mirror          tau(-K) = -tau(K), g4(-K) = g4(K)
-  R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4 <= g3
+  R2          each knot       -g4 <= tau <= g4, max(0, |tau|) <= g4, and
+                              g4 <= g3's upper end; g3's lower end stays
   R3          CrossingChange  0 <= tau(K+) - tau(K-) <= 1
   R4          Sum             tau(a # b) = tau(a) + tau(b), so tau(b) = 0
                               when a # b = a
@@ -91,6 +92,7 @@ FACT_KINDS = {
     "tau_lower": ("tau", Interval.at_least),
     "tau_upper": ("tau", Interval.at_most),
 }
+_CROSSING = Interval(0, 1)  # R3's tau(K+) - tau(K-)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +119,8 @@ class Presentation(namedtuple("Presentation", "kind value parsed seeds")):
         if type(value) is not str:
             raise TaucalcError(f"{kind} presentation value must be a "
                                f"string, got {value!r}")
-        _, parse, seeds = PRESENTATION_KINDS[kind]
-        parsed = parse(value)
-        return super().__new__(cls, kind, value, parsed, tuple(seeds(parsed)))
+        parsed, seeds = PRESENTATION_KINDS[kind][1](value)
+        return super().__new__(cls, kind, value, parsed, tuple(seeds))
 
     def __getnewargs__(self):  # copy and pickle rebuild it from two fields
         return self[:2]
@@ -136,52 +137,47 @@ def _ints(kind: str, value: str) -> tuple[int, ...]:
                            f"must be integers") from None
 
 
-def _parse_torus(value: str) -> families.TorusParams:
-    pq = _ints("torus", value)
-    if len(pq) != 2:
-        raise TaucalcError(
-            f"torus presentation {value!r}: expected two parameters 'p q'")
-    return families.TorusParams(*pq)
-
-
 def _exact_seeds(v: int) -> list:
     """Bounds of a knot with tau = g4 = v whose Seifert genus is at most v."""
     return [("tau", Interval.exact(v)), ("g4", Interval.exact(v)),
             ("g3", Interval.at_most(v))]
 
 
-def _braid_seeds(b: braid_mod.BraidWord) -> list:
+def _braid(value: str):
+    b = braid_mod.parse_braid(value)
     c = braid_mod.closure_components(b)  # traced once for all three bounds
-    genus = braid_mod.bennequin_genus(b, c)
-    lower = braid_mod.slice_bennequin_lower(b, c)
-    seeds = [("tau", Interval.at_least(lower)),
-             ("g3", Interval.at_most(genus))]
+    seeds = [("tau", Interval.at_least(braid_mod.slice_bennequin_lower(b, c))),
+             ("g3", Interval.at_most(braid_mod.bennequin_genus(b, c)))]
     if b.is_positive:
         seeds += _exact_seeds(braid_mod.tau_positive_braid(b, c))
-    return seeds
+    return b, seeds
 
 
-def _pretzel_seeds(p: families.PretzelParams) -> list:
+def _grid(value: str):
+    g = grid_mod.parse_grid(value)
+    return g, [("tb", Interval.at_least(grid_mod.tb(g)))]
+
+
+def _torus(value: str):
+    pq = _ints("torus", value)
+    if len(pq) != 2:
+        raise TaucalcError(
+            f"torus presentation {value!r}: expected two parameters 'p q'")
+    t = families.TorusParams(*pq)
+    return t, _exact_seeds(families.tau_torus(t))
+
+
+def _pretzel(value: str):
+    p = families.PretzelParams(_ints("pretzel", value))
     v = families.pretzel_tau(p)
-    return [] if v is None else [("tau", Interval.exact(v))]
+    return p, [] if v is None else [("tau", Interval.exact(v))]
 
 
-# kind -> (rule name, parser, seed bounds of the parsed object as (quantity,
-# constraint) pairs).  The seed function is the knot check: the braid
-# genus bounds and grid tb refuse a closure or diagram that is a link.
-# The lambdas look module functions up at call time: wrapping one (e.g. to
-# profile) takes effect here too, and `braid`, `grid` and `families` stay
-# lazy, where naming `braid_mod.parse_braid` here would run `braid`.
-PRESENTATION_KINDS = {
-    "braid": ("R7-braid", lambda v: braid_mod.parse_braid(v), _braid_seeds),
-    "grid": ("R7-grid", lambda v: grid_mod.parse_grid(v),
-             lambda g: [("tb", Interval.at_least(grid_mod.tb(g)))]),
-    "torus": ("R7-torus", _parse_torus,
-              lambda t: _exact_seeds(families.tau_torus(t))),
-    "pretzel": ("R7-pretzel",
-                lambda v: families.PretzelParams(_ints("pretzel", v)),
-                _pretzel_seeds),
-}
+# kind -> (rule name, value -> (parsed value, seed bounds as (quantity,
+# constraint) pairs)); computing the seeds checks that it presents a knot.
+PRESENTATION_KINDS = {"braid": ("R7-braid", _braid), "grid": ("R7-grid", _grid),
+                      "torus": ("R7-torus", _torus),
+                      "pretzel": ("R7-pretzel", _pretzel)}
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +267,25 @@ class Sum(_Relation, namedtuple("Sum", "a b c kind", defaults=["sum"])):
         yield b, "tau", tc - ta, ((c, "tau", tc), (a, "tau", ta))
 
 
+def _difference(state: dict, x: str, y: str, d: Interval):
+    """tau(x) - tau(y) in `d` (R3, R5): tau(x) within tau(y) + d, then
+    tau(y) within tau(x) - d, read again: one `d` for both directions."""
+    tau = state["tau"]
+    v = tau[y]
+    yield x, "tau", v + d, ((y, "tau", v),)
+    v = tau[x]
+    yield y, "tau", v - d, ((x, "tau", v),)
+
+
 class CrossingChange(_Relation, namedtuple(
         "CrossingChange", "plus minus kind", defaults=["crossing_change"])):
     """`minus` is obtained from `plus` by one positive-to-negative change."""
 
     __slots__ = ()
     rule = "R3"
-    _up, _down = Interval(0, 1), Interval(-1, 0)
 
     def implications(self, state: dict):
-        plus, minus = self.plus, self.minus
-        v = state["tau"][minus]
-        yield plus, "tau", v + self._up, ((minus, "tau", v),)
-        v = state["tau"][plus]
-        yield minus, "tau", v + self._down, ((plus, "tau", v),)
+        return _difference(state, self.plus, self.minus, _CROSSING)
 
 
 class Cobordism(_Relation, namedtuple(
@@ -294,9 +295,8 @@ class Cobordism(_Relation, namedtuple(
     counts = {"genus": 0}
 
     def implications(self, state: dict):
-        for x, y in ((self.a, self.b), (self.b, self.a)):
-            v = state["tau"][x]
-            yield y, "tau", v.widen_by(self.genus), ((x, "tau", v),)
+        return _difference(state, self.b, self.a,
+                           Interval(-self.genus, self.genus))
 
 
 class Unknotting(_Relation, namedtuple(

@@ -20,7 +20,8 @@ g4.hi and g3.hi are ints >= 0 or +inf.  `top` is one unchecked
 [-inf, v] unchecked, valid for every int v; any other v goes through the
 checks.  Every operand is valid, because every `Interval` is built by
 `Interval(...)`, which runs the checks, or by `_unchecked` from valid
-ends.  `widen_by` takes an outside int and stays checked.
+ends.  So R5 builds [-g, g] from an outside genus g with `Interval(...)`
+and shifts the other knot's tau by it with `+` and `-`.
 """
 
 from __future__ import annotations
@@ -111,10 +112,6 @@ class Interval(namedtuple("Interval", "lo hi")):
     def __sub__(self, other: "Interval") -> "Interval":
         return _unchecked((_add(self.lo, -other.hi),
                            _add(self.hi, -other.lo)))
-
-    def widen_by(self, g: int) -> "Interval":
-        """[lo - g, hi + g]; used for genus-g cobordism bounds."""
-        return Interval(_add(self.lo, -g), _add(self.hi, g))
 
     @property
     def is_printable(self) -> bool:

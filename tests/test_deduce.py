@@ -202,6 +202,16 @@ class TestRules:
         fixed, _ = propagate(base)
         assert fixed.knot("a").g4 == Interval(3, POS_INF)
 
+    @pytest.mark.xfail(strict=True, reason="R2 lowers g4 to g3's upper end "
+                       "but never raises g3's lower end to g4's")
+    def test_r2_raises_g3_to_g4(self):
+        # g4 <= g3: a positive trefoil and T(3, 4) have g4 = g3's upper end.
+        g3 = []
+        for kind, value in [("braid", "2: 1 1 1"), ("torus", "3 4")]:
+            base = FactBase().extend(knots=[("k", [Presentation(kind, value)])])
+            g3.append(propagate(base)[0].knot("k").g3)
+        assert g3 == [Interval.exact(1), Interval.exact(3)]
+
     def test_r3_both_directions(self):
         base = base_with("p", "m").extend(relations=[CrossingChange("p", "m")])
         b1 = base.extend(facts=[("m", "tau_lower", 2, ""),
@@ -228,6 +238,13 @@ class TestRules:
                                   ("a", "tau_upper", 4, "")])
         fixed, _ = propagate(base)
         assert fixed.knot("b").tau == Interval(3, 5)
+        # A genus beyond float range, added to b's finite and infinite end.
+        g = 10**400
+        base = base_with("a", "b").extend(
+            facts=[("b", "tau_lower", 4, "")],
+            relations=[Cobordism("a", "b", g)])
+        fixed, _ = propagate(base)
+        assert fixed.knot("a").tau == Interval.at_least(4 - g)
 
     def test_r6_unknotting(self):
         base = base_with("a").extend(relations=[Unknotting("a", 2, 1)])

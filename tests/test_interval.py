@@ -93,13 +93,17 @@ def test_arithmetic():
     assert Interval.at_least(10**400) + Interval.top() == Interval.top()
 
 
-def test_widen_by():
-    assert Interval.exact(4).widen_by(1) == Interval(3, 5)
-    assert Interval.at_least(0).widen_by(2) == Interval.at_least(-2)
-    assert Interval.top().widen_by(3) == Interval.top()
-    assert Interval.at_most(1).widen_by(2) == Interval.at_most(3)
-    assert Interval.at_most(1).widen_by(10**400) == Interval.at_most(
-        10**400 + 1)
+def test_shift_by_genus_interval():
+    # R5's conclusions: v + [-g, g] and v - [-g, g] are [lo - g, hi + g].
+    for v, g, widened in [
+            (Interval.exact(4), 1, Interval(3, 5)),
+            (Interval.at_least(0), 2, Interval.at_least(-2)),
+            (Interval.top(), 3, Interval.top()),
+            (Interval.at_most(1), 2, Interval.at_most(3)),
+            # an int beyond float range added to an infinite end
+            (Interval.at_most(1), 10**400, Interval.at_most(10**400 + 1))]:
+        assert v + Interval(-g, g) == widened
+        assert v - Interval(-g, g) == widened
 
 
 def test_contains():

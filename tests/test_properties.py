@@ -9,7 +9,8 @@ repeated knots, which `propagate` does not re-run on its own narrowings,
 against a second evaluation of itself; the records `replay` rebuilds
 from a certificate against `propagate`'s fixpoint; and the values each
 certificate step records as read against a walk of the certificate that
-shares no code with the rules."""
+shares no code with the rules; and the exit and fixpoint of a base against
+those of its mirror."""
 
 import json
 import os
@@ -24,9 +25,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from taucalc.catalog import load_bundled_catalog, load_factbase
 from taucalc.deduce import (
-    FACT_KINDS, Certificate, CertStep, Cobordism, FactBase, KnotRecord, Mirror,
-    Presentation, Relation, Sum, _GenusChain, _instances, _narrow, propagate,
-    replay)
+    FACT_KINDS, Certificate, CertStep, Cobordism, CrossingChange, FactBase,
+    KnotRecord, Mirror, Presentation, Relation, Sum, Unknotting, _GenusChain,
+    _instances, _narrow, propagate, replay)
 from taucalc.errors import EmptyIntervalError, InconsistentError, TaucalcError
 from taucalc.interval import NEG_INF, POS_INF, Interval
 from taucalc.report import build_report, to_json
@@ -354,21 +355,22 @@ def test_instances_are_idempotent(cls, data):
     assert _evaluate(inst, state) == []
 
 
-def _repeated_operand_base(rng):
-    """(knots, facts, relations) on 1-3 knots: 1-4 relations of any type
+def _repeated_operand_base(rng, types=Relation.__args__,
+                           kinds=sorted(FACT_KINDS)):
+    """(knots, facts, relations) on 1-3 knots: 1-4 relations of `types`
     whose knot fields are drawn with repeats, as in Sum(a, b, a), a
     one-sided tau bound on most knots (what makes a cycle of sums climb)
-    and 0-2 more facts of any kind, all small."""
+    and 0-2 more facts of `kinds`, all small."""
     ids = ["a", "b", "c"][:rng.randint(1, 3)]
     relations = []
     for _ in range(rng.randint(1, 4)):
-        cls = rng.choice(Relation.__args__)
+        cls = rng.choice(types)
         relations.append(_on_knots(
             cls, [rng.choice(ids) for _ in range(_knot_fields(cls))],
             [rng.randint(0, 3) for _ in cls.counts]))
     facts = [(k, rng.choice(["tau_lower", "tau_upper"])) for k in ids
              if rng.random() < 0.7]
-    facts += [(rng.choice(ids), rng.choice(sorted(FACT_KINDS)))
+    facts += [(rng.choice(ids), rng.choice(kinds))
               for _ in range(rng.randint(0, 2))]
     return ([(k, ()) for k in ids],
             [(k, kind, rng.randint(0 if kind[0] == "g" else -3, 3), "")
@@ -418,3 +420,44 @@ def test_certificate_walk_of_repeated_operands(seed):
         except TaucalcError:
             return  # out of budget: `propagate` returns no certificate
     assert _walk(base, cert) == replay(cert, base).bounds
+
+
+# The mirror of a relation, of a fact's (kind, value), and of a fixpoint's
+# bounds: tau negates, g4 and g3 stay.  Double, tb facts and presentations
+# have no mirror in the grammar, so the dual bases below hold none.
+MIRRORED = {CrossingChange: lambda r: CrossingChange(r.minus, r.plus),
+            Unknotting: lambda r: Unknotting(r.knot, r.negative, r.positive)}
+FACT_MIRROR = {"tau_lower": "tau_upper", "tau_upper": "tau_lower"}
+DUAL_TYPES = [Mirror, Sum, CrossingChange, Cobordism, Unknotting]
+
+
+def _outcome(knots, facts, relations):
+    """The exit of `tau deduce` on the base (0, 2 or 3) and its fixpoint."""
+    with mock.patch.dict(os.environ, TAU_STEP_BUDGET="100"):
+        try:
+            fixed = propagate(FactBase().extend(knots, facts, relations))[0]
+        except InconsistentError:
+            return 3, None
+        except TaucalcError as e:
+            assert str(e).startswith("propagation exceeded step budget 100")
+            return 2, None
+    return 0, fixed.bounds
+
+
+@settings(ORACLE_SETTINGS, max_examples=200)
+@given(st.integers(0, 2**32))
+def test_mirror_duality(seed):
+    # Mirroring a whole base mirrors its fixpoint and keeps its exit code:
+    # the rules are symmetric under tau -> -tau, so a rule weaker in one
+    # direction than in the other breaks this, sound or not.
+    knots, facts, relations = _repeated_operand_base(
+        random.Random(seed), DUAL_TYPES, ["g3", "g4_upper"])
+    dual = _outcome(
+        knots,
+        [(k, FACT_MIRROR[kind], -v, s) if kind in FACT_MIRROR
+         else (k, kind, v, s) for k, kind, v, s in facts],
+        [MIRRORED.get(type(r), lambda r: r)(r) for r in relations])
+    code, bounds = _outcome(knots, facts, relations)
+    if bounds is not None:
+        bounds = {**bounds, "tau": {k: -v for k, v in bounds["tau"].items()}}
+    assert dual == (code, bounds)
